@@ -55,7 +55,7 @@ class SignalBuffer:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples)
-        if self.samples.size and not np.all(np.isfinite(self.samples.view(float))):
+        if not np.all(np.isfinite(self.samples)):
             raise ValueError("SignalBuffer requires finite samples")
 
     def __len__(self) -> int:
@@ -204,11 +204,14 @@ def add_awgn(signal: SignalBuffer, snr_db: float, rng: np.random.Generator) -> S
     """Add white Gaussian noise at the requested SNR.
 
     Noise power is referenced to the empirical mean square of the input, so
-    10*log10(P_signal/P_noise) = snr_db. snr_db = inf returns the signal
-    unchanged. For complex inputs the noise power is split across quadratures.
+    10*log10(P_signal/P_noise) = snr_db. snr_db = +inf returns the signal
+    unchanged; NaN and -inf raise ValueError. For complex inputs the noise
+    power is split across quadratures.
     """
     x = np.asarray(signal.samples)
-    if math.isinf(snr_db):
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
+    if snr_db == math.inf:
         return SignalBuffer(x.copy(), signal.sample_rate_hz, signal.domain)
     p_signal = float(np.mean(np.abs(x) ** 2))
     p_noise = p_signal / (10.0 ** (snr_db / 10.0))

@@ -225,24 +225,3 @@ def pareto_front(trials, snr_db: float) -> list:
             front.extend(t for mac, ber, t in group if ber == group_best)
             best_ber = group_best
     return front
-
-
-def space_from_dict(raw: dict) -> DseSpace:
-    """Build a DseSpace from the config file's `dse` section."""
-    raw = dict(raw)
-    scale_raw = raw.pop("scale", {})
-    known_scale = set(TrialScale.__dataclass_fields__)
-    unknown = set(scale_raw) - known_scale
-    if unknown:
-        raise ValueError(f"unknown keys in dse.scale: {sorted(unknown)}")
-    if "snrs_db" in scale_raw:
-        scale_raw["snrs_db"] = tuple(scale_raw["snrs_db"])
-    known = set(DseSpace.__dataclass_fields__) - {"scale"}
-    unknown = set(raw) - known - {"strategy", "budget"}
-    if unknown:
-        raise ValueError(f"unknown keys in dse section: {sorted(unknown)}")
-    kwargs = {}
-    for key in ("n_taps", "hidden", "steps", "bits"):
-        if key in raw:
-            kwargs[key] = tuple(raw[key])
-    return DseSpace(scale=TrialScale(**scale_raw), **kwargs)

@@ -10,13 +10,14 @@ the ground-truth classes for training and diagnostics.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .lif import LifParams
-from .quant import QatConfig, fake_quantize, state_format
+from .lif import LifParams, lif_step
+from .quant import QatConfig, fake_quantize, fake_quantize_with_mask, state_format
 
 RX_LEVELS = 8  # received samples are one-hot coded over 8 amplitude bins
 
@@ -91,44 +92,39 @@ class EncoderConfig:
         return np.clip(np.floor(t * RX_LEVELS).astype(np.int64), 0, RX_LEVELS - 1)
 
 
-class DecisionBuffer:
-    """Ring buffer of the last floor(n_tap/2) decided class indices."""
-
-    def __init__(self, capacity: int, fill_class: int = 0):
-        self.capacity = capacity
-        self._buf = [fill_class] * capacity
-
-    def push(self, decided_class: int):
-        self._buf.append(int(decided_class))
-        del self._buf[0]
-
-    def contents(self) -> list:
-        """Oldest decision first."""
-        return list(self._buf)
+@functools.cache
+def _block_starts(history: int, m: int) -> np.ndarray:
+    """First column of each one-hot block of a window (layout: one_hot_windows)."""
+    base = history * RX_LEVELS
+    starts = np.concatenate([RX_LEVELS * np.arange(history),
+                             base + 2 ** m * np.arange(history + 1)])
+    starts.flags.writeable = False  # shared by every caller through the cache
+    return starts
 
 
-def encode_window(received, decisions, encoder: EncoderConfig, m: int = 2) -> np.ndarray:
-    """One-hot encode a window of history+1 received samples and history decisions.
+def one_hot_windows(bins: np.ndarray, decisions: np.ndarray, m: int) -> np.ndarray:
+    """One-hot windows from received bins (B, history+1) and decisions (B, history).
 
     Layout: `history` past-received blocks of 8 (oldest first), `history`
     decision blocks of 2^m (oldest first), then the current-received block of
     8. Exactly one entry per block is nonzero.
     """
+    batch, history = decisions.shape
+    columns = np.concatenate([bins[:, :history], decisions, bins[:, history:]], axis=1)
+    columns += _block_starts(history, m)
+    out = np.zeros((batch, input_size(2 * history + 1, m)))
+    out[np.arange(batch)[:, None], columns] = 1.0
+    return out
+
+
+def encode_window(received, decisions, encoder: EncoderConfig, m: int = 2) -> np.ndarray:
+    """One-hot encode a window of history+1 received samples and history decisions
+    (layout: one_hot_windows)."""
     received = np.asarray(received, dtype=float)
     decisions = np.asarray(decisions, dtype=np.int64)
-    history = decisions.size
-    if received.size != history + 1:
+    if received.size != decisions.size + 1:
         raise ValueError("received window must hold history+1 samples")
-    n_classes = 2 ** m
-    bins = encoder.bin_indices(received)
-    out = np.zeros(RX_LEVELS * (history + 1) + n_classes * history)
-    for j in range(history):
-        out[j * RX_LEVELS + bins[j]] = 1.0
-    base = history * RX_LEVELS
-    for j in range(history):
-        out[base + j * n_classes + decisions[j]] = 1.0
-    out[base + history * n_classes + bins[history]] = 1.0
-    return out
+    return one_hot_windows(encoder.bin_indices(received)[None], decisions[None], m)[0]
 
 
 @dataclass
@@ -199,75 +195,59 @@ class EqualizerModel:
         cfg, lif, qat = self.config, self.lif, self.qat
 
         def decide(encoded: np.ndarray, stats=None) -> int:
-            logits, _ = _forward_steps(encoded, eff, cfg, lif, qat)
-            return int(np.argmax(logits))
+            logits, _ = forward(encoded[None, :], eff, cfg, lif, qat)
+            return int(np.argmax(logits[0]))
 
         return decide
 
-    def decide(self, encoded: np.ndarray) -> int:
-        return self.make_decider()(encoded)
 
+def forward(windows, weights: dict, config: TopologyConfig, lif: LifParams,
+            qat: QatConfig | None = None, keep: bool = False,
+            smooth_slope: float | None = None):
+    """The T-step forward pass over a batch of encoded windows (B, n_input).
 
-def _forward_steps(encoded: np.ndarray, weights: dict, config: TopologyConfig,
-                   lif: LifParams, qat: QatConfig | None = None,
-                   count_macs: bool = False, record_spikes: bool = False):
-    """Reference T-step forward pass for one encoded window.
-
-    Step 1 drives fc0 with the window, later steps with zeros (bias only).
-    Per-step hidden drive is fc1(fc0 output) + fc2(previous spikes) + bias;
-    fc3 readouts are summed over steps. With `qat` set, the drive and the LIF
-    state are quantized onto the state grid each step, mirroring training.
-    The MAC counter counts every multiply of the dense dataflow (bias adds and
-    the argmax excluded).
+    Step 1 drives fc0 with the windows, later steps with zeros, so that fc0
+    then outputs its bias. The hidden drive per step is fc1(fc0 output) + fc2(previous
+    spikes) + bias; fc3 readouts are summed over steps. With `qat` set, the
+    drive and the LIF state are fake-quantized onto the state grid each step.
+    Returns the logits (B, n_classes) and, when `keep` is set, a tape of what
+    the backward pass reads, else None: the fc0 output "a0" and per-step lists
+    of spikes "s", "u" = v_pre - v_th, "v_pre", and under QAT the
+    straight-through masks of the drive, current and voltage ("h", "i", "v").
+    `smooth_slope` runs the sigmoid twin of the spike (see lif_step).
     """
-    n_h, n_steps = config.hidden, config.steps
-    w0, b0 = weights["w_fc0"], weights["b_fc0"]
-    w1, b1 = weights["w_fc1"], weights["b_fc1"]
-    w2 = weights["w_fc2"]
+    windows = np.asarray(windows, dtype=float)
+    if windows.ndim != 2 or windows.shape[1] != config.n_input:
+        raise ValueError(f"windows have shape {windows.shape}, expected (B, {config.n_input})")
+    w1, b1, w2 = weights["w_fc1"], weights["b_fc1"], weights["w_fc2"]
     w3, b3 = weights["w_fc3"], weights["b_fc3"]
-    if encoded.shape != (config.n_input,):
-        raise ValueError(f"encoded window has shape {encoded.shape}, expected ({config.n_input},)")
-    sgrid = state_format(qat.state_bits) if qat is not None else None
+    a0 = windows @ weights["w_fc0"].T + weights["b_fc0"]
+    a_rest = weights["b_fc0"] @ w1.T + b1  # fc1 part of the drive at steps t >= 1
+    tape = {"a0": a0, "s": [], "u": [], "v_pre": [], "h": [], "i": [], "v": []} if keep else None
+    quantize = None
+    if qat is not None:
+        grid = state_format(qat.state_bits)
 
-    macs = 0
-    zeros_in = np.zeros_like(encoded)
-    v = np.zeros(n_h)
-    i = np.zeros(n_h)
-    spikes = np.zeros(n_h)
-    logits = np.zeros(config.n_classes)
-    spike_log = np.zeros((n_steps, n_h)) if record_spikes else None
-    for t in range(n_steps):
-        x_t = encoded if t == 0 else zeros_in
-        a_t = w0 @ x_t + b0
-        drive = w1 @ a_t + b1 + w2 @ spikes
-        macs += w0.size + w1.size + w2.size
-        if sgrid is not None:
-            drive = fake_quantize(drive, sgrid.total_bits, sgrid.scale)
-        i = (1.0 - lif.alpha_i) * i + drive
-        if sgrid is not None:
-            i = fake_quantize(i, sgrid.total_bits, sgrid.scale)
-        v_pre = v + lif.alpha_v * ((lif.v_leak - v) + i)
-        spikes = (v_pre >= lif.v_th).astype(float)
-        v = np.where(spikes > 0, lif.v_r, v_pre)
-        if sgrid is not None:
-            v = fake_quantize(v, sgrid.total_bits, sgrid.scale)
-        logits += w3 @ spikes + b3
-        macs += w3.size
-        if record_spikes:
-            spike_log[t] = spikes
-    if record_spikes:
-        return logits, macs, spike_log
-    return logits, macs
+        def quantize(x, name):
+            if tape is None:
+                return fake_quantize(x, grid.total_bits, grid.scale)
+            q, mask, _ = fake_quantize_with_mask(x, grid.total_bits, grid.scale)
+            tape[name].append(mask)
+            return q
 
-
-def snn_forward(encoded: np.ndarray, model: EqualizerModel, count_macs: bool = False):
-    """Accumulated logits for one window; optionally also the multiply count."""
-    logits, macs = _forward_steps(
-        encoded, model.effective_weights(), model.config, model.lif, model.qat
-    )
-    if count_macs:
-        return logits, macs
-    return logits
+    v = i = s = np.zeros((windows.shape[0], config.hidden))
+    logits = np.zeros((windows.shape[0], config.n_classes))
+    for t in range(config.steps):
+        h = (a0 @ w1.T + b1 if t == 0 else a_rest) + s @ w2.T
+        if quantize is not None:
+            h = quantize(h, "h")
+        v, i, s, v_pre = lif_step(v, i, h, lif, quantize, smooth_slope)
+        logits += s @ w3.T + b3
+        if tape is not None:
+            tape["s"].append(s)
+            tape["u"].append(v_pre - lif.v_th)
+            tape["v_pre"].append(v_pre)
+    return logits, tape
 
 
 def equalize_stream(y, model, mode: str = "feedback", true_classes=None,
@@ -275,9 +255,9 @@ def equalize_stream(y, model, mode: str = "feedback", true_classes=None,
     """Equalize a symbol-rate stream; returns decisions for symbols history..N-1.
 
     The first `history` symbols have no fully-populated window: they are never
-    decided, stand in the feedback buffer as `fill_class`, and are excluded
-    from error accounting. In feedback mode each decision enters the buffer;
-    in genie mode the ground-truth class does (teacher forcing).
+    decided, stand in the feedback window as `fill_class`, and are excluded
+    from error accounting. In feedback mode each decision is fed back; in
+    genie mode the ground-truth class is (teacher forcing).
     """
     y = np.asarray(getattr(y, "samples", y), dtype=float)
     cfg = model.config
@@ -286,78 +266,90 @@ def equalize_stream(y, model, mode: str = "feedback", true_classes=None,
         raise ValueError(f"stream of {y.size} symbols is shorter than history+1 = {history + 1}")
     if mode not in ("feedback", "genie"):
         raise ValueError(f"unknown mode {mode!r}")
+    fed = np.full(y.size, fill_class, dtype=np.int64)  # the classes the windows see
     if mode == "genie":
         if true_classes is None:
             raise ValueError("genie mode requires true_classes")
         true_classes = np.asarray(true_classes, dtype=np.int64)
         if true_classes.size != y.size:
             raise ValueError("true_classes must align with y")
+        fed[history:] = true_classes[history:]
 
     decide = model.make_decider()
     encoder, m = model.encoder, cfg.bits_per_symbol
-    buffer = DecisionBuffer(history, fill_class)
     out = np.zeros(y.size - history, dtype=np.int64)
     for k in range(history, y.size):
-        encoded = encode_window(y[k - history : k + 1], buffer.contents(), encoder, m)
-        decided = decide(encoded, stats)
-        out[k - history] = decided
-        if history:
-            buffer.push(decided if mode == "feedback" else true_classes[k])
+        encoded = encode_window(y[k - history : k + 1], fed[k - history : k], encoder, m)
+        out[k - history] = decide(encoded, stats)
+        if mode == "feedback":
+            fed[k] = out[k - history]
     return out
 
 
-def _encoder_to_dict(encoder: EncoderConfig) -> dict:
-    return {"rx_min": encoder.rx_min, "rx_max": encoder.rx_max}
+_HEADER_KEYS = ("n_tap", "bits_per_symbol", "hidden", "steps", "lif", "encoder")
+# Header sections read into dataclasses with defaults: every field must be
+# present, or a missing one would load as its default.
+_HEADER_SECTIONS = {"lif": LifParams, "encoder": EncoderConfig, "qat": QatConfig}
 
 
-def _model_header(model: EqualizerModel) -> dict:
+def save_container(path, fmt: str, version: int, model, arrays: dict, **extra) -> None:
+    """Write a versioned npz container: a JSON header (format, version, topology,
+    LIF constants, encoder calibration, then `extra`) and row-major arrays."""
     cfg = model.config
-    return {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "n_tap": cfg.n_tap,
-        "bits_per_symbol": cfg.bits_per_symbol,
-        "hidden": cfg.hidden,
-        "steps": cfg.steps,
-        "lif": {
-            "alpha_v": model.lif.alpha_v, "alpha_i": model.lif.alpha_i,
-            "v_th": model.lif.v_th, "v_r": model.lif.v_r,
-            "v_leak": model.lif.v_leak, "r": model.lif.r,
-        },
-        "encoder": _encoder_to_dict(model.encoder),
-        "qat": None if model.qat is None else {
-            "weight_bits": model.qat.weight_bits, "state_bits": model.qat.state_bits,
-        },
+    header = {
+        "format": fmt, "version": version,
+        "n_tap": cfg.n_tap, "bits_per_symbol": cfg.bits_per_symbol,
+        "hidden": cfg.hidden, "steps": cfg.steps,
+        "lif": asdict(model.lif), "encoder": asdict(model.encoder),
+        **extra,
     }
+    arrays = {name: np.ascontiguousarray(arr) for name, arr in arrays.items()}
+    np.savez(path, header=json.dumps(header), **arrays)
+
+
+def load_container(path, fmt: str, version: int, extra_keys: tuple):
+    """(header, arrays, common) of a container written by save_container.
+
+    `arrays` holds the EqualizerModel.PARAM_NAMES tensors; `common` the
+    config, lif and encoder keyword arguments both model classes take. Raises
+    ValueError when the file is not a `fmt` container of `version` or lacks a
+    header key (the shared ones, `extra_keys`, or a field of a section) or an
+    array.
+    """
+    with np.load(path, allow_pickle=False) as data:
+        header = json.loads(str(data["header"])) if "header" in data.files else {}
+        if header.get("format") != fmt:
+            raise ValueError(f"not a {fmt} file")
+        if header.get("version") != version:
+            raise ValueError(f"unsupported {fmt} version {header.get('version')}")
+        missing = [key for key in _HEADER_KEYS + extra_keys if key not in header]
+        for key, section in _HEADER_SECTIONS.items():
+            if isinstance(header.get(key), dict):
+                missing += [f"{key}.{f.name}" for f in fields(section)
+                            if f.name not in header[key]]
+        missing += [name for name in EqualizerModel.PARAM_NAMES if name not in data.files]
+        if missing:
+            raise ValueError(f"{fmt} file lacks {missing}")
+        arrays = {name: data[name] for name in EqualizerModel.PARAM_NAMES}
+    common = {
+        "config": TopologyConfig(
+            n_tap=header["n_tap"], bits_per_symbol=header["bits_per_symbol"],
+            hidden=header["hidden"], steps=header["steps"],
+        ),
+        "lif": LifParams(**header["lif"]),
+        "encoder": EncoderConfig(**header["encoder"]),
+    }
+    return header, arrays, common
 
 
 def save_model(path, model: EqualizerModel):
     """Write the versioned model container (json header + row-major weights)."""
-    arrays = {name: np.ascontiguousarray(arr) for name, arr in model.parameters().items()}
-    np.savez(path, header=json.dumps(_model_header(model)), **arrays)
-
-
-def _parse_header(data) -> dict:
-    header = json.loads(str(data["header"]))
-    if header.get("format") != MODEL_FORMAT:
-        raise ValueError(f"not a {MODEL_FORMAT} file")
-    if header.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {header.get('version')}")
-    return header
+    qat = model.qat
+    save_container(path, MODEL_FORMAT, MODEL_VERSION, model, model.parameters(),
+                   qat=None if qat is None else asdict(qat))
 
 
 def load_model(path) -> EqualizerModel:
-    with np.load(path, allow_pickle=False) as data:
-        header = _parse_header(data)
-        arrays = {name: data[name] for name in EqualizerModel.PARAM_NAMES}
+    header, arrays, common = load_container(path, MODEL_FORMAT, MODEL_VERSION, ("qat",))
     qat = header["qat"]
-    return EqualizerModel(
-        config=TopologyConfig(
-            n_tap=header["n_tap"], bits_per_symbol=header["bits_per_symbol"],
-            hidden=header["hidden"], steps=header["steps"],
-        ),
-        lif=LifParams(**header["lif"]),
-        encoder=EncoderConfig(**header["encoder"]),
-        qat=None if qat is None else QatConfig(**qat),
-        **arrays,
-    )
+    return EqualizerModel(**common, qat=None if qat is None else QatConfig(**qat), **arrays)

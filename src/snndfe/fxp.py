@@ -11,16 +11,17 @@ platform.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .equalizer import EncoderConfig, EqualizerModel, TopologyConfig
+from .equalizer import (
+    EncoderConfig, EqualizerModel, TopologyConfig, load_container, save_container,
+)
 from .lif import LifParams
-from .quant import FxpFormat, QatConfig, pow2_scale, state_format
+from .quant import FxpFormat, pow2_scale, state_format
 
 FXP_FORMAT = "snndfe-fxp-model"
 FXP_VERSION = 1
@@ -41,8 +42,8 @@ class FxpFormats:
     def __post_init__(self):
         if self.weight_bits < 2 or self.state_bits < 4:
             raise ValueError("weight_bits >= 2 and state_bits >= 4 required")
-        if self.acc_bits < 16:
-            raise ValueError("acc_bits must be >= 16")
+        if not 16 <= self.acc_bits <= 62:
+            raise ValueError("acc_bits must be in [16, 62] (int64 arithmetic)")
 
 
 def _sat(x: np.ndarray, lo: int, hi: int, stats: dict | None,
@@ -93,9 +94,6 @@ class FxpModel:
 
         return decide
 
-    def decide(self, encoded: np.ndarray) -> int:
-        return self.make_decider()(encoded)
-
 
 def _fit_frac(arr: np.ndarray, bits: int) -> int:
     """Fractional bits of the finest power-of-two grid that holds max|arr|."""
@@ -103,6 +101,37 @@ def _fit_frac(arr: np.ndarray, bits: int) -> int:
     scale = pow2_scale(max_abs, bits)
     frac = -int(round(math.log2(scale)))
     return frac
+
+
+def _accumulator_fracs(fracs: dict) -> tuple:
+    """Fractional bits of the fc0, hidden-drive and logit accumulators, each the
+    finest grid among the tensors it sums."""
+    f_a = max(fracs["w_fc0"], fracs["b_fc0"])
+    f_h = max(fracs["w_fc1"] + f_a, fracs["w_fc2"], fracs["b_fc1"])
+    f_z = max(fracs["w_fc3"], fracs["b_fc3"])
+    return f_a, f_h, f_z
+
+
+def _worst_case_accumulators(ints: dict, fracs: dict, steps: int) -> dict:
+    """Largest magnitude each accumulator of fxp_forward can reach, as an exact int.
+
+    Row sums of |w| times the largest input (1 for the ternary window and the
+    spikes, the fc0 bound for fc1), plus the largest |bias|, each after its
+    alignment shift; the logits add that over all steps.
+    """
+    f_a, f_h, f_z = _accumulator_fracs(fracs)
+
+    def row_sum(name):
+        return int(np.abs(ints[name]).sum(axis=1).max())
+
+    def aligned_bias(name, frac):
+        return int(np.abs(ints[name]).max()) << (frac - fracs[name])
+
+    fc0 = (row_sum("w_fc0") << (f_a - fracs["w_fc0"])) + aligned_bias("b_fc0", f_a)
+    hidden = ((row_sum("w_fc1") * fc0) << (f_h - fracs["w_fc1"] - f_a)) \
+        + (row_sum("w_fc2") << (f_h - fracs["w_fc2"])) + aligned_bias("b_fc1", f_h)
+    logits = steps * ((row_sum("w_fc3") << (f_z - fracs["w_fc3"])) + aligned_bias("b_fc3", f_z))
+    return {"fc0": fc0, "hidden drive": hidden, "logits": logits}
 
 
 def _shift_exponent(alpha: float, name: str) -> int:
@@ -121,7 +150,10 @@ def convert(model: EqualizerModel, formats: FxpFormats) -> FxpModel:
     The fitted grids match the QAT fake-quantization grids, so a model trained
     with matching bit widths converts exactly (zero error); a warning is issued
     when the QAT setup does not match. Tensors whose pinned grid cannot hold a
-    value raise ConversionError naming the offenders.
+    value raise ConversionError naming the offenders, and so does a model whose
+    worst-case aligned accumulator can exceed acc_bits (see
+    _worst_case_accumulators), so a converted model neither saturates an
+    accumulator nor wraps an int64 alignment shift.
     """
     if model.qat is None:
         warnings.warn("converting a model that was not QAT-trained", stacklevel=2)
@@ -146,6 +178,13 @@ def convert(model: EqualizerModel, formats: FxpFormats) -> FxpModel:
         fracs[name] = frac
     if overflowed:
         raise ConversionError(f"tensors exceed the representable range: {overflowed}")
+    worst = _worst_case_accumulators(ints, fracs, model.config.steps)
+    too_wide = [f"{name} 2^{math.log2(peak):.1f}" for name, peak in worst.items()
+                if peak > 2 ** (formats.acc_bits - 1) - 1]
+    if too_wide:
+        raise ConversionError(
+            f"worst-case accumulators exceed {formats.acc_bits} bits: {', '.join(too_wide)}"
+        )
 
     fmt = state_format(formats.state_bits)
     v_th_int = int(round(model.lif.v_th * 2.0 ** fmt.frac_bits))
@@ -230,9 +269,7 @@ def fxp_forward(encoded, model: FxpModel, stats: dict | None = None) -> FxpResul
                       fmt.min_int, fmt.max_int)
     acc_lo, acc_hi = model.acc_min, model.acc_max
 
-    f_a = max(f["w_fc0"], f["b_fc0"])                 # fc0 accumulator grid
-    f_h = max(f["w_fc1"] + f_a, f["w_fc2"], f["b_fc1"])  # hidden drive grid
-    f_z = max(f["w_fc3"], f["b_fc3"])                 # logits grid
+    f_a, f_h, f_z = _accumulator_fracs(f)
 
     # NB: << binds looser than + in Python; every shift is parenthesized
     a_bias = w["b_fc0"] << (f_a - f["b_fc0"])
@@ -268,47 +305,25 @@ def fxp_forward(encoded, model: FxpModel, stats: dict | None = None) -> FxpResul
     )
 
 
+_FXP_FIELDS = ("fracs", "state_bits", "state_frac_bits", "k_v", "k_i",
+               "v_th_int", "v_r_int", "weight_bits", "acc_bits")
+
+
 def save_fxp_model(path, model: FxpModel) -> None:
     """Integer model container: json header plus raw int64 tensors."""
-    header = {
-        "format": FXP_FORMAT,
-        "version": FXP_VERSION,
-        "n_tap": model.config.n_tap,
-        "bits_per_symbol": model.config.bits_per_symbol,
-        "hidden": model.config.hidden,
-        "steps": model.config.steps,
-        "encoder": {"rx_min": model.encoder.rx_min, "rx_max": model.encoder.rx_max},
-        "lif": {
-            "alpha_v": model.lif.alpha_v, "alpha_i": model.lif.alpha_i,
-            "v_th": model.lif.v_th, "v_r": model.lif.v_r,
-            "v_leak": model.lif.v_leak, "r": model.lif.r,
-        },
-        "fracs": model.fracs,
-        "state_bits": model.state_fmt.total_bits,
-        "state_frac_bits": model.state_fmt.frac_bits,
-        "k_v": model.k_v, "k_i": model.k_i,
-        "v_th_int": model.v_th_int, "v_r_int": model.v_r_int,
-        "weight_bits": model.weight_bits,
-        "acc_bits": model.acc_bits,
-    }
-    np.savez(path, header=json.dumps(header), **model.ints)
+    save_container(
+        path, FXP_FORMAT, FXP_VERSION, model, model.ints,
+        fracs=model.fracs,
+        state_bits=model.state_fmt.total_bits, state_frac_bits=model.state_fmt.frac_bits,
+        k_v=model.k_v, k_i=model.k_i, v_th_int=model.v_th_int, v_r_int=model.v_r_int,
+        weight_bits=model.weight_bits, acc_bits=model.acc_bits,
+    )
 
 
 def load_fxp_model(path) -> FxpModel:
-    with np.load(path, allow_pickle=False) as data:
-        header = json.loads(str(data["header"]))
-        if header.get("format") != FXP_FORMAT:
-            raise ValueError(f"not a {FXP_FORMAT} file")
-        if header.get("version") != FXP_VERSION:
-            raise ValueError(f"unsupported fxp model version {header.get('version')}")
-        ints = {name: data[name] for name in EqualizerModel.PARAM_NAMES}
+    header, ints, common = load_container(path, FXP_FORMAT, FXP_VERSION, _FXP_FIELDS)
     return FxpModel(
-        config=TopologyConfig(
-            n_tap=header["n_tap"], bits_per_symbol=header["bits_per_symbol"],
-            hidden=header["hidden"], steps=header["steps"],
-        ),
-        encoder=EncoderConfig(**header["encoder"]),
-        lif=LifParams(**header["lif"]),
+        **common,
         ints=ints,
         fracs={k: int(v) for k, v in header["fracs"].items()},
         state_fmt=FxpFormat(header["state_bits"], header["state_frac_bits"]),

@@ -2,29 +2,22 @@
 
 Every stochastic site derives its own generator as hash(master_seed, label),
 so results are independent of scheduling and any single output can be
-reproduced from the run manifest alone.
+reproduced from the master seed and its label alone.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import platform
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
 from .channel import ChannelConfig, bits_to_classes, classes_to_bits, simulate_link
-from .equalizer import TopologyConfig, equalize_stream
-from .lif import LifParams
-from .quant import QatConfig
-from .train import TrainConfig
+from .equalizer import equalize_stream
 
 
 class ConfigError(ValueError):
-    """Invalid or incomplete experiment configuration."""
+    """Invalid evaluation settings."""
 
 
 class CalibrationError(ValueError):
@@ -155,110 +148,3 @@ def evaluate_baseline_ber(channel_cfg: ChannelConfig, m: int, snrs_db,
         errors = count_bit_errors(classes[warmup:], decided[warmup:], m)
         points.append(BerPoint(snr_db, errors, m * (symbols_per_snr - warmup)))
     return BerCurve(points)
-
-
-# --- experiment configuration ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    snrs_db: tuple = tuple(range(12, 22))
-    symbols_per_snr: int = 100_000
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.snrs_db:
-            raise ConfigError("eval.snrs_db must be nonempty")
-        # statistical floor: below 1e4 symbols the BER points mean little
-        if self.symbols_per_snr < 10_000:
-            raise ConfigError("eval.symbols_per_snr must be >= 10000")
-
-
-def _build(cls, section: dict, name: str):
-    fields = {f for f in cls.__dataclass_fields__}
-    unknown = set(section) - fields
-    if unknown:
-        raise ConfigError(f"unknown keys in '{name}' section: {sorted(unknown)}")
-    try:
-        return cls(**section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid '{name}' section: {exc}") from exc
-
-
-@dataclass
-class ExperimentConfig:
-    """Parsed experiment file; raw dict retained for hashing and manifests."""
-
-    channel: ChannelConfig
-    topology: TopologyConfig
-    lif: LifParams
-    train: TrainConfig
-    eval: EvalConfig
-    dse_raw: dict | None
-    model_path: str | None
-    output_dir: str
-    raw: dict
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {"channel", "topology", "lif", "train", "eval", "dse", "model", "output_dir"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
-        train_section = dict(raw.get("train", {}))
-        if isinstance(train_section.get("qat"), dict):
-            train_section["qat"] = _build(QatConfig, train_section["qat"], "train.qat")
-        eval_section = dict(raw.get("eval", {}))
-        if "snrs_db" in eval_section:
-            eval_section["snrs_db"] = tuple(eval_section["snrs_db"])
-        train_cfg = _build(TrainConfig, train_section, "train")
-        if "lif" in raw:
-            lif = _build(LifParams, raw["lif"], "lif")
-        else:
-            lif = LifParams.shift_friendly() if train_cfg.qat is not None else LifParams()
-        return cls(
-            channel=_build(ChannelConfig, raw.get("channel", {}), "channel"),
-            topology=_build(TopologyConfig, raw.get("topology", {}), "topology"),
-            lif=lif,
-            train=train_cfg,
-            eval=_build(EvalConfig, eval_section, "eval"),
-            dse_raw=raw.get("dse"),
-            model_path=raw.get("model"),
-            output_dir=raw.get("output_dir", "."),
-            raw=raw,
-        )
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
-
-
-def config_hash(raw: dict) -> str:
-    return hashlib.sha256(json.dumps(raw, sort_keys=True).encode()).hexdigest()
-
-
-def run_manifest(command: str, raw_config: dict, seed: int) -> dict:
-    """Everything needed to reproduce the run bit-for-bit on the same build."""
-    return {
-        "command": command,
-        "config": raw_config,
-        "config_sha256": config_hash(raw_config),
-        "master_seed": seed,
-        "versions": {
-            "snndfe": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        },
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
-
-
-def write_manifest(path, command: str, raw_config: dict, seed: int) -> None:
-    with open(path, "w") as fh:
-        json.dump(run_manifest(command, raw_config, seed), fh, indent=2)
-        fh.write("\n")

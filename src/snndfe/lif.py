@@ -1,10 +1,12 @@
-"""Discrete-time leaky-integrate-and-fire layer (float reference path).
+"""Discrete-time leaky-integrate-and-fire update (float arithmetic).
 
 Explicit-Euler update per step: the synaptic current decays and integrates the
 drive, the membrane voltage decays toward the leak potential and integrates
 the current, a spike fires when the voltage reaches threshold, and the voltage
 is hard-reset afterwards. Decay factors are expressed directly as per-step
 rates, so 0.125 and 0.25 correspond to the shift-friendly hardware constants.
+`lif_step` is the one float definition of this update; the equalizer's
+forward pass, and so training and inference, run it.
 """
 
 from __future__ import annotations
@@ -39,89 +41,44 @@ class LifParams:
         return cls(alpha_v=0.125, alpha_i=0.25)
 
 
-@dataclass
-class LifState:
-    """Per-neuron membrane voltage and synaptic current."""
+def smooth_spike(u, slope: float = 100.0):
+    """Sigmoid twin of the spike function and its exact derivative.
 
-    v: np.ndarray
-    i: np.ndarray
-
-    @classmethod
-    def zeros(cls, n: int) -> "LifState":
-        return cls(v=np.zeros(n), i=np.zeros(n))
-
-
-@dataclass
-class RecurrentLayerWeights:
-    """Feedforward matrix, recurrent matrix and bias of one LIF layer."""
-
-    w_in: np.ndarray
-    w_rec: np.ndarray
-    bias: np.ndarray
+    s(u) = (1 + slope*u/(1+slope*|u|))/2 ranges over (0, 1), and
+    s'(u) = slope/2 * surrogate_grad(u), so the smooth forward/backward pair
+    is finite-difference-consistent.
+    """
+    u = np.asarray(u, dtype=float)
+    denom = 1.0 + slope * np.abs(u)
+    value = 0.5 * (1.0 + slope * u / denom)
+    deriv = 0.5 * slope / denom ** 2
+    return value, deriv
 
 
-def lif_step(state: LifState, drive: np.ndarray, params: LifParams):
+def lif_step(v: np.ndarray, i: np.ndarray, drive: np.ndarray, params: LifParams,
+             quantize=None, smooth_slope: float | None = None):
     """Advance one step given the already-summed synaptic drive.
 
-    Returns the new state and the binary spike vector. Update order: current
-    decays and integrates the drive, voltage decays and integrates the new
-    current, threshold compare (ties spike), hard reset to v_r.
+    Returns (v, i, spikes, v_pre) for arrays of any one shape. Update order:
+    current decays and integrates the drive, voltage decays toward v_leak and
+    integrates the new current, threshold compare (ties spike), hard reset to
+    v_r. `quantize(x, name)`, when given, rounds the new current ("i") and the
+    reset voltage ("v") onto the state grid (QAT). `smooth_slope` swaps the
+    Heaviside for its sigmoid twin and the reset for the differentiable
+    v_pre - s*(v_pre - v_r), for finite-difference checks of training.
     """
-    drive = np.asarray(drive, dtype=float)
-    if drive.shape != state.v.shape:
-        raise ValueError(f"drive shape {drive.shape} != state shape {state.v.shape}")
-    i_new = (1.0 - params.alpha_i) * state.i + drive
-    v_pre = state.v + params.alpha_v * ((params.v_leak - state.v) + i_new)
-    spikes = (v_pre >= params.v_th).astype(float)
-    v_new = np.where(spikes > 0, params.v_r, v_pre)
-    return LifState(v=v_new, i=i_new), spikes
-
-
-def lif_unroll(inputs: np.ndarray, weights: RecurrentLayerWeights, params: LifParams,
-               record: bool = False):
-    """Run the layer for T steps; inputs has shape (T, fan_in).
-
-    The recurrent term at step t uses the layer's own spikes from step t-1
-    (zeros at t=0). Returns (spikes (T, n), final state) and, when record is
-    set, a trace dict with per-step v_pre, v, i arrays for plotting.
-    """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    t_steps = inputs.shape[0]
-    if t_steps == 0:
-        raise ValueError("lif_unroll needs T >= 1")
-    n = weights.w_in.shape[0]
-    state = LifState.zeros(n)
-    spikes_prev = np.zeros(n)
-    spikes_out = np.zeros((t_steps, n))
-    trace = {"v_pre": np.zeros((t_steps, n)), "v": np.zeros((t_steps, n)),
-             "i": np.zeros((t_steps, n))} if record else None
-    for t in range(t_steps):
-        drive = weights.w_in @ inputs[t] + weights.w_rec @ spikes_prev + weights.bias
-        if record:
-            i_new = (1.0 - params.alpha_i) * state.i + drive
-            trace["v_pre"][t] = state.v + params.alpha_v * ((params.v_leak - state.v) + i_new)
-        state, spikes_prev = lif_step(state, drive, params)
-        spikes_out[t] = spikes_prev
-        if record:
-            trace["v"][t] = state.v
-            trace["i"][t] = state.i
-    if record:
-        return spikes_out, state, trace
-    return spikes_out, state
-
-
-def burst_demo_pattern():
-    """Canonical single-neuron demo: one isolated input spike plus two bursts.
-
-    Returns (input spike train (T, 1), weights, params). The neuron ignores the
-    isolated spike and fires exactly once per three-spike burst, resetting to
-    v_r afterwards; used by the lif-trace CLI command.
-    """
-    t_steps = 130
-    spike_steps = [10, 40, 41, 42, 90, 91, 92]
-    inputs = np.zeros((t_steps, 1))
-    inputs[spike_steps, 0] = 1.0
-    weights = RecurrentLayerWeights(
-        w_in=np.array([[1.3]]), w_rec=np.zeros((1, 1)), bias=np.zeros(1)
-    )
-    return inputs, weights, LifParams()
+    if np.shape(drive) != np.shape(v):
+        raise ValueError(f"drive shape {np.shape(drive)} != state shape {np.shape(v)}")
+    i = (1.0 - params.alpha_i) * i + drive
+    if quantize is not None:
+        i = quantize(i, "i")
+    v_pre = v + params.alpha_v * ((params.v_leak - v) + i)
+    if smooth_slope is None:
+        spikes = (v_pre >= params.v_th).astype(float)
+        v = np.where(spikes > 0, params.v_r, v_pre)
+    else:
+        spikes, _ = smooth_spike(v_pre - params.v_th, smooth_slope)
+        v = v_pre - spikes * (v_pre - params.v_r)
+    if quantize is not None:
+        v = quantize(v, "v")
+    return v, i, spikes, v_pre

@@ -12,14 +12,14 @@ gradients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelConfig, PamAlphabet, bits_to_classes, simulate_link
-from .equalizer import RX_LEVELS, EncoderConfig, EqualizerModel, TopologyConfig
-from .lif import LifParams
-from .quant import QatConfig, fake_quantize, fake_quantize_with_mask, state_format
+from .equalizer import EncoderConfig, EqualizerModel, TopologyConfig, forward, one_hot_windows
+from .lif import LifParams, smooth_spike
+from .quant import QatConfig, fake_quantize_with_mask
 
 
 class TrainingDiverged(RuntimeError):
@@ -29,7 +29,7 @@ class TrainingDiverged(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimization settings. Defaults are the full-scale numbers; desk-scale
-    runs override batch_size/batches_per_epoch (see README)."""
+    runs override batch_size and batches_per_epoch (as dse.TrialScale does)."""
 
     learning_rate: float = 1e-3
     epochs: int = 5
@@ -74,20 +74,6 @@ def surrogate_grad(u, slope: float = 100.0):
     return 1.0 / (1.0 + slope * np.abs(u)) ** 2
 
 
-def smooth_spike(u, slope: float = 100.0):
-    """Sigmoid twin of the spike function and its exact derivative.
-
-    s(u) = (1 + slope*u/(1+slope*|u|))/2 ranges over (0, 1), and
-    s'(u) = slope/2 * surrogate_grad(u), so the smooth forward/backward pair
-    is finite-difference-consistent.
-    """
-    u = np.asarray(u, dtype=float)
-    denom = 1.0 + slope * np.abs(u)
-    value = 0.5 * (1.0 + slope * u / denom)
-    deriv = 0.5 * slope / denom ** 2
-    return value, deriv
-
-
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
     """Bias-corrected Adam update, in place."""
     state.step += 1
@@ -118,6 +104,7 @@ def loss_and_grads(windows: np.ndarray, labels: np.ndarray, model: EqualizerMode
     spike_mode "hard" is the production path: Heaviside forward, surrogate
     backward, stop-gradient through the reset. "smooth" swaps in the sigmoid
     twin in both passes (full reset gradient) for finite-difference checks.
+    The forward pass is equalizer.forward, the one inference runs.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n_classes = model.config.n_classes
@@ -130,52 +117,13 @@ def loss_and_grads(windows: np.ndarray, labels: np.ndarray, model: EqualizerMode
     av, ai = lif.alpha_v, lif.alpha_i
     n_steps = model.config.steps
     batch = windows.shape[0]
-    sgrid = state_format(qat.state_bits) if qat is not None else None
 
     eff, wmasks = _effective_weights_with_masks(model, qat)
-    w0, b0 = eff["w_fc0"], eff["b_fc0"]
-    w1, b1 = eff["w_fc1"], eff["b_fc1"]
-    w2 = eff["w_fc2"]
-    w3, b3 = eff["w_fc3"], eff["b_fc3"]
-
-    def quantize_state(x):
-        if sgrid is None:
-            return x, None
-        q, mask, _ = fake_quantize_with_mask(x, sgrid.total_bits, sgrid.scale)
-        return q, mask
-
-    # forward, storing what the backward chain needs
-    a0 = windows @ w0.T + b0
-    i = np.zeros((batch, model.config.hidden))
-    v = np.zeros_like(i)
-    s_prev = np.zeros_like(i)
-    z = np.zeros((batch, n_classes))
-    S = np.zeros((n_steps,) + i.shape)
-    U = np.zeros_like(S)
-    VP = np.zeros_like(S)
-    MH = [None] * n_steps
-    MI = [None] * n_steps
-    MV = [None] * n_steps
-    for t in range(n_steps):
-        a_t = a0 if t == 0 else b0
-        h = a_t @ w1.T + b1 + s_prev @ w2.T
-        if sgrid is not None:
-            h, MH[t] = quantize_state(h)
-        i = (1.0 - ai) * i + h
-        if sgrid is not None:
-            i, MI[t] = quantize_state(i)
-        vp = (1.0 - av) * v + av * i
-        u = vp - lif.v_th
-        if spike_mode == "hard":
-            s = (u >= 0.0).astype(float)
-        else:
-            s, _ = smooth_spike(u, slope)
-        v = vp - s * (vp - lif.v_r)
-        if sgrid is not None:
-            v, MV[t] = quantize_state(v)
-        z += s @ w3.T + b3
-        S[t], U[t], VP[t] = s, u, vp
-        s_prev = s
+    w1, w2, w3 = eff["w_fc1"], eff["w_fc2"], eff["w_fc3"]
+    z, tape = forward(windows, eff, model.config, lif, qat, keep=True,
+                      smooth_slope=slope if spike_mode == "smooth" else None)
+    S, U, VP = tape["s"], tape["u"], tape["v_pre"]
+    a0, b0 = tape["a0"], eff["b_fc0"]
 
     z_shift = z - z.max(axis=1, keepdims=True)
     log_norm = np.log(np.sum(np.exp(z_shift), axis=1))
@@ -187,17 +135,17 @@ def loss_and_grads(windows: np.ndarray, labels: np.ndarray, model: EqualizerMode
     dz /= batch
 
     grads = {k: np.zeros_like(p) for k, p in eff.items()}
-    grads["w_fc3"] = dz.T @ S.sum(axis=0)
+    grads["w_fc3"] = dz.T @ sum(S)
     grads["b_fc3"] = n_steps * dz.sum(axis=0)
     dz_w3 = dz @ w3
 
-    carry_v = np.zeros_like(i)   # dL/d v_t (post-reset, post-quant)
-    carry_i = np.zeros_like(i)   # dL/d i_t (post-quant), from step t+1
-    ghq_next = np.zeros_like(i)  # dL/d h_{t+1} (post-quant)
+    carry_v = np.zeros_like(a0)   # dL/d v_t (post-reset, post-quant)
+    carry_i = np.zeros_like(a0)   # dL/d i_t (post-quant), from step t+1
+    ghq_next = np.zeros_like(a0)  # dL/d h_{t+1} (post-quant)
     ga_rest_sum = np.zeros(model.config.hidden)
     ga0 = None
     for t in range(n_steps - 1, -1, -1):
-        gv = carry_v if MV[t] is None else carry_v * MV[t]
+        gv = carry_v if qat is None else carry_v * tape["v"][t]
         ds = dz_w3 + ghq_next @ w2
         if spike_mode == "hard":
             fprime = surrogate_grad(U[t], slope)
@@ -207,9 +155,9 @@ def loss_and_grads(windows: np.ndarray, labels: np.ndarray, model: EqualizerMode
         du = ds * fprime
         gvp = du + gv * (1.0 - S[t])
         giq = gvp * av + carry_i
-        gipre = giq if MI[t] is None else giq * MI[t]
+        gipre = giq if qat is None else giq * tape["i"][t]
         ghq = gipre
-        gh = ghq if MH[t] is None else ghq * MH[t]
+        gh = ghq if qat is None else ghq * tape["h"][t]
 
         if t == 0:
             grads["w_fc1"] += gh.T @ a0
@@ -245,20 +193,13 @@ def teacher_forced_windows(y_samples: np.ndarray, classes: np.ndarray,
     """
     y_samples = np.asarray(y_samples, dtype=float)
     classes = np.asarray(classes, dtype=np.int64)
-    history, n_c = config.history, config.n_classes
-    n = y_samples.size
-    batch = n - history
+    history = config.history
+    batch = y_samples.size - history
     if batch < 1:
         raise ValueError("stream shorter than history+1 symbols")
-    bins = encoder.bin_indices(y_samples)
-    windows = np.zeros((batch, config.n_input))
-    rows = np.arange(batch)
-    for j in range(history):
-        windows[rows, j * RX_LEVELS + bins[j : j + batch]] = 1.0
-    base = history * RX_LEVELS
-    for j in range(history):
-        windows[rows, base + j * n_c + classes[j : j + batch]] = 1.0
-    windows[rows, base + history * n_c + bins[history:]] = 1.0
+    span = np.arange(batch)[:, None] + np.arange(history + 1)  # window k: k..k+history
+    bins = encoder.bin_indices(y_samples)[span]
+    windows = one_hot_windows(bins, classes[span[:, :history]], config.bits_per_symbol)
     return windows, classes[history:]
 
 

@@ -134,7 +134,31 @@ class TestSquareLaw:
         assert np.all(square_law(SignalBuffer(x, 1.0)).samples >= 0)
 
 
+class TestSignalBuffer:
+    def test_odd_length_float32_accepted(self):
+        # three float32 samples cannot be viewed as float64
+        buf = SignalBuffer(np.zeros(3, dtype=np.float32), 1.0)
+        assert len(buf) == 3
+
+    def test_integer_bit_pattern_of_nan_accepted(self):
+        # the int64 0x7FF8000000000000 is an integer, not a NaN
+        SignalBuffer(np.array([0x7FF8000000000000], dtype=np.int64), 1.0)
+
+    def test_float32_nan_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            SignalBuffer(np.array([np.nan, 0.0], dtype=np.float32), 1.0)
+
+    def test_complex_infinity_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            SignalBuffer(np.array([1.0, complex(0.0, np.inf)]), 1.0)
+
+
 class TestAddAwgn:
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_nan_and_minus_infinite_snr_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db"):
+            add_awgn(SignalBuffer(np.arange(10.0), 1.0), snr_db, np.random.default_rng(0))
+
     def test_infinite_snr_is_identity(self):
         x = np.arange(10.0)
         out = add_awgn(SignalBuffer(x, 1.0), math.inf, np.random.default_rng(0))

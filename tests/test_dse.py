@@ -10,7 +10,6 @@ from snndfe.dse import (
     pareto_front,
     run_trial,
     search,
-    space_from_dict,
     trial_seed,
 )
 from snndfe.train import TrainingDiverged
@@ -181,21 +180,6 @@ def input_size_of(cfg):
 
 
 class TestSpaceParsing:
-    def test_space_from_dict(self):
-        space = space_from_dict({
-            "n_taps": [17], "hidden": [8, 16], "steps": [2],
-            "bits": [None, 8],
-            "scale": {"train_symbols": 5000, "snrs_db": [12, 17]},
-        })
-        assert space.n_taps == (17,)
-        assert space.bits == (None, 8)
-        assert space.scale.snrs_db == (12, 17)
-        assert len(space.enumerate()) == 4
-
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError, match="unknown keys"):
-            space_from_dict({"taps": [17]})
-
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             DseSpace(n_taps=())

@@ -1,23 +1,24 @@
-import math
+import json
 
 import numpy as np
 import pytest
 
 from snndfe.channel import ChannelConfig, bits_to_classes, simulate_link
 from snndfe.equalizer import (
-    DecisionBuffer,
     EncoderConfig,
     EqualizerModel,
     TopologyConfig,
     encode_window,
     equalize_stream,
+    forward,
     input_size,
     load_model,
     mac_count,
     save_model,
-    snn_forward,
 )
 from snndfe.lif import LifParams
+from snndfe.quant import QatConfig
+from snndfe.train import teacher_forced_windows
 
 
 def make_model(n_tap=5, hidden=6, steps=3, seed=0, encoder=None):
@@ -25,6 +26,13 @@ def make_model(n_tap=5, hidden=6, steps=3, seed=0, encoder=None):
     return EqualizerModel.initialize(
         cfg, LifParams(), encoder or EncoderConfig(0.0, 1.0), np.random.default_rng(seed)
     )
+
+
+def forward_one(encoded, model, keep=False):
+    """Logits (and tape) of the model's forward pass over one window."""
+    logits, tape = forward(encoded[None, :], model.effective_weights(), model.config,
+                           model.lif, model.qat, keep=keep)
+    return logits[0], tape
 
 
 def build_bin_classifier_model(bin_to_class, encoder, n_tap=17, steps=1):
@@ -105,22 +113,18 @@ class TestSnnForward:
     def test_single_step_degenerate_accumulation(self):
         model = make_model(steps=1)
         encoded = encode_window([0.3, 0.7, 0.1], [1, 2], model.encoder)
-        logits = snn_forward(encoded, model)
+        logits, tape = forward_one(encoded, model, keep=True)
         # T = 1: logits are the readout of the single step's spikes
-        from snndfe.equalizer import _forward_steps
-        _, _, spikes = _forward_steps(
-            encoded, model.parameters(), model.config, model.lif, record_spikes=True
-        )
-        np.testing.assert_allclose(logits, model.w_fc3 @ spikes[0] + model.b_fc3)
+        np.testing.assert_allclose(logits, model.w_fc3 @ tape["s"][0][0] + model.b_fc3)
 
     def test_zero_model_ties_to_class_zero(self):
         model = make_model()
         for name in model.PARAM_NAMES:
             getattr(model, name)[:] = 0.0
         encoded = encode_window([0.5, 0.5, 0.5], [0, 0], model.encoder)
-        logits = snn_forward(encoded, model)
+        logits, _ = forward_one(encoded, model)
         np.testing.assert_array_equal(logits, np.zeros(4))
-        assert model.decide(encoded) == 0
+        assert model.make_decider()(encoded) == 0
 
     def test_always_spiking_neuron_closed_form(self):
         # constant huge bias drive makes neuron 0 spike at every step, so the
@@ -136,52 +140,38 @@ class TestSnnForward:
             w_fc3=w_fc3, b_fc3=np.zeros(4),
         )
         encoded = encode_window([0.2, 0.8], [3], model.encoder)
-        logits = snn_forward(encoded, model)
+        logits, _ = forward_one(encoded, model)
         np.testing.assert_allclose(logits, 7 * w_fc3[:, 0])
-
-    def test_mac_counter_matches_formula(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            n_tap = int(rng.choice([1, 3, 5, 9, 17, 41]))
-            hidden = int(rng.integers(1, 81))
-            steps = int(rng.integers(1, 11))
-            model = make_model(n_tap=n_tap, hidden=hidden, steps=steps, seed=int(rng.integers(1e6)))
-            encoded = encode_window(
-                rng.uniform(0, 1, model.config.history + 1),
-                rng.integers(0, 4, model.config.history),
-                model.encoder,
-            )
-            _, macs = snn_forward(encoded, model, count_macs=True)
-            assert macs == mac_count(hidden, model.config.n_input, steps, 2)
 
     def test_logits_additive_over_steps(self):
         model = make_model(steps=5, seed=3)
         # spread spiking activity with a moderate bias
         model.b_fc1[:] = 1.5
         encoded = encode_window([0.1, 0.9, 0.4], [0, 3], model.encoder)
-        from snndfe.equalizer import _forward_steps
-        logits, _, spikes = _forward_steps(
-            encoded, model.parameters(), model.config, model.lif, record_spikes=True
-        )
-        manual = sum(model.w_fc3 @ spikes[t] + model.b_fc3 for t in range(5))
+        logits, tape = forward_one(encoded, model, keep=True)
+        manual = sum(model.w_fc3 @ tape["s"][t][0] + model.b_fc3 for t in range(5))
         np.testing.assert_array_equal(logits, manual)
+
+    def test_batch_rows_are_independent(self):
+        # a window's logits do not depend on the other windows of its batch
+        model = make_model(n_tap=5, hidden=8, steps=4, seed=4)
+        model.b_fc1[:] = 1.0
+        rng = np.random.default_rng(5)
+        windows = np.stack([
+            encode_window(rng.uniform(0, 1, 3), rng.integers(0, 4, 2), model.encoder)
+            for _ in range(6)
+        ])
+        batched, _ = forward(windows, model.parameters(), model.config, model.lif)
+        for k in range(6):
+            np.testing.assert_allclose(forward_one(windows[k], model)[0], batched[k],
+                                       rtol=1e-12, atol=1e-12)
 
     def test_encoded_shape_checked(self):
         model = make_model()
         with pytest.raises(ValueError):
-            snn_forward(np.zeros(3), model)
-
-
-class TestDecisionBuffer:
-    def test_capacity_and_order(self):
-        buf = DecisionBuffer(3, fill_class=0)
-        assert buf.contents() == [0, 0, 0]
-        buf.push(1)
-        buf.push(2)
-        assert buf.contents() == [0, 1, 2]
-        buf.push(3)
-        buf.push(1)
-        assert buf.contents() == [2, 3, 1]
+            forward(np.zeros((1, 3)), model.parameters(), model.config, model.lif)
+        with pytest.raises(ValueError):
+            forward(np.zeros(model.config.n_input), model.parameters(), model.config, model.lif)
 
 
 class TestEqualizeStream:
@@ -219,6 +209,28 @@ class TestEqualizeStream:
         model = make_model(n_tap=5, seed=7)
         y = np.random.default_rng(8).uniform(0, 1, 100)
         np.testing.assert_array_equal(equalize_stream(y, model), equalize_stream(y, model))
+
+    @pytest.mark.parametrize("qat", [None, QatConfig(weight_bits=8, state_bits=8)])
+    def test_closed_loop_matches_batched_forward(self, qat):
+        # feeding the stream's own decisions back as teacher-forced windows
+        # reproduces them: the closed loop runs, one window at a time, the
+        # forward that runs batched over the fed classes
+        cfg = TopologyConfig(n_tap=9, hidden=24, steps=5)
+        lif = LifParams.shift_friendly() if qat else LifParams()
+        bits = np.random.default_rng(20).integers(0, 2, 2 * 600)
+        _, y = simulate_link(bits, ChannelConfig(), 17.0, np.random.default_rng(21))
+        encoder = EncoderConfig(float(y.samples.min()), float(y.samples.max()))
+        model = EqualizerModel.initialize(cfg, lif, encoder, np.random.default_rng(22), qat=qat)
+        for name in model.PARAM_NAMES:
+            getattr(model, name)[:] *= 3.0
+        fill = 1
+        decisions = equalize_stream(y, model, fill_class=fill)
+        assert len(set(decisions.tolist())) > 1  # not a constant decider
+        fed = np.concatenate([np.full(cfg.history, fill), decisions])
+        windows, labels = teacher_forced_windows(y.samples, fed, encoder, cfg)
+        np.testing.assert_array_equal(labels, decisions)
+        logits, _ = forward(windows, model.effective_weights(), cfg, lif, qat)
+        np.testing.assert_array_equal(np.argmax(logits, axis=1), decisions)
 
     def test_class_permutation_equivariance(self):
         # permuting fc3 rows together with the decision-block encoding relabels
@@ -262,3 +274,50 @@ class TestSerialization:
         np.savez(path, header='{"format": "something-else"}')
         with pytest.raises(ValueError):
             load_model(path)
+
+    def test_qat_roundtrip(self, tmp_path):
+        model = make_model(seed=12)
+        model.qat = QatConfig(weight_bits=6, state_bits=7)
+        path = tmp_path / "model.npz"
+        save_model(path, model)
+        assert load_model(path).qat == model.qat
+
+    def test_loads_version_1_file(self, tmp_path):
+        # a container written key by key as version 1 defines it
+        model = make_model(n_tap=3, hidden=2, steps=2, seed=13)
+        header = {
+            "format": "snndfe-model", "version": 1,
+            "n_tap": 3, "bits_per_symbol": 2, "hidden": 2, "steps": 2,
+            "lif": {"alpha_v": 0.1, "alpha_i": 0.2, "v_th": 1.0, "v_r": 0.0,
+                    "v_leak": 0.0, "r": 1.0},
+            "encoder": {"rx_min": 0.0, "rx_max": 1.0},
+            "qat": {"weight_bits": 8, "state_bits": 8},
+        }
+        path = tmp_path / "v1.npz"
+        np.savez(path, header=json.dumps(header), **model.parameters())
+        loaded = load_model(path)
+        assert loaded.config == model.config and loaded.lif == model.lif
+        assert loaded.qat == QatConfig(8, 8)
+        np.testing.assert_array_equal(loaded.w_fc2, model.w_fc2)
+
+    @pytest.mark.parametrize("drop", ["hidden", "qat", "w_fc2", "lif.alpha_v",
+                                      "encoder.rx_max", "qat.state_bits"])
+    def test_missing_key_or_array_is_a_value_error(self, tmp_path, drop):
+        path = tmp_path / "model.npz"
+        model = make_model(seed=14)
+        model.qat = QatConfig()
+        save_model(path, model)
+        drop_from_container(path, drop)
+        with pytest.raises(ValueError, match=drop):
+            load_model(path)
+
+
+def drop_from_container(path, name):
+    """Rewrite an npz container without array or header key `name`
+    ("section.key" for a key of a header section)."""
+    with np.load(path) as data:
+        content = {key: data[key] for key in data.files if key != name}
+    header = json.loads(str(content["header"]))
+    section, _, key = name.rpartition(".")
+    (header[section] if section else header).pop(key, None)
+    np.savez(path, **{**content, "header": json.dumps(header)})

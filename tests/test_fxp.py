@@ -1,5 +1,10 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snndfe.equalizer import (
     EncoderConfig,
@@ -18,8 +23,9 @@ from snndfe.fxp import (
     load_fxp_model,
     save_fxp_model,
 )
-from snndfe.lif import LifParams, LifState, lif_step
+from snndfe.lif import LifParams, lif_step
 from snndfe.quant import QatConfig, fake_quantize
+from test_equalizer import drop_from_container
 
 
 def make_float_model(n_tap=5, hidden=8, steps=3, seed=0, scale=3.0, qat_bits=8):
@@ -125,6 +131,19 @@ class TestConvert:
         with pytest.warns(UserWarning, match="do not match"):
             convert(model, FxpFormats(weight_bits=8, state_bits=8))
 
+    def test_rejects_alignment_overflow(self):
+        # a tiny fc0 bias pins its grid at 46 fractional bits, so w_fc0 @ x
+        # would be shifted left by 43 bits into a 32-bit accumulator
+        model = make_float_model(seed=3)
+        model.b_fc0[:] = 1e-12
+        with pytest.raises(ConversionError, match="fc0"):
+            convert(model, FxpFormats())
+
+    def test_rejects_accumulator_narrower_than_worst_case(self):
+        model = make_float_model(seed=9, scale=6.0)
+        with pytest.raises(ConversionError, match="hidden drive"):
+            convert(model, FxpFormats(acc_bits=16))
+
     def test_rejects_non_shift_decay(self):
         cfg = TopologyConfig(n_tap=3, hidden=2, steps=1)
         model = EqualizerModel.initialize(
@@ -172,10 +191,9 @@ class TestFxpLifStep:
         i = (rng.integers(-20, 20, 16) * 32).astype(np.int64)
         drive = (rng.integers(-4, 4, 16) * 8).astype(np.int64)
         vi, ii, si = fxp_lif_step(v, i, drive, spec)
-        state = LifState(v=v.astype(float), i=i.astype(float))
-        fstate, fs = lif_step(state, drive.astype(float), params)
-        np.testing.assert_array_equal(ii.astype(float), fstate.i)
-        np.testing.assert_array_equal(vi.astype(float), fstate.v)
+        fv, fi, fs, _ = lif_step(v.astype(float), i.astype(float), drive.astype(float), params)
+        np.testing.assert_array_equal(ii.astype(float), fi)
+        np.testing.assert_array_equal(vi.astype(float), fv)
         np.testing.assert_array_equal(si.astype(float), fs)
 
 
@@ -223,8 +241,9 @@ class TestFxpForward:
             fxp_forward(np.zeros(3), fm)
 
     def test_narrow_accumulator_saturates_and_counts(self):
+        # convert() refuses an accumulator this narrow, so narrow one afterwards
         model = make_float_model(seed=9, scale=6.0)
-        fm = convert(model, FxpFormats(acc_bits=16))
+        fm = dataclasses.replace(convert(model, FxpFormats()), acc_bits=16)
         stats = {}
         for w in random_windows(model, 20, seed=10):
             fxp_forward(w, fm, stats=stats)
@@ -237,6 +256,24 @@ class TestFxpForward:
         for w in random_windows(model, 50, seed=12):
             fxp_forward(w, fm, stats=stats)
         assert stats.get("saturations", 0) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.05, 8.0),
+       bits=st.integers(4, 10), steps=st.integers(1, 6))
+def test_matches_float_twin_property(seed, scale, bits, steps):
+    model = make_float_model(n_tap=3, hidden=5, steps=steps, seed=seed % 1000, scale=scale,
+                             qat_bits=bits)
+    try:
+        fm = convert(model, FxpFormats(weight_bits=bits, state_bits=bits))
+    except ConversionError:
+        return  # the worst case does not fit the accumulator: nothing to run
+    f_z = max(fm.fracs["w_fc3"], fm.fracs["b_fc3"])
+    for window in random_windows(model, 8, seed=seed):
+        res = fxp_forward(window, fm)
+        twin_logits, twin_cls = float_twin_forward(window, fm)
+        np.testing.assert_array_equal(res.logits.astype(float) * 2.0 ** -f_z, twin_logits)
+        assert res.decision == twin_cls
 
 
 class TestFxpStreamAndSerialization:
@@ -264,3 +301,31 @@ class TestFxpStreamAndSerialization:
             np.testing.assert_array_equal(loaded.ints[name], fm.ints[name])
         for w in random_windows(model, 10, seed=16):
             assert fxp_forward(w, loaded).decision == fxp_forward(w, fm).decision
+
+    def test_loads_version_1_file(self, tmp_path):
+        # a container written key by key as version 1 defines it
+        fm = convert(make_float_model(n_tap=3, hidden=2, steps=2, seed=17), FxpFormats())
+        header = {
+            "format": "snndfe-fxp-model", "version": 1,
+            "n_tap": 3, "bits_per_symbol": 2, "hidden": 2, "steps": 2,
+            "encoder": {"rx_min": 0.0, "rx_max": 1.0},
+            "lif": {"alpha_v": 0.125, "alpha_i": 0.25, "v_th": 1.0, "v_r": 0.0,
+                    "v_leak": 0.0, "r": 1.0},
+            "fracs": fm.fracs, "state_bits": 8, "state_frac_bits": 5,
+            "k_v": 3, "k_i": 2, "v_th_int": 32, "v_r_int": 0,
+            "weight_bits": 8, "acc_bits": 32,
+        }
+        path = tmp_path / "v1.npz"
+        np.savez(path, header=json.dumps(header), **fm.ints)
+        loaded = load_fxp_model(path)
+        assert dataclasses.asdict(loaded.state_fmt) == dataclasses.asdict(fm.state_fmt)
+        assert (loaded.k_v, loaded.k_i, loaded.v_th_int) == (fm.k_v, fm.k_i, fm.v_th_int)
+        assert loaded.lif == fm.lif and loaded.config == fm.config
+
+    @pytest.mark.parametrize("drop", ["fracs", "hidden", "w_fc2", "lif.v_th"])
+    def test_missing_key_or_array_is_a_value_error(self, tmp_path, drop):
+        path = tmp_path / "model_fxp.npz"
+        save_fxp_model(path, convert(make_float_model(seed=18), FxpFormats()))
+        drop_from_container(path, drop)
+        with pytest.raises(ValueError, match=drop):
+            load_fxp_model(path)

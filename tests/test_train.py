@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from snndfe.channel import ChannelConfig
-from snndfe.equalizer import EncoderConfig, EqualizerModel, TopologyConfig, snn_forward
+from snndfe.equalizer import EncoderConfig, EqualizerModel, TopologyConfig, forward
 from snndfe.lif import LifParams
 from snndfe.quant import QatConfig, fake_quantize, pow2_scale
 from snndfe.train import (
@@ -22,10 +22,10 @@ from snndfe.train import (
 DESK_CHANNEL = ChannelConfig()
 
 
-def tiny_model(n_tap=1, hidden=4, steps=3, seed=0, scale=1.0):
+def tiny_model(n_tap=1, hidden=4, steps=3, seed=0, scale=1.0, lif=None):
     cfg = TopologyConfig(n_tap=n_tap, hidden=hidden, steps=steps)
     model = EqualizerModel.initialize(
-        cfg, LifParams(), EncoderConfig(0.0, 1.0), np.random.default_rng(seed)
+        cfg, lif or LifParams(), EncoderConfig(0.0, 1.0), np.random.default_rng(seed)
     )
     if scale != 1.0:
         for name in model.PARAM_NAMES:
@@ -70,16 +70,14 @@ class TestGradients:
         cfg = TrainConfig(surrogate_slope=100.0, batch_size=1, batches_per_epoch=1, epochs=1)
         loss, grads = loss_and_grads(windows, labels, model, cfg)
 
-        from snndfe.equalizer import _forward_steps
         batch = windows.shape[0]
         spikes_sum = np.zeros((batch, model.config.hidden))
         z = np.zeros((batch, 4))
         for b in range(batch):
-            logits, _, spikes = _forward_steps(
-                windows[b], model.parameters(), model.config, model.lif, record_spikes=True
-            )
-            z[b] = logits
-            spikes_sum[b] = spikes.sum(axis=0)
+            logits, tape = forward(windows[b : b + 1], model.parameters(), model.config,
+                                   model.lif, keep=True)
+            z[b] = logits[0]
+            spikes_sum[b] = sum(tape["s"])[0]
         zs = z - z.max(axis=1, keepdims=True)
         soft = np.exp(zs) / np.sum(np.exp(zs), axis=1, keepdims=True)
         soft[np.arange(batch), labels] -= 1.0
@@ -88,7 +86,14 @@ class TestGradients:
 
     def test_bptt_matches_finite_differences_on_smooth_twin(self):
         # finite-difference oracle on the sigmoid twin (4 neurons, T=3, N_I=8)
-        model = tiny_model(n_tap=1, hidden=4, steps=3, seed=4, scale=2.5)
+        self.check_finite_differences(LifParams())
+
+    def test_bptt_matches_finite_differences_with_leak_potential(self):
+        # v_leak shifts the forward but not dv_pre/dv = 1 - alpha_v
+        self.check_finite_differences(LifParams(v_leak=0.3))
+
+    def check_finite_differences(self, lif):
+        model = tiny_model(n_tap=1, hidden=4, steps=3, seed=4, scale=2.5, lif=lif)
         model.b_fc1[:] += 0.5  # park some units near threshold
         windows, labels = random_batch(model, 6, seed=5)
         cfg = TrainConfig(surrogate_slope=100.0, batch_size=1, batches_per_epoch=1, epochs=1)
@@ -137,10 +142,11 @@ class TestGradients:
             loss_and_grads(windows, labels + 4, model, TrainConfig())
 
     def test_batched_forward_matches_reference(self):
-        # the trainer's vectorized forward and snn_forward must agree exactly,
-        # with and without QAT
-        for qat in (None, QatConfig(weight_bits=8, state_bits=8)):
-            lif = LifParams.shift_friendly() if qat else LifParams()
+        # the trainer's loss is that of the logits inference computes window by
+        # window, with and without QAT and with a nonzero leak potential
+        cases = [(None, LifParams()), (None, LifParams(v_leak=0.3)),
+                 (QatConfig(weight_bits=8, state_bits=8), LifParams.shift_friendly())]
+        for qat, lif in cases:
             cfg = TopologyConfig(n_tap=5, hidden=10, steps=4)
             model = EqualizerModel.initialize(
                 cfg, lif, EncoderConfig(0.0, 1.0), np.random.default_rng(10), qat=qat
@@ -150,7 +156,9 @@ class TestGradients:
             windows, labels = random_batch(model, 16, seed=11)
             tc = TrainConfig(qat=qat)
             loss, _ = loss_and_grads(windows, labels, model, tc)
-            z = np.array([snn_forward(windows[b], model) for b in range(16)])
+            eff = model.effective_weights()
+            z = np.array([forward(windows[b : b + 1], eff, cfg, lif, qat)[0][0]
+                          for b in range(16)])
             zs = z - z.max(axis=1, keepdims=True)
             ref = float(np.mean(
                 np.log(np.sum(np.exp(zs), axis=1)) - zs[np.arange(16), labels]
