@@ -9,9 +9,12 @@ derive from hash(master seed, config), making results schedule-independent.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .channel import ChannelConfig
 from .equalizer import TopologyConfig, mac_count
@@ -165,15 +168,11 @@ def search(space: DseSpace, channel_cfg: ChannelConfig, strategy: str, budget: i
     configs = space.enumerate()
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if budget > len(configs):
+        raise ValueError(f"budget {budget} exceeds space size {len(configs)}")
     if strategy == "grid":
-        if budget > len(configs):
-            raise ValueError(f"grid budget {budget} exceeds space size {len(configs)}")
         chosen = configs[:budget]
     elif strategy == "random":
-        if budget > len(configs):
-            raise ValueError(f"budget {budget} exceeds space size {len(configs)}")
-        import numpy as np
-
         order = np.random.default_rng(seed).permutation(len(configs))[:budget]
         chosen = [configs[int(k)] for k in order]
     else:
@@ -212,16 +211,13 @@ def pareto_front(trials, snr_db: float) -> list:
                 f"trial {t.config_key()} has no BER at SNR {snr_db}"
             )
         pts.append((t.mac, t.ber[float(snr_db)], t))
-    pts.sort(key=lambda p: (p[0], p[1]))
+    pts.sort(key=lambda p: (p[0], p[1]))  # stable: equal points keep input order
     front = []
     best_ber = float("inf")
-    idx = 0
-    while idx < len(pts):
-        group_mac = pts[idx][0]
-        group = [p for p in pts if p[0] == group_mac]
-        idx += len(group)
-        group_best = min(p[1] for p in group)
+    for _, group in itertools.groupby(pts, key=lambda p: p[0]):
+        group = list(group)
+        group_best = group[0][1]  # BER-ascending within a MAC group
         if group_best < best_ber:
-            front.extend(t for mac, ber, t in group if ber == group_best)
+            front.extend(t for _, ber, t in group if ber == group_best)
             best_ber = group_best
     return front

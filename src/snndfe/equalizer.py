@@ -88,7 +88,8 @@ class EncoderConfig:
         span = self.rx_max - self.rx_min
         if span <= 0:
             return np.zeros(samples.shape, dtype=np.int64)
-        t = (samples - self.rx_min) / span
+        # clamp first: far samples over a tiny span would overflow to inf
+        t = (np.clip(samples, self.rx_min, self.rx_max) - self.rx_min) / span
         return np.clip(np.floor(t * RX_LEVELS).astype(np.int64), 0, RX_LEVELS - 1)
 
 
@@ -119,7 +120,8 @@ def one_hot_windows(bins: np.ndarray, decisions: np.ndarray, m: int) -> np.ndarr
 
 def encode_window(received, decisions, encoder: EncoderConfig, m: int = 2) -> np.ndarray:
     """One-hot encode a window of history+1 received samples and history decisions
-    (layout: one_hot_windows)."""
+    (layout: one_hot_windows); the per-window reference for the windows that
+    equalize_stream and teacher_forced_windows build from one binning."""
     received = np.asarray(received, dtype=float)
     decisions = np.asarray(decisions, dtype=np.int64)
     if received.size != decisions.size + 1:
@@ -190,7 +192,8 @@ class EqualizerModel:
         return {k: fake_quantize(v, self.qat.weight_bits) for k, v in params.items()}
 
     def make_decider(self):
-        """Bind a per-window decision closure (weights resolved once)."""
+        """Bind a per-window decision closure: the argmax of forward's logits for
+        one window, ties to the lowest class (weights resolved once)."""
         eff = self.effective_weights()
         cfg, lif, qat = self.config, self.lif, self.qat
 
@@ -276,11 +279,12 @@ def equalize_stream(y, model, mode: str = "feedback", true_classes=None,
         fed[history:] = true_classes[history:]
 
     decide = model.make_decider()
-    encoder, m = model.encoder, cfg.bits_per_symbol
+    bins = model.encoder.bin_indices(y)
+    m = cfg.bits_per_symbol
     out = np.zeros(y.size - history, dtype=np.int64)
     for k in range(history, y.size):
-        encoded = encode_window(y[k - history : k + 1], fed[k - history : k], encoder, m)
-        out[k - history] = decide(encoded, stats)
+        window = one_hot_windows(bins[None, k - history : k + 1], fed[None, k - history : k], m)
+        out[k - history] = decide(window[0], stats)
         if mode == "feedback":
             fed[k] = out[k - history]
     return out

@@ -89,8 +89,10 @@ class FxpModel:
         return self.ints[name].astype(float) * 2.0 ** (-self.fracs[name])
 
     def make_decider(self):
+        """Bind a per-window decision closure: the argmax of fxp_forward's logits
+        for one window, ties to the lowest class."""
         def decide(encoded: np.ndarray, stats=None) -> int:
-            return int(fxp_forward(encoded, self, stats=stats).decision)
+            return int(np.argmax(fxp_forward(encoded[None], self, stats)[0]))
 
         return decide
 
@@ -237,30 +239,23 @@ def _rshift_round_half_up(x: np.ndarray, shift: int) -> np.ndarray:
     return (x + (1 << (shift - 1))) >> shift
 
 
-@dataclass(frozen=True)
-class FxpResult:
-    logits: np.ndarray  # integer, on the fc3 grid
-    decision: int
-    saturations: int
+def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarray:
+    """Integer-exact T-step forward pass over a batch of ternary windows (B, n_input).
 
-
-def fxp_forward(encoded, model: FxpModel, stats: dict | None = None) -> FxpResult:
-    """Integer-exact forward pass over one ternary encoded window.
-
-    The dataflow mirrors the float reference: fc0 sees the window at the first
+    The dataflow mirrors the float forward: fc0 sees the windows at the first
     step only; the hidden drive is requantized onto the state grid (round
     half-up) before entering the current equation; fc3 readouts accumulate over
-    steps; argmax ties break to the lowest class.
+    steps. Returns the int64 logits (B, n_classes) on the fc3 grid. With
+    `stats`, accumulator saturations and state clips are added to its
+    "saturations" and "state_clips" counts.
     """
-    encoded = np.asarray(encoded)
-    if encoded.shape != (model.config.n_input,):
-        raise ValueError(f"encoded window has shape {encoded.shape}, "
-                         f"expected ({model.config.n_input},)")
-    enc = encoded.astype(np.int64)
-    if np.any(np.abs(enc) > 1) or np.any(enc != encoded):
-        raise ValueError("fxp_forward requires a ternary {-1, 0, 1} window")
-    local_stats = {"saturations": 0} if stats is None else stats
-    before = local_stats.get("saturations", 0)
+    windows = np.asarray(windows)
+    if windows.ndim != 2 or windows.shape[1] != model.config.n_input:
+        raise ValueError(f"windows have shape {windows.shape}, "
+                         f"expected (B, {model.config.n_input})")
+    enc = windows.astype(np.int64)
+    if np.any(np.abs(enc) > 1) or np.any(enc != windows):
+        raise ValueError("fxp_forward requires ternary {-1, 0, 1} windows")
 
     w = model.ints
     f = model.fracs
@@ -273,36 +268,32 @@ def fxp_forward(encoded, model: FxpModel, stats: dict | None = None) -> FxpResul
 
     # NB: << binds looser than + in Python; every shift is parenthesized
     a_bias = w["b_fc0"] << (f_a - f["b_fc0"])
-    a_window = _sat(((w["w_fc0"] @ enc) << (f_a - f["w_fc0"])) + a_bias,
-                    acc_lo, acc_hi, local_stats)
+    a_window = _sat(((enc @ w["w_fc0"].T) << (f_a - f["w_fc0"])) + a_bias,
+                    acc_lo, acc_hi, stats)
     b1_aligned = w["b_fc1"] << (f_h - f["b_fc1"])
     z_bias = w["b_fc3"] << (f_z - f["b_fc3"])
 
-    n_h = model.config.hidden
-    v = np.zeros(n_h, dtype=np.int64)
-    i = np.zeros(n_h, dtype=np.int64)
-    spikes = np.zeros(n_h, dtype=np.int64)
-    logits = np.zeros(model.config.n_classes, dtype=np.int64)
+    shape = (enc.shape[0], model.config.hidden)
+    v = np.zeros(shape, dtype=np.int64)
+    i = np.zeros(shape, dtype=np.int64)
+    spikes = np.zeros(shape, dtype=np.int64)
+    logits = np.zeros((enc.shape[0], model.config.n_classes), dtype=np.int64)
     for t in range(model.config.steps):
         a_t = a_window if t == 0 else a_bias
         h = _sat(
-            ((w["w_fc1"] @ a_t) << (f_h - f["w_fc1"] - f_a))
-            + ((w["w_fc2"] @ spikes) << (f_h - f["w_fc2"]))
+            ((a_t @ w["w_fc1"].T) << (f_h - f["w_fc1"] - f_a))
+            + ((spikes @ w["w_fc2"].T) << (f_h - f["w_fc2"]))
             + b1_aligned,
-            acc_lo, acc_hi, local_stats,
+            acc_lo, acc_hi, stats,
         )
         drive = _sat(_rshift_round_half_up(h, f_h - fmt.frac_bits),
-                     spec.state_min, spec.state_max, local_stats, key="state_clips")
-        v, i, spikes = fxp_lif_step(v, i, drive, spec, local_stats)
+                     spec.state_min, spec.state_max, stats, key="state_clips")
+        v, i, spikes = fxp_lif_step(v, i, drive, spec, stats)
         logits = _sat(
-            logits + ((w["w_fc3"] @ spikes) << (f_z - f["w_fc3"])) + z_bias,
-            acc_lo, acc_hi, local_stats,
+            logits + ((spikes @ w["w_fc3"].T) << (f_z - f["w_fc3"])) + z_bias,
+            acc_lo, acc_hi, stats,
         )
-    return FxpResult(
-        logits=logits,
-        decision=int(np.argmax(logits)),
-        saturations=local_stats.get("saturations", 0) - before,
-    )
+    return logits
 
 
 _FXP_FIELDS = ("fracs", "state_bits", "state_frac_bits", "k_v", "k_i",

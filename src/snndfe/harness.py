@@ -44,29 +44,10 @@ class BerPoint:
     def ber(self) -> float:
         return self.bit_errors / self.bits_counted
 
-    @property
-    def reliable(self) -> bool:
-        """Points with fewer than 10 counted errors are statistically shaky."""
-        return self.bit_errors >= 10
-
 
 @dataclass
 class BerCurve:
     points: list
-
-    def ber_at(self, snr_db: float) -> float:
-        for p in self.points:
-            if p.snr_db == snr_db:
-                return p.ber
-        raise KeyError(f"no BER point at SNR {snr_db}")
-
-    def rows(self):
-        for p in self.points:
-            yield {
-                "snr_db": p.snr_db, "bit_errors": p.bit_errors,
-                "bits_counted": p.bits_counted, "ber": p.ber,
-                "reliable": p.reliable,
-            }
 
 
 def count_bit_errors(true_classes, decided_classes, m: int) -> int:
@@ -74,6 +55,15 @@ def count_bit_errors(true_classes, decided_classes, m: int) -> int:
     true_bits = classes_to_bits(true_classes, m)
     decided_bits = classes_to_bits(decided_classes, m)
     return int(np.sum(true_bits != decided_bits))
+
+
+def _eval_frame(channel_cfg: ChannelConfig, m: int, snr_db, symbols: int, seed: int):
+    """(classes, received stream) of the eval frame at one SNR, derived from
+    (seed, snr_db) alone, so every receiver sees the same frame."""
+    rng = derive_rng(seed, f"eval:snr={snr_db}")
+    bits = rng.integers(0, 2, m * symbols)
+    _, y = simulate_link(bits, channel_cfg, snr_db, rng)
+    return bits_to_classes(bits, m), y
 
 
 def evaluate_ber(model, channel_cfg: ChannelConfig, snrs_db, symbols_per_snr: int,
@@ -90,10 +80,7 @@ def evaluate_ber(model, channel_cfg: ChannelConfig, snrs_db, symbols_per_snr: in
         raise ConfigError("symbols_per_snr too small for the model's history")
     points = []
     for snr_db in snrs_db:
-        rng = derive_rng(seed, f"eval:snr={snr_db}")
-        bits = rng.integers(0, 2, m * symbols_per_snr)
-        classes = bits_to_classes(bits, m)
-        _, y = simulate_link(bits, channel_cfg, snr_db, rng)
+        classes, y = _eval_frame(channel_cfg, m, snr_db, symbols_per_snr, seed)
         decided = equalize_stream(y, model, mode=mode, true_classes=classes, stats=stats)
         errors = count_bit_errors(classes[history:], decided, m)
         points.append(BerPoint(snr_db, errors, m * (symbols_per_snr - history)))
@@ -140,10 +127,7 @@ def evaluate_baseline_ber(channel_cfg: ChannelConfig, m: int, snrs_db,
         _, pilot_y = simulate_link(pilot_bits, channel_cfg, snr_db, pilot_rng)
         centroids = fit_centroids(pilot_y.samples, pilot_classes, n_classes)
 
-        rng = derive_rng(seed, f"eval:snr={snr_db}")
-        bits = rng.integers(0, 2, m * symbols_per_snr)
-        classes = bits_to_classes(bits, m)
-        _, y = simulate_link(bits, channel_cfg, snr_db, rng)
+        classes, y = _eval_frame(channel_cfg, m, snr_db, symbols_per_snr, seed)
         decided = baseline_hard_decision(y, centroids)
         errors = count_bit_errors(classes[warmup:], decided[warmup:], m)
         points.append(BerPoint(snr_db, errors, m * (symbols_per_snr - warmup)))

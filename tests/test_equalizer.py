@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snndfe.channel import ChannelConfig, bits_to_classes, simulate_link
 from snndfe.equalizer import (
@@ -104,9 +106,34 @@ class TestEncodeWindow:
         assert np.all(np.diff(bins) >= 0)
         assert set(bins) == set(range(8))
 
+    def test_far_samples_over_tiny_span_clamp_to_edge_bins(self):
+        encoder = EncoderConfig(0.0, 1e-308)
+        np.testing.assert_array_equal(encoder.bin_indices([1e10, -1e10, 5e-309]), [7, 0, 4])
+
     def test_window_length_mismatch(self):
         with pytest.raises(ValueError):
             encode_window([0.0, 0.0, 0.0], [1], EncoderConfig(0.0, 1.0), m=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rx_min=st.floats(-2.0, 2.0), span=st.one_of(st.just(0.0), st.floats(-1.0, 3.0)),
+       n_tap=st.sampled_from([1, 3, 5, 9, 17]), m=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_prebinned_windows_match_encode_window(rx_min, span, n_tap, m, seed):
+    # windows built from one binning of the whole stream (as the training
+    # batches and the closed loop build them) against the per-window encoder
+    encoder = EncoderConfig(rx_min, rx_min + span)
+    cfg = TopologyConfig(n_tap=n_tap, bits_per_symbol=m, hidden=1, steps=1)
+    rng = np.random.default_rng(seed)
+    history = cfg.history
+    y = rng.uniform(rx_min - 1.0, rx_min + abs(span) + 1.0, history + 12)
+    y[rng.integers(0, y.size, 2)] = [encoder.rx_min, encoder.rx_max]  # bin edges
+    fed = rng.integers(0, cfg.n_classes, y.size)
+    windows, labels = teacher_forced_windows(y, fed, encoder, cfg)
+    np.testing.assert_array_equal(labels, fed[history:])
+    for k in range(history, y.size):
+        expected = encode_window(y[k - history : k + 1], fed[k - history : k], encoder, m)
+        np.testing.assert_array_equal(windows[k - history], expected)
 
 
 class TestSnnForward:

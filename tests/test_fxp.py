@@ -10,8 +10,8 @@ from snndfe.equalizer import (
     EncoderConfig,
     EqualizerModel,
     TopologyConfig,
-    encode_window,
     equalize_stream,
+    one_hot_windows,
 )
 from snndfe.fxp import (
     ConversionError,
@@ -43,18 +43,19 @@ def make_float_model(n_tap=5, hidden=8, steps=3, seed=0, scale=3.0, qat_bits=8):
 def random_windows(model, n, seed=1):
     rng = np.random.default_rng(seed)
     cfg = model.config
-    out = np.zeros((n, cfg.n_input))
-    for k in range(n):
-        out[k] = encode_window(
-            rng.uniform(0.0, 1.0, cfg.history + 1),
-            rng.integers(0, cfg.n_classes, cfg.history),
-            model.encoder, cfg.bits_per_symbol,
-        )
-    return out
+    received = rng.uniform(0.0, 1.0, (n, cfg.history + 1))
+    decisions = rng.integers(0, cfg.n_classes, (n, cfg.history))
+    return one_hot_windows(model.encoder.bin_indices(received), decisions, cfg.bits_per_symbol)
 
 
-def float_twin_forward(encoded, fm):
-    """Float64 simulation of the identical quantized arithmetic (oracle)."""
+def fc3_grid(fm):
+    """Scale of fxp_forward's integer logits: value = int * fc3_grid(fm)."""
+    return 2.0 ** -max(fm.fracs["w_fc3"], fm.fracs["b_fc3"])
+
+
+def float_twin_forward(windows, fm):
+    """Float64 simulation of the identical quantized arithmetic over a batch of
+    windows (B, n_input): the logits (B, n_classes) as values (oracle)."""
     deq = {k: fm.ints[k].astype(float) * 2.0 ** -fm.fracs[k] for k in fm.ints}
     f = fm.fracs
     f_a = max(f["w_fc0"], f["b_fc0"])
@@ -76,23 +77,23 @@ def float_twin_forward(encoded, fm):
         return np.floor(val * 2.0 ** fs + 0.5) * 2.0 ** -fs
 
     a_bias = deq["b_fc0"]
-    a_window = acc_clip(deq["w_fc0"] @ encoded + a_bias, f_a)
-    v = np.zeros(fm.config.hidden)
+    a_window = acc_clip(windows @ deq["w_fc0"].T + a_bias, f_a)
+    v = np.zeros((windows.shape[0], fm.config.hidden))
     i = np.zeros_like(v)
     spikes = np.zeros_like(v)
-    z = np.zeros(fm.config.n_classes)
+    z = np.zeros((windows.shape[0], fm.config.n_classes))
     v_th = fm.v_th_int * 2.0 ** -fs
     v_r = fm.v_r_int * 2.0 ** -fs
     for t in range(fm.config.steps):
         a_t = a_window if t == 0 else a_bias
-        h = acc_clip(deq["w_fc1"] @ a_t + deq["b_fc1"] + deq["w_fc2"] @ spikes, f_h)
+        h = acc_clip(a_t @ deq["w_fc1"].T + deq["b_fc1"] + spikes @ deq["w_fc2"].T, f_h)
         drive = np.clip(requant_half_up(h), s_lo, s_hi)
         i = np.clip(i - floor_shift(i, fm.k_i) + drive, s_lo, s_hi)
         v_pre = np.clip(v - floor_shift(v, fm.k_v) + floor_shift(i, fm.k_v), s_lo, s_hi)
         spikes = (v_pre >= v_th).astype(float)
         v = np.where(spikes > 0, v_r, v_pre)
-        z = acc_clip(z + deq["w_fc3"] @ spikes + deq["b_fc3"], f_z)
-    return z, int(np.argmax(z))
+        z = acc_clip(z + spikes @ deq["w_fc3"].T + deq["b_fc3"], f_z)
+    return z
 
 
 class TestConvert:
@@ -203,58 +204,64 @@ class TestFxpForward:
         model = make_float_model(n_tap=5, hidden=10, steps=4, seed=4, qat_bits=bits)
         fm = convert(model, FxpFormats(weight_bits=bits, state_bits=bits))
         windows = random_windows(model, 200, seed=5)
-        f_z = max(fm.fracs["w_fc3"], fm.fracs["b_fc3"])
-        for k in range(windows.shape[0]):
-            res = fxp_forward(windows[k], fm)
-            twin_logits, twin_cls = float_twin_forward(windows[k], fm)
-            np.testing.assert_array_equal(res.logits.astype(float) * 2.0 ** -f_z,
-                                          twin_logits)
-            assert res.decision == twin_cls
+        logits = fxp_forward(windows, fm)
+        assert logits.shape == (200, 4) and logits.dtype == np.int64
+        np.testing.assert_array_equal(logits * fc3_grid(fm), float_twin_forward(windows, fm))
+
+    def test_batch_equals_rows_one_at_a_time(self):
+        # narrowed accumulator, so both counters are nonzero
+        model = make_float_model(seed=9, scale=6.0)
+        fm = dataclasses.replace(convert(model, FxpFormats()), acc_bits=16)
+        windows = random_windows(model, 30, seed=19)
+        batch_stats, row_stats = {}, {}
+        logits = fxp_forward(windows, fm, stats=batch_stats)
+        rows = np.concatenate([fxp_forward(w[None], fm, stats=row_stats) for w in windows])
+        np.testing.assert_array_equal(logits, rows)
+        assert batch_stats == row_stats
+        assert batch_stats["saturations"] > 0 and batch_stats["state_clips"] > 0
+        decide = fm.make_decider()
+        assert [decide(w) for w in windows] == list(np.argmax(logits, axis=1))
 
     def test_zero_window_driven_by_biases_only(self):
         model = make_float_model(seed=6)
         fm = convert(model, FxpFormats())
-        zero = np.zeros(model.config.n_input)
-        res1 = fxp_forward(zero, fm)
-        res2 = fxp_forward(zero, fm)
-        np.testing.assert_array_equal(res1.logits, res2.logits)
-        twin_logits, _ = float_twin_forward(zero, fm)
-        f_z = max(fm.fracs["w_fc3"], fm.fracs["b_fc3"])
-        np.testing.assert_array_equal(res1.logits.astype(float) * 2.0 ** -f_z, twin_logits)
+        zero = np.zeros((1, model.config.n_input))
+        logits = fxp_forward(zero, fm)
+        np.testing.assert_array_equal(logits, fxp_forward(zero, fm))
+        np.testing.assert_array_equal(logits * fc3_grid(fm), float_twin_forward(zero, fm))
 
     def test_fc3_rescaling_keeps_argmax(self):
         model = make_float_model(seed=7)
         fm = convert(model, FxpFormats())
         windows = random_windows(model, 50, seed=8)
-        base = [fxp_forward(w, fm).decision for w in windows]
+        base = np.argmax(fxp_forward(windows, fm), axis=1)
         fm.ints["w_fc3"] = fm.ints["w_fc3"] * 2
         fm.fracs["w_fc3"] = fm.fracs["w_fc3"] + 1
-        rescaled = [fxp_forward(w, fm).decision for w in windows]
-        assert base == rescaled
+        np.testing.assert_array_equal(np.argmax(fxp_forward(windows, fm), axis=1), base)
 
     def test_ternary_window_enforced(self):
         model = make_float_model()
         fm = convert(model, FxpFormats())
         with pytest.raises(ValueError, match="ternary"):
-            fxp_forward(np.full(model.config.n_input, 0.5), fm)
+            fxp_forward(np.full((2, model.config.n_input), 0.5), fm)
         with pytest.raises(ValueError, match="shape"):
-            fxp_forward(np.zeros(3), fm)
+            fxp_forward(np.zeros((1, 3)), fm)
+        with pytest.raises(ValueError, match="shape"):
+            fxp_forward(np.zeros(model.config.n_input), fm)
 
     def test_narrow_accumulator_saturates_and_counts(self):
         # convert() refuses an accumulator this narrow, so narrow one afterwards
         model = make_float_model(seed=9, scale=6.0)
         fm = dataclasses.replace(convert(model, FxpFormats()), acc_bits=16)
         stats = {}
-        for w in random_windows(model, 20, seed=10):
-            fxp_forward(w, fm, stats=stats)
+        fxp_forward(random_windows(model, 20, seed=10), fm, stats=stats)
         assert stats.get("saturations", 0) > 0
 
     def test_wide_accumulator_never_saturates_here(self):
         model = make_float_model(seed=11)
         fm = convert(model, FxpFormats())
         stats = {}
-        for w in random_windows(model, 50, seed=12):
-            fxp_forward(w, fm, stats=stats)
+        fxp_forward(random_windows(model, 50, seed=12), fm, stats=stats)
         assert stats.get("saturations", 0) == 0
 
 
@@ -268,12 +275,9 @@ def test_matches_float_twin_property(seed, scale, bits, steps):
         fm = convert(model, FxpFormats(weight_bits=bits, state_bits=bits))
     except ConversionError:
         return  # the worst case does not fit the accumulator: nothing to run
-    f_z = max(fm.fracs["w_fc3"], fm.fracs["b_fc3"])
-    for window in random_windows(model, 8, seed=seed):
-        res = fxp_forward(window, fm)
-        twin_logits, twin_cls = float_twin_forward(window, fm)
-        np.testing.assert_array_equal(res.logits.astype(float) * 2.0 ** -f_z, twin_logits)
-        assert res.decision == twin_cls
+    windows = random_windows(model, 8, seed=seed)
+    np.testing.assert_array_equal(fxp_forward(windows, fm) * fc3_grid(fm),
+                                  float_twin_forward(windows, fm))
 
 
 class TestFxpStreamAndSerialization:
@@ -299,8 +303,8 @@ class TestFxpStreamAndSerialization:
         assert (loaded.v_th_int, loaded.v_r_int) == (fm.v_th_int, fm.v_r_int)
         for name in fm.ints:
             np.testing.assert_array_equal(loaded.ints[name], fm.ints[name])
-        for w in random_windows(model, 10, seed=16):
-            assert fxp_forward(w, loaded).decision == fxp_forward(w, fm).decision
+        windows = random_windows(model, 10, seed=16)
+        np.testing.assert_array_equal(fxp_forward(windows, loaded), fxp_forward(windows, fm))
 
     def test_loads_version_1_file(self, tmp_path):
         # a container written key by key as version 1 defines it
