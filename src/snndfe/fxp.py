@@ -48,9 +48,11 @@ class FxpFormats:
 
 def _sat(x: np.ndarray, lo: int, hi: int, stats: dict | None,
          key: str = "saturations") -> np.ndarray:
-    clipped = np.clip(x, lo, hi)
+    # the ufuncs directly: np.clip's Python wrapper rebuilds the int64 limits
+    # on every call, which cost the closed loop about half of fxp_forward
+    clipped = np.minimum(np.maximum(x, lo), hi)
     if stats is not None:
-        stats[key] = stats.get(key, 0) + int(np.sum(clipped != x))
+        stats[key] = stats.get(key, 0) + int(np.count_nonzero(clipped != x))
     return clipped
 
 
@@ -254,7 +256,7 @@ def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarr
         raise ValueError(f"windows have shape {windows.shape}, "
                          f"expected (B, {model.config.n_input})")
     enc = windows.astype(np.int64)
-    if np.any(np.abs(enc) > 1) or np.any(enc != windows):
+    if (np.abs(enc) > 1).any() or (enc != windows).any():
         raise ValueError("fxp_forward requires ternary {-1, 0, 1} windows")
 
     w = model.ints
@@ -272,6 +274,10 @@ def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarr
                     acc_lo, acc_hi, stats)
     b1_aligned = w["b_fc1"] << (f_h - f["b_fc1"])
     z_bias = w["b_fc3"] << (f_z - f["b_fc3"])
+    # the fc1 drive of steps t >= 1 sees only the fc0 bias: hoisted, exact
+    # since int64 + and << wrap mod 2^64 in any order
+    h_first = ((a_window @ w["w_fc1"].T) << (f_h - f["w_fc1"] - f_a)) + b1_aligned
+    h_rest = ((a_bias @ w["w_fc1"].T) << (f_h - f["w_fc1"] - f_a)) + b1_aligned
 
     shape = (enc.shape[0], model.config.hidden)
     v = np.zeros(shape, dtype=np.int64)
@@ -279,13 +285,9 @@ def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarr
     spikes = np.zeros(shape, dtype=np.int64)
     logits = np.zeros((enc.shape[0], model.config.n_classes), dtype=np.int64)
     for t in range(model.config.steps):
-        a_t = a_window if t == 0 else a_bias
-        h = _sat(
-            ((a_t @ w["w_fc1"].T) << (f_h - f["w_fc1"] - f_a))
-            + ((spikes @ w["w_fc2"].T) << (f_h - f["w_fc2"]))
-            + b1_aligned,
-            acc_lo, acc_hi, stats,
-        )
+        h = _sat((h_first if t == 0 else h_rest)
+                 + ((spikes @ w["w_fc2"].T) << (f_h - f["w_fc2"])),
+                 acc_lo, acc_hi, stats)
         drive = _sat(_rshift_round_half_up(h, f_h - fmt.frac_bits),
                      spec.state_min, spec.state_max, stats, key="state_clips")
         v, i, spikes = fxp_lif_step(v, i, drive, spec, stats)

@@ -74,7 +74,9 @@ def fake_quantize(x: np.ndarray, bits: int, scale: float | None = None) -> np.nd
     x = np.asarray(x, dtype=float)
     if scale is None:
         scale = pow2_scale(float(np.max(np.abs(x))) if x.size else 0.0, bits)
-    ints = np.clip(np.rint(x / scale), -(2 ** (bits - 1)), 2 ** (bits - 1) - 1)
+    lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+    # the ufuncs directly: np.clip's Python wrapper dominates per-step calls
+    ints = np.minimum(np.maximum(np.rint(x / scale), lo), hi)
     return ints * scale
 
 

@@ -110,6 +110,28 @@ class TestEncodeWindow:
         encoder = EncoderConfig(0.0, 1e-308)
         np.testing.assert_array_equal(encoder.bin_indices([1e10, -1e10, 5e-309]), [7, 0, 4])
 
+    @settings(max_examples=100, deadline=None)
+    @given(ends=st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2, unique=True),
+           samples=st.lists(st.floats(allow_nan=False), max_size=50))
+    def test_bins_monotone_with_edges_at_ends(self, ends, samples):
+        encoder = EncoderConfig(min(ends), max(ends))
+        bins = encoder.bin_indices(np.sort(samples))
+        assert np.all(np.diff(bins) >= 0)
+        np.testing.assert_array_equal(encoder.bin_indices([encoder.rx_min, encoder.rx_max]),
+                                      [0, 7])
+
+    @settings(max_examples=100, deadline=None)
+    @given(rx_min=st.floats(-4.0, 4.0), span_exp=st.integers(-10, 10),
+           grid_exp=st.integers(0, 20))
+    def test_exact_bin_edge_lands_in_its_bin(self, rx_min, span_exp, grid_exp):
+        # rx_min on a dyadic grid, so every edge rx_min + b*span/8 is exact
+        span = 2.0 ** span_exp
+        step = span / 8 * 2.0 ** -grid_exp
+        rx_min = round(rx_min / step) * step
+        encoder = EncoderConfig(rx_min, rx_min + span)
+        edges = rx_min + np.arange(8) * (span / 8)
+        np.testing.assert_array_equal(encoder.bin_indices(edges), np.arange(8))
+
     def test_window_length_mismatch(self):
         with pytest.raises(ValueError):
             encode_window([0.0, 0.0, 0.0], [1], EncoderConfig(0.0, 1.0), m=2)

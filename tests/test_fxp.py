@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -257,6 +258,16 @@ class TestFxpForward:
         fxp_forward(random_windows(model, 20, seed=10), fm, stats=stats)
         assert stats.get("saturations", 0) > 0
 
+    def test_narrow_accumulator_matches_float_twin(self):
+        # the other twin comparisons run where no accumulator saturates
+        model = make_float_model(seed=11, scale=6.0)
+        fm = dataclasses.replace(convert(model, FxpFormats()), acc_bits=16)
+        windows = random_windows(model, 200, seed=19)
+        stats = {}
+        logits = fxp_forward(windows, fm, stats=stats)
+        np.testing.assert_array_equal(logits * fc3_grid(fm), float_twin_forward(windows, fm))
+        assert stats["saturations"] > 0 and stats["state_clips"] > 0
+
     def test_wide_accumulator_never_saturates_here(self):
         model = make_float_model(seed=11)
         fm = convert(model, FxpFormats())
@@ -290,6 +301,21 @@ class TestFxpStreamAndSerialization:
         assert out.shape == (120 - fm.config.history,)
         assert set(np.unique(out)).issubset(set(range(4)))
         assert stats.get("saturations", 0) == 0
+
+    @pytest.mark.parametrize("acc_bits, saturations, state_clips",
+                             [(32, 0, 1977), (16, 187, 1905)])
+    def test_pinned_closed_loop(self, acc_bits, saturations, state_clips):
+        # decisions and clip counts of a fixed feedback run; the narrowed
+        # accumulator saturates without changing a decision here
+        model = make_float_model(n_tap=5, hidden=8, steps=4, seed=26, scale=4.0)
+        fm = dataclasses.replace(convert(model, FxpFormats()), acc_bits=acc_bits)
+        y = np.random.default_rng(27).uniform(-0.1, 1.1, 400)
+        stats = {}
+        out = equalize_stream(y, fm, mode="feedback", stats=stats)
+        np.testing.assert_array_equal(np.bincount(out, minlength=4), [80, 48, 0, 270])
+        assert hashlib.sha256(out.tobytes()).hexdigest() == (
+            "e32047101a5d01d414c8bfdf6cf56fb7a335e7fd678dd66541036d10efa17e64")
+        assert stats == {"saturations": saturations, "state_clips": state_clips}
 
     def test_roundtrip(self, tmp_path):
         model = make_float_model(seed=15)
