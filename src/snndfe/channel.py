@@ -47,11 +47,10 @@ class ChannelConfig:
 
 @dataclass
 class SignalBuffer:
-    """Sampled waveform plus the metadata needed to interpret it."""
+    """Sampled waveform and its sample rate."""
 
     samples: np.ndarray
     sample_rate_hz: float
-    domain: str = "oversampled"  # "oversampled" | "symbol"
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples)
@@ -186,18 +185,18 @@ def chromatic_dispersion(signal: SignalBuffer, cfg: ChannelConfig) -> SignalBuff
     d_si = cfg.dispersion_ps_nm_km * 1e-6  # ps/(nm km) -> s/m^2
     length = cfg.fiber_length_km * 1e3
     if length == 0.0 or d_si == 0.0:
-        return SignalBuffer(x.astype(np.complex128), signal.sample_rate_hz, signal.domain)
+        return SignalBuffer(x.astype(np.complex128), signal.sample_rate_hz)
     freqs = np.fft.fftfreq(x.size, d=1.0 / signal.sample_rate_hz)
     phase = -np.pi * lam * lam * d_si * length / SPEED_OF_LIGHT * freqs * freqs
     out = np.fft.ifft(np.fft.fft(x.astype(np.complex128)) * np.exp(1j * phase))
-    return SignalBuffer(out, signal.sample_rate_hz, signal.domain)
+    return SignalBuffer(out, signal.sample_rate_hz)
 
 
 def square_law(signal: SignalBuffer) -> SignalBuffer:
     """Photodiode model: out[k] = |in[k]|^2, real and nonnegative."""
     x = np.asarray(signal.samples)
     out = (x.real * x.real + x.imag * x.imag) if np.iscomplexobj(x) else x * x
-    return SignalBuffer(out.astype(np.float64), signal.sample_rate_hz, signal.domain)
+    return SignalBuffer(out.astype(np.float64), signal.sample_rate_hz)
 
 
 def add_awgn(signal: SignalBuffer, snr_db: float, rng: np.random.Generator) -> SignalBuffer:
@@ -212,7 +211,7 @@ def add_awgn(signal: SignalBuffer, snr_db: float, rng: np.random.Generator) -> S
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
     if snr_db == math.inf:
-        return SignalBuffer(x.copy(), signal.sample_rate_hz, signal.domain)
+        return SignalBuffer(x.copy(), signal.sample_rate_hz)
     p_signal = float(np.mean(np.abs(x) ** 2))
     p_noise = p_signal / (10.0 ** (snr_db / 10.0))
     if np.iscomplexobj(x):
@@ -220,7 +219,7 @@ def add_awgn(signal: SignalBuffer, snr_db: float, rng: np.random.Generator) -> S
         noise = scale * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
     else:
         noise = math.sqrt(p_noise) * rng.standard_normal(x.size)
-    return SignalBuffer(x + noise, signal.sample_rate_hz, signal.domain)
+    return SignalBuffer(x + noise, signal.sample_rate_hz)
 
 
 def simulate_link(tx_bits, cfg: ChannelConfig, snr_db: float, rng: np.random.Generator,
@@ -249,4 +248,4 @@ def simulate_link(tx_bits, cfg: ChannelConfig, snr_db: float, rng: np.random.Gen
     delay = len(taps) - 1
     idx = delay + cfg.sps * np.arange(n_sym)
     y = matched[idx]
-    return symbols, SignalBuffer(y, cfg.baud_rate_gbd * 1e9, domain="symbol")
+    return symbols, SignalBuffer(y, cfg.baud_rate_gbd * 1e9)

@@ -85,11 +85,15 @@ class EncoderConfig:
     def bin_indices(self, samples) -> np.ndarray:
         """Uniform 8-level quantizer, clamping out-of-range values to the edge bins."""
         samples = np.asarray(samples, dtype=float)
-        span = self.rx_max - self.rx_min
+        lo, hi = float(self.rx_min), float(self.rx_max)
+        span = hi - lo
         if span <= 0:
             return np.zeros(samples.shape, dtype=np.int64)
+        if span == np.inf:  # ends too far apart: halve them (exactly) and the samples
+            lo, hi, samples = lo / 2, hi / 2, samples / 2
+            span = hi - lo
         # clamp first: far samples over a tiny span would overflow to inf
-        t = (np.clip(samples, self.rx_min, self.rx_max) - self.rx_min) / span
+        t = (np.clip(samples, lo, hi) - lo) / span
         return np.clip(np.floor(t * RX_LEVELS).astype(np.int64), 0, RX_LEVELS - 1)
 
 
@@ -215,7 +219,7 @@ def forward(windows, weights: dict, config: TopologyConfig, lif: LifParams,
     drive and the LIF state are fake-quantized onto the state grid each step.
     Returns the logits (B, n_classes) and, when `keep` is set, a tape of what
     the backward pass reads, else None: the fc0 output "a0" and per-step lists
-    of spikes "s", "u" = v_pre - v_th, "v_pre", and under QAT the
+    of spikes "s" and pre-reset voltages "v_pre", and under QAT the
     straight-through masks of the drive, current and voltage ("h", "i", "v").
     `smooth_slope` runs the sigmoid twin of the spike (see lif_step).
     """
@@ -226,7 +230,7 @@ def forward(windows, weights: dict, config: TopologyConfig, lif: LifParams,
     w3, b3 = weights["w_fc3"], weights["b_fc3"]
     a0 = windows @ weights["w_fc0"].T + weights["b_fc0"]
     a_rest = weights["b_fc0"] @ w1.T + b1  # fc1 part of the drive at steps t >= 1
-    tape = {"a0": a0, "s": [], "u": [], "v_pre": [], "h": [], "i": [], "v": []} if keep else None
+    tape = {"a0": a0, "s": [], "v_pre": [], "h": [], "i": [], "v": []} if keep else None
     quantize = None
     if qat is not None:
         grid = state_format(qat.state_bits)
@@ -248,7 +252,6 @@ def forward(windows, weights: dict, config: TopologyConfig, lif: LifParams,
         logits += s @ w3.T + b3
         if tape is not None:
             tape["s"].append(s)
-            tape["u"].append(v_pre - lif.v_th)
             tape["v_pre"].append(v_pre)
     return logits, tape
 

@@ -6,7 +6,9 @@ a stop-gradient branch. A smooth twin mode replaces the Heaviside by the
 matching sigmoid in both passes so the whole backward chain can be checked
 against central finite differences. Quantization-aware training fake-quantizes
 weights, biases, the per-step drive and the LIF state with straight-through
-gradients.
+gradients. The backward is the adjoint of equalizer.forward as written: like
+the forward, which computes the fc1 drive of the steps t >= 1 once, it sums
+their drive gradient over steps and applies it to fc1 and b_fc0 once.
 """
 
 from __future__ import annotations
@@ -49,16 +51,17 @@ class TrainConfig:
             raise ValueError("surrogate_slope must be > 0")
 
 
+# Adam's standard constants: moment decay rates and the denominator guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """First/second moment accumulators with the optimizer's standard constants."""
+    """First/second moment accumulators and the step count."""
 
     m: dict
     v: dict
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def init(cls, params: dict) -> "AdamState":
@@ -77,20 +80,20 @@ def surrogate_grad(u, slope: float = 100.0):
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
     """Bias-corrected Adam update, in place."""
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
     for key, p in params.items():
         g = grads[key]
         state.m[key] = b1 * state.m[key] + (1.0 - b1) * g
         state.v[key] = b2 * state.v[key] + (1.0 - b2) * g * g
-        p -= lr * (state.m[key] / bc1) / (np.sqrt(state.v[key] / bc2) + state.eps)
+        p -= lr * (state.m[key] / bc1) / (np.sqrt(state.v[key] / bc2) + ADAM_EPS)
 
 
 def _effective_weights_with_masks(model: EqualizerModel, qat: QatConfig | None):
+    """The weights the forward sees and, under QAT, their straight-through masks."""
     if qat is None:
-        params = model.parameters()
-        return params, {k: None for k in params}
+        return model.parameters(), None
     eff, masks = {}, {}
     for key, p in model.parameters().items():
         eff[key], masks[key], _ = fake_quantize_with_mask(p, qat.weight_bits)
@@ -122,66 +125,58 @@ def loss_and_grads(windows: np.ndarray, labels: np.ndarray, model: EqualizerMode
     w1, w2, w3 = eff["w_fc1"], eff["w_fc2"], eff["w_fc3"]
     z, tape = forward(windows, eff, model.config, lif, qat, keep=True,
                       smooth_slope=slope if spike_mode == "smooth" else None)
-    S, U, VP = tape["s"], tape["u"], tape["v_pre"]
-    a0, b0 = tape["a0"], eff["b_fc0"]
+    S, VP, a0 = tape["s"], tape["v_pre"], tape["a0"]
 
     z_shift = z - z.max(axis=1, keepdims=True)
     log_norm = np.log(np.sum(np.exp(z_shift), axis=1))
     loss = float(np.mean(log_norm - z_shift[np.arange(batch), labels]))
 
-    # backward
+    # backward: forward's steps in reverse. Under QAT each gradient takes its
+    # quantizer's straight-through mask where it is formed, so the recurrence,
+    # fc2 and fc1 all see the same drive gradient.
     dz = np.exp(z_shift - log_norm[:, None])
     dz[np.arange(batch), labels] -= 1.0
     dz /= batch
-
-    grads = {k: np.zeros_like(p) for k, p in eff.items()}
-    grads["w_fc3"] = dz.T @ sum(S)
-    grads["b_fc3"] = n_steps * dz.sum(axis=0)
     dz_w3 = dz @ w3
 
-    carry_v = np.zeros_like(a0)   # dL/d v_t (post-reset, post-quant)
+    carry_v = np.zeros_like(a0)   # dL/d v_t (post-reset, post-quant), from step t+1
     carry_i = np.zeros_like(a0)   # dL/d i_t (post-quant), from step t+1
-    ghq_next = np.zeros_like(a0)  # dL/d h_{t+1} (post-quant)
-    ga_rest_sum = np.zeros(model.config.hidden)
-    ga0 = None
+    gh_next = np.zeros_like(a0)   # dL/d drive of step t+1
+    gh_rest = np.zeros(model.config.hidden)  # batch-summed gh of the steps t >= 1
+    g_w2 = np.zeros_like(w2)
     for t in range(n_steps - 1, -1, -1):
+        # step t+1's drive read s_t through fc2, and the fc1 input all steps t >= 1 share
+        gh_rest += gh_next.sum(axis=0)
+        g_w2 += gh_next.T @ S[t]
+        ds = dz_w3 + gh_next @ w2
         gv = carry_v if qat is None else carry_v * tape["v"][t]
-        ds = dz_w3 + ghq_next @ w2
+        u = VP[t] - lif.v_th
         if spike_mode == "hard":
-            fprime = surrogate_grad(U[t], slope)
+            fprime = surrogate_grad(u, slope)
         else:
-            _, fprime = smooth_spike(U[t], slope)
+            _, fprime = smooth_spike(u, slope)
             ds = ds + gv * (lif.v_r - VP[t])  # reset branch differentiated
-        du = ds * fprime
-        gvp = du + gv * (1.0 - S[t])
-        giq = gvp * av + carry_i
-        gipre = giq if qat is None else giq * tape["i"][t]
-        ghq = gipre
-        gh = ghq if qat is None else ghq * tape["h"][t]
-
-        if t == 0:
-            grads["w_fc1"] += gh.T @ a0
-        else:
-            grads["w_fc1"] += np.outer(gh.sum(axis=0), b0)
-        grads["b_fc1"] += gh.sum(axis=0)
-        if t > 0:
-            grads["w_fc2"] += gh.T @ S[t - 1]
-        ga = gh @ w1
-        if t == 0:
-            ga0 = ga
-        else:
-            ga_rest_sum += ga.sum(axis=0)
-
+        gvp = ds * fprime + gv * (1.0 - S[t])
+        gi = gvp * av + carry_i
+        if qat is not None:
+            gi = gi * tape["i"][t]
         carry_v = (1.0 - av) * gvp
-        carry_i = (1.0 - ai) * gipre
-        ghq_next = ghq
+        carry_i = (1.0 - ai) * gi
+        gh_next = gi if qat is None else gi * tape["h"][t]
 
-    grads["w_fc0"] = ga0.T @ windows
-    grads["b_fc0"] = ga0.sum(axis=0) + ga_rest_sum
-
+    # gh_next is now step 0's, whose fc1 input is the fc0 output a0
+    ga0 = gh_next @ w1
+    grads = {
+        "w_fc0": ga0.T @ windows,
+        "b_fc0": ga0.sum(axis=0) + gh_rest @ w1,
+        "w_fc1": gh_next.T @ a0 + np.outer(gh_rest, eff["b_fc0"]),
+        "b_fc1": gh_next.sum(axis=0) + gh_rest,
+        "w_fc2": g_w2,
+        "w_fc3": dz.T @ sum(S),
+        "b_fc3": n_steps * dz.sum(axis=0),
+    }
     if qat is not None:
-        for key in grads:
-            grads[key] = grads[key] * wmasks[key]
+        grads = {key: g * wmasks[key] for key, g in grads.items()}
     return loss, grads
 
 

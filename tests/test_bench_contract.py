@@ -1,0 +1,45 @@
+"""The names the benchmark in perfbench/ patches must exist in snndfe.
+
+A traced benchmark run (`perfbench/run.py --trace 1`) wraps snndfe functions
+where their callers look them up; renaming one of them in `src/` would break
+only that run. These tests install and restore the patches of every workload
+in BENCHMARK.json without running any workload.
+"""
+
+import json
+import pathlib
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import run
+        import tracing
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return run, tracing, workloads
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_patches_install_and_restore(bench, name, tmp_path):
+    run, tracing, workloads = bench
+    workload = workloads.make(name, 0, str(tmp_path))
+    tracer = tracing.Tracer()
+    try:
+        run.install_patches(tracer, workload)
+        patched = list(tracer._patched)
+        assert patched
+        for owner, attr, original in patched:
+            assert getattr(owner, attr) != original, f"{attr} was not replaced"
+    finally:
+        tracer.restore()
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) == original, f"{attr} was not restored"

@@ -110,8 +110,14 @@ class TestEncodeWindow:
         encoder = EncoderConfig(0.0, 1e-308)
         np.testing.assert_array_equal(encoder.bin_indices([1e10, -1e10, 5e-309]), [7, 0, 4])
 
+    def test_ends_too_far_apart_for_a_finite_span(self):
+        # rx_max - rx_min overflows to inf; the fraction must not
+        encoder = EncoderConfig(-1e308, 1e308)
+        np.testing.assert_array_equal(encoder.bin_indices([0.0, 5e307, 1e308]), [4, 6, 7])
+
     @settings(max_examples=100, deadline=None)
-    @given(ends=st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2, unique=True),
+    @given(ends=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=2, max_size=2, unique=True),
            samples=st.lists(st.floats(allow_nan=False), max_size=50))
     def test_bins_monotone_with_edges_at_ends(self, ends, samples):
         encoder = EncoderConfig(min(ends), max(ends))

@@ -97,6 +97,41 @@ class TestGradients:
         model.b_fc1[:] += 0.5  # park some units near threshold
         windows, labels = random_batch(model, 6, seed=5)
         cfg = TrainConfig(surrogate_slope=100.0, batch_size=1, batches_per_epoch=1, epochs=1)
+        self.assert_grads_match_finite_differences(model, windows, labels, cfg)
+
+    def test_qat_recurrence_sees_the_masked_drive_gradient(self, monkeypatch):
+        # With a clamp-only quantizer the straight-through gradient is exact,
+        # so QAT's backward must match finite differences too. Large recurrent
+        # weights saturate the drive at steps t >= 1 where the current is not
+        # saturated: the gradient fed back through fc2 must carry the drive's
+        # mask, as the fc2 gradient does.
+        import snndfe.equalizer as equalizer_mod
+        import snndfe.train as train_mod
+
+        def clamp_only(x, bits, scale=None):
+            x = np.asarray(x, dtype=float)
+            if scale is None:
+                scale = pow2_scale(float(np.max(np.abs(x))) if x.size else 0.0, bits)
+            lo, hi = -(2 ** (bits - 1)) * scale, (2 ** (bits - 1) - 1) * scale
+            return np.clip(x, lo, hi), ((x >= lo) & (x <= hi)).astype(float), scale
+
+        monkeypatch.setattr(equalizer_mod, "fake_quantize_with_mask", clamp_only)
+        monkeypatch.setattr(train_mod, "fake_quantize_with_mask", clamp_only)
+        model = tiny_model(n_tap=1, hidden=4, steps=3, seed=37, scale=8.0)
+        model.w_fc2[:] *= 3.0
+        model.b_fc1[:] += 0.5
+        windows, labels = random_batch(model, 6, seed=5)
+        qat = QatConfig(weight_bits=8, state_bits=6)
+        cfg = TrainConfig(surrogate_slope=100.0, batch_size=1, batches_per_epoch=1, epochs=1,
+                          qat=qat)
+        _, tape = forward(windows, model.parameters(), model.config, model.lif, qat, keep=True)
+        drive_only = sum(int(np.sum((tape["h"][t] == 0) & (tape["i"][t] == 1)))
+                         for t in range(1, model.config.steps))
+        assert drive_only >= 1
+        self.assert_grads_match_finite_differences(model, windows, labels, cfg)
+
+    @staticmethod
+    def assert_grads_match_finite_differences(model, windows, labels, cfg):
         _, grads = loss_and_grads(windows, labels, model, cfg, spike_mode="smooth")
 
         eps = 1e-5
