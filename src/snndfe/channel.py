@@ -1,5 +1,8 @@
 """Simulation of the optical IM/DD link: PAM-4 over fiber with square-law detection.
 
+The link is PAM-4 only: its alphabet is PAM4_LEVELS with BITS_PER_SYMBOL Gray
+bits per symbol, and the stages pass plain sample arrays.
+
 Transmit chain: Gray-mapped PAM-4 symbols, 2x upsampling, RRC pulse shaping.
 Fiber: chromatic dispersion (all-pass quadratic phase), square-law photodiode,
 AWGN at the detector output. Receive chain: matched RRC, downsample to one
@@ -9,11 +12,15 @@ sample per symbol, group-delay compensated so y[k] lines up with x[k].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
+
+# PAM-4 amplitudes, ascending; level k carries the Gray label of class k
+PAM4_LEVELS = (0.0, 1.0, math.sqrt(2.0), math.sqrt(3.0))
+BITS_PER_SYMBOL = 2
 
 
 @dataclass(frozen=True)
@@ -45,45 +52,12 @@ class ChannelConfig:
         return self.baud_rate_gbd * 1e9 * self.sps
 
 
-@dataclass
-class SignalBuffer:
-    """Sampled waveform and its sample rate."""
-
-    samples: np.ndarray
-    sample_rate_hz: float
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples)
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("SignalBuffer requires finite samples")
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
-def _default_pam4_levels() -> tuple:
-    return (0.0, 1.0, math.sqrt(2.0), math.sqrt(3.0))
-
-
-@dataclass(frozen=True)
-class PamAlphabet:
-    """PAM constellation with Gray-coded bit labels on amplitude-ascending levels."""
-
-    bits_per_symbol: int = 2
-    amplitudes: tuple = field(default_factory=_default_pam4_levels)
-
-    def __post_init__(self):
-        if len(self.amplitudes) != 2 ** self.bits_per_symbol:
-            raise ValueError("alphabet must have 2**bits_per_symbol amplitudes")
-        if any(b >= a for a, b in zip(self.amplitudes[1:], self.amplitudes)):
-            raise ValueError("amplitudes must be strictly increasing")
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.amplitudes)
-
-    def levels(self) -> np.ndarray:
-        return np.asarray(self.amplitudes, dtype=float)
+def _finite(x, stage: str) -> np.ndarray:
+    """x as an array; a NaN or infinite sample raises ValueError."""
+    x = np.asarray(x)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{stage} requires finite samples")
+    return x
 
 
 def _gray_encode(idx: np.ndarray) -> np.ndarray:
@@ -120,17 +94,16 @@ def classes_to_bits(classes, m: int = 2) -> np.ndarray:
     return bits.reshape(-1)
 
 
-def gray_map(bits, alphabet: PamAlphabet) -> np.ndarray:
-    """Map a bit sequence onto constellation amplitudes (Gray labelling)."""
-    classes = bits_to_classes(bits, alphabet.bits_per_symbol)
-    return alphabet.levels()[classes]
+def gray_map(bits) -> np.ndarray:
+    """Map a bit sequence onto the PAM-4 amplitudes (Gray labelling)."""
+    return np.array(PAM4_LEVELS)[bits_to_classes(bits, BITS_PER_SYMBOL)]
 
 
-def gray_demap(symbols, alphabet: PamAlphabet) -> np.ndarray:
+def gray_demap(symbols) -> np.ndarray:
     """Recover the bit sequence from (possibly noisy) amplitudes by nearest level."""
     symbols = np.asarray(symbols, dtype=float)
-    classes = np.argmin(np.abs(symbols[:, None] - alphabet.levels()[None, :]), axis=1)
-    return classes_to_bits(classes, alphabet.bits_per_symbol)
+    classes = np.argmin(np.abs(symbols[:, None] - np.array(PAM4_LEVELS)), axis=1)
+    return classes_to_bits(classes, BITS_PER_SYMBOL)
 
 
 def rrc_taps(rolloff: float, span_symbols: int, sps: int) -> np.ndarray:
@@ -173,45 +146,47 @@ def rrc_taps(rolloff: float, span_symbols: int, sps: int) -> np.ndarray:
     return taps / math.sqrt(float(np.dot(taps, taps)))
 
 
-def chromatic_dispersion(signal: SignalBuffer, cfg: ChannelConfig) -> SignalBuffer:
-    """Apply fiber dispersion as an all-pass quadratic-phase filter over the frame.
+def chromatic_dispersion(x, cfg: ChannelConfig) -> np.ndarray:
+    """Apply fiber dispersion as an all-pass quadratic-phase filter over the frame
+    sampled at cfg.sample_rate_hz; returns complex samples.
 
     H(f) = exp(-1j * pi * lambda^2 * D * L / c * f^2); dispersion only, no loss.
     """
-    x = np.asarray(signal.samples)
+    x = _finite(x, "chromatic_dispersion")
     if x.size == 0:
-        raise ValueError("chromatic_dispersion: empty buffer")
+        raise ValueError("chromatic_dispersion: empty input")
     lam = cfg.wavelength_nm * 1e-9
     d_si = cfg.dispersion_ps_nm_km * 1e-6  # ps/(nm km) -> s/m^2
     length = cfg.fiber_length_km * 1e3
     if length == 0.0 or d_si == 0.0:
-        return SignalBuffer(x.astype(np.complex128), signal.sample_rate_hz)
-    freqs = np.fft.fftfreq(x.size, d=1.0 / signal.sample_rate_hz)
+        return x.astype(np.complex128)
+    freqs = np.fft.fftfreq(x.size, d=1.0 / cfg.sample_rate_hz)
     phase = -np.pi * lam * lam * d_si * length / SPEED_OF_LIGHT * freqs * freqs
-    out = np.fft.ifft(np.fft.fft(x.astype(np.complex128)) * np.exp(1j * phase))
-    return SignalBuffer(out, signal.sample_rate_hz)
+    return np.fft.ifft(np.fft.fft(x.astype(np.complex128)) * np.exp(1j * phase))
 
 
-def square_law(signal: SignalBuffer) -> SignalBuffer:
-    """Photodiode model: out[k] = |in[k]|^2, real and nonnegative."""
-    x = np.asarray(signal.samples)
+def square_law(x) -> np.ndarray:
+    """Photodiode model: out[k] = |x[k]|^2, real and nonnegative."""
+    x = _finite(x, "square_law")
     out = (x.real * x.real + x.imag * x.imag) if np.iscomplexobj(x) else x * x
-    return SignalBuffer(out.astype(np.float64), signal.sample_rate_hz)
+    return out.astype(np.float64)
 
 
-def add_awgn(signal: SignalBuffer, snr_db: float, rng: np.random.Generator) -> SignalBuffer:
+def add_awgn(x, snr_db: float, rng: np.random.Generator) -> np.ndarray:
     """Add white Gaussian noise at the requested SNR.
 
     Noise power is referenced to the empirical mean square of the input, so
-    10*log10(P_signal/P_noise) = snr_db. snr_db = +inf returns the signal
-    unchanged; NaN and -inf raise ValueError. For complex inputs the noise
-    power is split across quadratures.
+    10*log10(P_signal/P_noise) = snr_db. On the detected signal that total
+    power includes its DC part: at the default link it is about 4.9 dB above
+    the AC power, so the AC SNR is that much below snr_db. snr_db = +inf
+    returns a copy of the input; NaN and -inf raise ValueError. For complex
+    inputs the noise power is split across quadratures.
     """
-    x = np.asarray(signal.samples)
+    x = _finite(x, "add_awgn")
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
     if snr_db == math.inf:
-        return SignalBuffer(x.copy(), signal.sample_rate_hz)
+        return x.copy()
     p_signal = float(np.mean(np.abs(x) ** 2))
     p_noise = p_signal / (10.0 ** (snr_db / 10.0))
     if np.iscomplexobj(x):
@@ -219,33 +194,30 @@ def add_awgn(signal: SignalBuffer, snr_db: float, rng: np.random.Generator) -> S
         noise = scale * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
     else:
         noise = math.sqrt(p_noise) * rng.standard_normal(x.size)
-    return SignalBuffer(x + noise, signal.sample_rate_hz)
+    return x + noise
 
 
-def simulate_link(tx_bits, cfg: ChannelConfig, snr_db: float, rng: np.random.Generator,
-                  alphabet: PamAlphabet | None = None):
-    """Run the full link and return (tx symbols, received buffer at 1 sps).
+def simulate_link(tx_bits, cfg: ChannelConfig, snr_db: float, rng: np.random.Generator):
+    """Run the full link and return (tx symbols, received samples at 1 sps).
 
     Stage order: gray_map -> upsample (zero insertion) -> RRC -> chromatic
     dispersion -> square law -> AWGN -> matched RRC -> downsample. The total
     group delay of the two RRC filters is trimmed so y[k] corresponds to x[k];
-    the output has exactly one sample per transmitted symbol.
+    the output has exactly one sample per transmitted symbol. snr_db is
+    referenced to the total detected power, DC included (see add_awgn).
     """
-    alphabet = alphabet or PamAlphabet()
-    symbols = gray_map(tx_bits, alphabet)
+    symbols = gray_map(tx_bits)
     n_sym = symbols.size
     taps = rrc_taps(cfg.rolloff, cfg.rrc_span_symbols, cfg.sps)
 
     up = np.zeros(n_sym * cfg.sps)
     up[:: cfg.sps] = symbols
-    shaped = SignalBuffer(np.convolve(up, taps), cfg.sample_rate_hz)
-    dispersed = chromatic_dispersion(shaped, cfg)
-    detected = square_law(dispersed)
+    shaped = np.convolve(up, taps)
+    detected = square_law(chromatic_dispersion(shaped, cfg))
     noisy = add_awgn(detected, snr_db, rng)
-    matched = np.convolve(noisy.samples, taps)
+    matched = np.convolve(noisy, taps)
 
     # Each 'full' convolution delays the peak by (len(taps)-1)/2 samples.
     delay = len(taps) - 1
     idx = delay + cfg.sps * np.arange(n_sym)
-    y = matched[idx]
-    return symbols, SignalBuffer(y, cfg.baud_rate_gbd * 1e9)
+    return symbols, matched[idx]

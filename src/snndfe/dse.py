@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelConfig
-from .equalizer import TopologyConfig, mac_count
+from .equalizer import TopologyConfig
 from .fxp import FxpFormats, convert
 from .harness import derive_seed, evaluate_ber
 from .quant import QatConfig

@@ -82,6 +82,10 @@ class EncoderConfig:
     rx_min: float
     rx_max: float
 
+    def __post_init__(self):
+        if not (np.isfinite(self.rx_min) and np.isfinite(self.rx_max)):
+            raise ValueError(f"encoder ends must be finite, got [{self.rx_min}, {self.rx_max}]")
+
     def bin_indices(self, samples) -> np.ndarray:
         """Uniform 8-level quantizer, clamping out-of-range values to the edge bins."""
         samples = np.asarray(samples, dtype=float)
@@ -265,7 +269,7 @@ def equalize_stream(y, model, mode: str = "feedback", true_classes=None,
     from error accounting. In feedback mode each decision is fed back; in
     genie mode the ground-truth class is (teacher forcing).
     """
-    y = np.asarray(getattr(y, "samples", y), dtype=float)
+    y = np.asarray(y, dtype=float)
     cfg = model.config
     history = cfg.history
     if y.size < history + 1:

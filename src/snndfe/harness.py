@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, bits_to_classes, classes_to_bits, simulate_link
+from .channel import (BITS_PER_SYMBOL, ChannelConfig, bits_to_classes, classes_to_bits,
+                      simulate_link)
 from .equalizer import equalize_stream
 
 
 class ConfigError(ValueError):
-    """Invalid evaluation settings."""
+    """Invalid evaluation or training settings."""
 
 
 class CalibrationError(ValueError):
@@ -57,13 +58,20 @@ def count_bit_errors(true_classes, decided_classes, m: int) -> int:
     return int(np.sum(true_bits != decided_bits))
 
 
-def _eval_frame(channel_cfg: ChannelConfig, m: int, snr_db, symbols: int, seed: int):
+def check_pam4(m: int) -> None:
+    """Raise ConfigError unless m bits per symbol is the link's PAM-4."""
+    if m != BITS_PER_SYMBOL:
+        raise ConfigError(f"bits_per_symbol={m}, but the link is PAM-4 "
+                          f"(channel.BITS_PER_SYMBOL = {BITS_PER_SYMBOL})")
+
+
+def _eval_frame(channel_cfg: ChannelConfig, snr_db, symbols: int, seed: int):
     """(classes, received stream) of the eval frame at one SNR, derived from
     (seed, snr_db) alone, so every receiver sees the same frame."""
     rng = derive_rng(seed, f"eval:snr={snr_db}")
-    bits = rng.integers(0, 2, m * symbols)
+    bits = rng.integers(0, 2, BITS_PER_SYMBOL * symbols)
     _, y = simulate_link(bits, channel_cfg, snr_db, rng)
-    return bits_to_classes(bits, m), y
+    return bits_to_classes(bits, BITS_PER_SYMBOL), y
 
 
 def evaluate_ber(model, channel_cfg: ChannelConfig, snrs_db, symbols_per_snr: int,
@@ -71,16 +79,18 @@ def evaluate_ber(model, channel_cfg: ChannelConfig, snrs_db, symbols_per_snr: in
     """Closed-loop BER curve over fresh per-SNR channel realizations.
 
     The comparison window excludes the warm-up symbols (the model's history
-    length). Deterministic: every SNR point uses its own derived seed.
+    length). Deterministic: every SNR point uses its own derived seed. A model
+    whose bits_per_symbol is not channel.BITS_PER_SYMBOL raises ConfigError.
     """
     cfg = model.config
     m = cfg.bits_per_symbol
+    check_pam4(m)
     history = cfg.history
     if symbols_per_snr < history + 2:
         raise ConfigError("symbols_per_snr too small for the model's history")
     points = []
     for snr_db in snrs_db:
-        classes, y = _eval_frame(channel_cfg, m, snr_db, symbols_per_snr, seed)
+        classes, y = _eval_frame(channel_cfg, snr_db, symbols_per_snr, seed)
         decided = equalize_stream(y, model, mode=mode, true_classes=classes, stats=stats)
         errors = count_bit_errors(classes[history:], decided, m)
         points.append(BerPoint(snr_db, errors, m * (symbols_per_snr - history)))
@@ -106,7 +116,7 @@ def fit_centroids(pilot_y, pilot_classes, n_classes: int) -> np.ndarray:
 
 def baseline_hard_decision(y, calibration: np.ndarray) -> np.ndarray:
     """Minimum-distance decision against fitted per-class centroids."""
-    y = np.asarray(getattr(y, "samples", y), dtype=float)
+    y = np.asarray(y, dtype=float)
     return np.argmin(np.abs(y[:, None] - calibration[None, :]), axis=1)
 
 
@@ -116,8 +126,10 @@ def evaluate_baseline_ber(channel_cfg: ChannelConfig, m: int, snrs_db,
     """BER of the unequalized hard-decision receiver on the same eval frames.
 
     Uses the same derived eval streams as evaluate_ber so comparisons are
-    paired, and the same warm-up exclusion window.
+    paired, and the same warm-up exclusion window. m must be
+    channel.BITS_PER_SYMBOL, or ConfigError is raised.
     """
+    check_pam4(m)
     n_classes = 2 ** m
     points = []
     for snr_db in snrs_db:
@@ -125,9 +137,9 @@ def evaluate_baseline_ber(channel_cfg: ChannelConfig, m: int, snrs_db,
         pilot_bits = pilot_rng.integers(0, 2, m * pilot_symbols)
         pilot_classes = bits_to_classes(pilot_bits, m)
         _, pilot_y = simulate_link(pilot_bits, channel_cfg, snr_db, pilot_rng)
-        centroids = fit_centroids(pilot_y.samples, pilot_classes, n_classes)
+        centroids = fit_centroids(pilot_y, pilot_classes, n_classes)
 
-        classes, y = _eval_frame(channel_cfg, m, snr_db, symbols_per_snr, seed)
+        classes, y = _eval_frame(channel_cfg, snr_db, symbols_per_snr, seed)
         decided = baseline_hard_decision(y, centroids)
         errors = count_bit_errors(classes[warmup:], decided[warmup:], m)
         points.append(BerPoint(snr_db, errors, m * (symbols_per_snr - warmup)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, PamAlphabet, bits_to_classes, simulate_link
+from .channel import BITS_PER_SYMBOL, ChannelConfig, bits_to_classes, simulate_link
 from .equalizer import EncoderConfig, EqualizerModel, TopologyConfig, forward, one_hot_windows
 from .lif import LifParams, smooth_spike
 from .quant import QatConfig, fake_quantize_with_mask
@@ -30,13 +30,13 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization settings. Defaults are the full-scale numbers; desk-scale
-    runs override batch_size and batches_per_epoch (as dse.TrialScale does)."""
+    """Optimization settings. The defaults are the desk scale a dse.TrialScale
+    trial runs: one epoch of 120 batches of 500 windows."""
 
     learning_rate: float = 1e-3
-    epochs: int = 5
-    batches_per_epoch: int = 10000
-    batch_size: int = 200000
+    epochs: int = 1
+    batches_per_epoch: int = 120
+    batch_size: int = 500
     train_snr_db: float = 17.0
     surrogate_slope: float = 100.0
     qat: QatConfig | None = None
@@ -199,13 +199,11 @@ def teacher_forced_windows(y_samples: np.ndarray, classes: np.ndarray,
 
 
 def calibrate_encoder(channel_cfg: ChannelConfig, snr_db: float,
-                      rng: np.random.Generator, n_symbols: int = 20000,
-                      alphabet: PamAlphabet | None = None) -> EncoderConfig:
+                      rng: np.random.Generator, n_symbols: int = 20000) -> EncoderConfig:
     """Min-max fit of the amplitude binning on a fresh channel realization."""
-    alphabet = alphabet or PamAlphabet()
-    bits = rng.integers(0, 2, alphabet.bits_per_symbol * n_symbols)
-    _, y = simulate_link(bits, channel_cfg, snr_db, rng, alphabet)
-    return EncoderConfig(float(np.min(y.samples)), float(np.max(y.samples)))
+    bits = rng.integers(0, 2, BITS_PER_SYMBOL * n_symbols)
+    _, y = simulate_link(bits, channel_cfg, snr_db, rng)
+    return EncoderConfig(float(np.min(y)), float(np.max(y)))
 
 
 def train(channel_cfg: ChannelConfig, topology_cfg: TopologyConfig,
@@ -216,19 +214,20 @@ def train(channel_cfg: ChannelConfig, topology_cfg: TopologyConfig,
     Each batch simulates a new frame at the training SNR, builds teacher-forced
     windows and applies one Adam step; LIF constants stay fixed. Returns the
     model and a log of (batch, loss, grad_norm) rows. Deterministic for a given
-    seed. Raises TrainingDiverged if the loss stops being finite.
+    seed. Raises TrainingDiverged if the loss stops being finite, and
+    harness.ConfigError (a ValueError) if topology_cfg.bits_per_symbol is not
+    channel.BITS_PER_SYMBOL.
     """
-    from .harness import derive_rng  # local import: harness owns the seeding policy
+    from .harness import check_pam4, derive_rng  # local import: harness owns the seeding policy
 
+    m = topology_cfg.bits_per_symbol
+    check_pam4(m)
     if lif is None:
         lif = LifParams.shift_friendly() if train_cfg.qat is not None else LifParams()
-    alphabet = PamAlphabet()
-    m = topology_cfg.bits_per_symbol
     encoder = calibrate_encoder(
         channel_cfg, train_cfg.train_snr_db,
         derive_rng(train_cfg.seed, "calibration"),
         n_symbols=max(20000, min(train_cfg.batch_size, 200000)),
-        alphabet=alphabet,
     )
     model = EqualizerModel.initialize(
         topology_cfg, lif, encoder, derive_rng(train_cfg.seed, "init"), qat=train_cfg.qat
@@ -242,8 +241,8 @@ def train(channel_cfg: ChannelConfig, topology_cfg: TopologyConfig,
         rng = derive_rng(train_cfg.seed, f"batch:{batch_idx}")
         bits = rng.integers(0, 2, m * (train_cfg.batch_size + history))
         classes = bits_to_classes(bits, m)
-        _, y = simulate_link(bits, channel_cfg, train_cfg.train_snr_db, rng, alphabet)
-        windows, labels = teacher_forced_windows(y.samples, classes, encoder, topology_cfg)
+        _, y = simulate_link(bits, channel_cfg, train_cfg.train_snr_db, rng)
+        windows, labels = teacher_forced_windows(y, classes, encoder, topology_cfg)
         loss, grads = loss_and_grads(windows, labels, model, train_cfg)
         if not math.isfinite(loss):
             raise TrainingDiverged(f"loss became non-finite at batch {batch_idx}")

@@ -1,9 +1,11 @@
-"""The names the benchmark in perfbench/ patches must exist in snndfe.
+"""The benchmark in perfbench/ must keep working against snndfe.
 
 A traced benchmark run (`perfbench/run.py --trace 1`) wraps snndfe functions
 where their callers look them up; renaming one of them in `src/` would break
 only that run. These tests install and restore the patches of every workload
-in BENCHMARK.json without running any workload.
+in BENCHMARK.json without running any workload, and run the integer engine's
+output checks, whose pinned bit errors change with any change of channel or
+engine output.
 """
 
 import json
@@ -43,3 +45,12 @@ def test_patches_install_and_restore(bench, name, tmp_path):
         tracer.restore()
     for owner, attr, original in patched:
         assert getattr(owner, attr) == original, f"{attr} was not restored"
+
+
+def test_ber_int_output_checks_pass(bench, tmp_path):
+    _, _, workloads = bench
+    workload = workloads.make("ber_int", 0, str(tmp_path))
+    checks = workload.checks(workload.setup())
+    assert checks
+    assert [(c.name, c.detail) for c in checks if not c.ok] == []
+    assert workload.report["baseline_bit_errors"] == workloads.PINNED_BIT_ERRORS["baseline"]

@@ -1,12 +1,15 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snndfe.channel import (
+    BITS_PER_SYMBOL,
+    PAM4_LEVELS,
     ChannelConfig,
-    PamAlphabet,
-    SignalBuffer,
     add_awgn,
     bits_to_classes,
     chromatic_dispersion,
@@ -26,30 +29,29 @@ class TestGrayMapping:
     def test_canonical_pam4_assignment(self):
         # bit groups 00, 01, 11, 10 land on the amplitude-ascending levels
         bits = [0, 0, 0, 1, 1, 1, 1, 0]
-        np.testing.assert_allclose(gray_map(bits, PamAlphabet()), [0.0, 1.0, SQRT2, SQRT3])
+        np.testing.assert_allclose(gray_map(bits), [0.0, 1.0, SQRT2, SQRT3])
+        assert PAM4_LEVELS == (0.0, 1.0, SQRT2, SQRT3) and BITS_PER_SYMBOL == 2
 
     def test_empty_input(self):
-        assert gray_map([], PamAlphabet()).size == 0
+        assert gray_map([]).size == 0
 
     def test_length_not_divisible(self):
         with pytest.raises(ValueError):
-            gray_map([0, 1, 1], PamAlphabet())
+            gray_map([0, 1, 1])
 
     def test_adjacent_levels_differ_in_one_bit(self):
-        alphabet = PamAlphabet()
         patterns = [classes_to_bits([c], 2) for c in range(4)]
         for a, b in zip(patterns, patterns[1:]):
             assert int(np.sum(a != b)) == 1
 
     def test_roundtrip_exhaustive(self):
         # all 4**k symbol sequences for k <= 6, via exhaustive enumeration
-        alphabet = PamAlphabet()
         for k in range(1, 7):
             for word in range(4 ** k):
                 classes = [(word >> (2 * i)) & 3 for i in range(k)]
                 bits = classes_to_bits(classes, 2)
-                symbols = gray_map(bits, alphabet)
-                np.testing.assert_array_equal(gray_demap(symbols, alphabet), bits)
+                symbols = gray_map(bits)
+                np.testing.assert_array_equal(gray_demap(symbols), bits)
                 np.testing.assert_array_equal(bits_to_classes(bits, 2), classes)
 
 
@@ -85,16 +87,15 @@ class TestChromaticDispersion:
     def test_zero_length_is_identity(self):
         cfg = ChannelConfig(fiber_length_km=0.0)
         rng = np.random.default_rng(0)
-        sig = SignalBuffer(rng.standard_normal(256), cfg.sample_rate_hz)
-        out = chromatic_dispersion(sig, cfg)
-        np.testing.assert_array_equal(out.samples, sig.samples.astype(complex))
+        x = rng.standard_normal(256)
+        np.testing.assert_array_equal(chromatic_dispersion(x, cfg), x.astype(complex))
 
     def test_energy_preserving(self):
         cfg = ChannelConfig()
         rng = np.random.default_rng(1)
         x = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
-        out = chromatic_dispersion(SignalBuffer(x, cfg.sample_rate_hz), cfg)
-        ratio = np.sum(np.abs(out.samples) ** 2) / np.sum(np.abs(x) ** 2)
+        out = chromatic_dispersion(x, cfg)
+        ratio = np.sum(np.abs(out) ** 2) / np.sum(np.abs(x) ** 2)
         assert abs(ratio - 1.0) <= 1e-9
 
     def test_phase_matches_transfer_function(self):
@@ -104,82 +105,89 @@ class TestChromaticDispersion:
         fs = cfg.sample_rate_hz
         f = k * fs / n
         tone = np.exp(2j * np.pi * k * np.arange(n) / n)
-        out = chromatic_dispersion(SignalBuffer(tone, fs), cfg)
+        out = chromatic_dispersion(tone, cfg)
         lam = cfg.wavelength_nm * 1e-9
         d_si = cfg.dispersion_ps_nm_km * 1e-6
         expected = -np.pi * lam ** 2 * d_si * (cfg.fiber_length_km * 1e3) * f ** 2 / 299792458.0
-        measured = np.angle(np.mean(out.samples / tone))
+        measured = np.angle(np.mean(out / tone))
         assert abs((measured - expected + np.pi) % (2 * np.pi) - np.pi) < 1e-9
 
     def test_empty_buffer_rejected(self):
         cfg = ChannelConfig()
         with pytest.raises(ValueError):
-            chromatic_dispersion(SignalBuffer(np.array([]), cfg.sample_rate_hz), cfg)
+            chromatic_dispersion(np.array([]), cfg)
 
 
 class TestSquareLaw:
     def test_real_negative(self):
-        out = square_law(SignalBuffer(np.array([-2.0]), 1.0))
-        np.testing.assert_allclose(out.samples, [4.0])
+        np.testing.assert_allclose(square_law(np.array([-2.0])), [4.0])
 
     def test_complex_magnitude(self):
-        out = square_law(SignalBuffer(np.array([3.0 + 4.0j]), 1.0))
-        np.testing.assert_allclose(out.samples, [25.0])
+        np.testing.assert_allclose(square_law(np.array([3.0 + 4.0j])), [25.0])
 
     def test_zero_and_nonnegative(self):
-        out = square_law(SignalBuffer(np.zeros(8), 1.0))
-        np.testing.assert_array_equal(out.samples, np.zeros(8))
+        np.testing.assert_array_equal(square_law(np.zeros(8)), np.zeros(8))
         rng = np.random.default_rng(2)
         x = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-        assert np.all(square_law(SignalBuffer(x, 1.0)).samples >= 0)
+        assert np.all(square_law(x) >= 0)
 
 
-class TestSignalBuffer:
+# Each public stage checks its input: a NaN or infinite sample raises.
+STAGES = {
+    "chromatic_dispersion": lambda x: chromatic_dispersion(x, ChannelConfig()),
+    "square_law": square_law,
+    "add_awgn": lambda x: add_awgn(x, 17.0, np.random.default_rng(0)),
+}
+
+
+class TestStageInputs:
     def test_odd_length_float32_accepted(self):
         # three float32 samples cannot be viewed as float64
-        buf = SignalBuffer(np.zeros(3, dtype=np.float32), 1.0)
-        assert len(buf) == 3
+        for stage in STAGES.values():
+            assert len(stage(np.zeros(3, dtype=np.float32))) == 3
 
     def test_integer_bit_pattern_of_nan_accepted(self):
         # the int64 0x7FF8000000000000 is an integer, not a NaN
-        SignalBuffer(np.array([0x7FF8000000000000], dtype=np.int64), 1.0)
+        for stage in STAGES.values():
+            stage(np.array([0x7FF8000000000000], dtype=np.int64))
 
     def test_float32_nan_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            SignalBuffer(np.array([np.nan, 0.0], dtype=np.float32), 1.0)
+        for name, stage in STAGES.items():
+            with pytest.raises(ValueError, match=f"{name} requires finite"):
+                stage(np.array([np.nan, 0.0], dtype=np.float32))
 
     def test_complex_infinity_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            SignalBuffer(np.array([1.0, complex(0.0, np.inf)]), 1.0)
+        for name, stage in STAGES.items():
+            with pytest.raises(ValueError, match=f"{name} requires finite"):
+                stage(np.array([1.0, complex(0.0, np.inf)]))
 
 
 class TestAddAwgn:
     @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
     def test_nan_and_minus_infinite_snr_rejected(self, snr_db):
         with pytest.raises(ValueError, match="snr_db"):
-            add_awgn(SignalBuffer(np.arange(10.0), 1.0), snr_db, np.random.default_rng(0))
+            add_awgn(np.arange(10.0), snr_db, np.random.default_rng(0))
 
     def test_infinite_snr_is_identity(self):
         x = np.arange(10.0)
-        out = add_awgn(SignalBuffer(x, 1.0), math.inf, np.random.default_rng(0))
-        np.testing.assert_array_equal(out.samples, x)
+        out = add_awgn(x, math.inf, np.random.default_rng(0))
+        np.testing.assert_array_equal(out, x)
+        assert out is not x
 
     def test_empirical_snr(self):
         # Monte-Carlo oracle: measured SNR within +/-0.1 dB over 1e6 samples
         rng = np.random.default_rng(3)
         x = rng.standard_normal(1_000_000) + 2.0
-        sig = SignalBuffer(x, 1.0)
         for snr_db in (5.0, 17.0):
-            out = add_awgn(sig, snr_db, np.random.default_rng(42))
-            noise = out.samples - x
+            noise = add_awgn(x, snr_db, np.random.default_rng(42)) - x
             measured = 10.0 * np.log10(np.mean(x ** 2) / np.mean(noise ** 2))
             assert abs(measured - snr_db) < 0.1
 
     def test_same_seed_bit_identical(self):
         x = np.arange(100.0)
-        a = add_awgn(SignalBuffer(x, 1.0), 10.0, np.random.default_rng(7))
-        b = add_awgn(SignalBuffer(x, 1.0), 10.0, np.random.default_rng(7))
-        np.testing.assert_array_equal(a.samples, b.samples)
+        a = add_awgn(x, 10.0, np.random.default_rng(7))
+        b = add_awgn(x, 10.0, np.random.default_rng(7))
+        np.testing.assert_array_equal(a, b)
 
 
 class TestSimulateLink:
@@ -199,9 +207,9 @@ class TestSimulateLink:
         bits = rng.integers(0, 2, 2 * 10_000)
         classes = bits_to_classes(bits, 2)
         _, y = simulate_link(bits, cfg, math.inf, np.random.default_rng(0))
-        centers = np.array([np.mean(y.samples[classes == c]) for c in range(4)])
+        centers = np.array([np.mean(y[classes == c]) for c in range(4)])
         assert np.all(np.diff(centers) > 0)
-        decided = np.argmin(np.abs(y.samples[:, None] - centers[None, :]), axis=1)
+        decided = np.argmin(np.abs(y[:, None] - centers[None, :]), axis=1)
         assert np.mean(decided != classes) <= 1e-2
 
     def test_noiseless_cluster_means_match_kernel_expansion(self):
@@ -222,7 +230,7 @@ class TestSimulateLink:
             return float(np.sum(a * b * gp))  # rx tap is symmetric
 
         offs = [d for d in range(-half_span, half_span + 1) if d != 0]
-        levels = PamAlphabet().levels()
+        levels = np.array(PAM4_LEVELS)
         mu1, mu2 = np.mean(levels), np.mean(levels ** 2)
         q0 = w(0, 0)
         diag = sum(w(d, d) for d in offs)
@@ -235,7 +243,7 @@ class TestSimulateLink:
         bits = rng.integers(0, 2, 2 * 20_000)
         classes = bits_to_classes(bits, 2)
         _, y = simulate_link(bits, cfg, math.inf, np.random.default_rng(0))
-        fitted = np.array([np.mean(y.samples[classes == c]) for c in range(4)])
+        fitted = np.array([np.mean(y[classes == c]) for c in range(4)])
         np.testing.assert_allclose(fitted, predicted, atol=0.02)
 
     def test_determinism(self):
@@ -243,4 +251,49 @@ class TestSimulateLink:
         bits = np.random.default_rng(5).integers(0, 2, 2 * 300)
         _, y1 = simulate_link(bits, cfg, 12.0, np.random.default_rng(9))
         _, y2 = simulate_link(bits, cfg, 12.0, np.random.default_rng(9))
-        np.testing.assert_array_equal(y1.samples, y2.samples)
+        np.testing.assert_array_equal(y1, y2)
+
+
+# SHA-256 of (symbols, y) from simulate_link over 400 symbols: bits from
+# default_rng(seed), noise from default_rng(seed + 1). Recorded while the
+# stages still passed SignalBuffer objects; the link must not change them.
+GOLDEN_LINK = {
+    (11, 5.0, 17.0): ("5af487a0ae6b4f0e380891655fa7294be9098fcf3163af4bd4b992ba3a301356",
+                      "dd5150db37040fa212332e5a990cfe08f3247a2a36007d02ba47c7064aab5197"),
+    (11, 5.0, math.inf): ("5af487a0ae6b4f0e380891655fa7294be9098fcf3163af4bd4b992ba3a301356",
+                          "723248152810ef80963beb2ce6d403ba61561add2ac476d89de9cee898165ff9"),
+    (11, 0.0, 17.0): ("5af487a0ae6b4f0e380891655fa7294be9098fcf3163af4bd4b992ba3a301356",
+                      "fc34d0865fabad5e018cd11d04e05dac537838bb80936ed9a7a5986474db02fb"),
+    (11, 0.0, math.inf): ("5af487a0ae6b4f0e380891655fa7294be9098fcf3163af4bd4b992ba3a301356",
+                          "e595c1618ba3343735a82c4725b8e4776de440ffd5c500bc24600cdcddd8b5a9"),
+    (2024, 5.0, 17.0): ("01229f1f2675c31d4d5b0c492ad4336f9967f2538dd6d55c0e1531cd68926131",
+                        "30ca8d0dd778a1b13c0c04dc54f0c9823ec1f3e7bb4d3a219da62b652cbef6ab"),
+    (2024, 5.0, math.inf): ("01229f1f2675c31d4d5b0c492ad4336f9967f2538dd6d55c0e1531cd68926131",
+                            "b1b4a3902e5b63df88f13fa7413eab35b6586374c7dc54615500c3c8d8277e67"),
+    (2024, 0.0, 17.0): ("01229f1f2675c31d4d5b0c492ad4336f9967f2538dd6d55c0e1531cd68926131",
+                        "5ec9830a6493652d1e92d6608e354bac569e21359d89f94d3b03be98d553fb22"),
+    (2024, 0.0, math.inf): ("01229f1f2675c31d4d5b0c492ad4336f9967f2538dd6d55c0e1531cd68926131",
+                            "7ece3a03d1d2dde6073d3584bc701a10c46036ccd018f6bca74b263de746ea41"),
+}
+
+
+@pytest.mark.parametrize("seed, fiber_length_km, snr_db", sorted(GOLDEN_LINK))
+def test_simulate_link_golden(seed, fiber_length_km, snr_db):
+    cfg = ChannelConfig() if fiber_length_km else ChannelConfig(fiber_length_km=0)
+    bits = np.random.default_rng(seed).integers(0, 2, 2 * 400)
+    symbols, y = simulate_link(bits, cfg, snr_db, np.random.default_rng(seed + 1))
+    digests = tuple(hashlib.sha256(np.asarray(a, dtype=np.float64).tobytes()).hexdigest()
+                    for a in (symbols, y))
+    assert symbols.shape == y.shape == (400,)
+    assert digests == GOLDEN_LINK[seed, fiber_length_km, snr_db]
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 6), data=st.data())
+def test_gray_round_trip_and_adjacency(m, data):
+    bits = np.array(data.draw(st.lists(st.integers(0, 1), max_size=20 * m)), dtype=np.int64)
+    bits = bits[: bits.size - bits.size % m]
+    np.testing.assert_array_equal(classes_to_bits(bits_to_classes(bits, m), m), bits)
+    # neighbouring amplitude ranks differ in exactly one bit, over the whole alphabet
+    labels = classes_to_bits(np.arange(2 ** m), m).reshape(-1, m)
+    assert np.all(np.sum(labels[1:] != labels[:-1], axis=1) == 1)

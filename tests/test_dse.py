@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snndfe.channel import ChannelConfig
 from snndfe.dse import (
@@ -12,7 +17,7 @@ from snndfe.dse import (
     search,
     trial_seed,
 )
-from snndfe.train import TrainingDiverged
+from snndfe.train import TrainConfig, TrainingDiverged
 
 CHANNEL = ChannelConfig()
 
@@ -171,6 +176,38 @@ class TestSearch:
         assert 0.0 <= trial.ber[17.0] <= 0.75
         again = run_trial(cfg, CHANNEL, scale, seed=11)
         assert again.ber == trial.ber
+
+
+SMALL_SPACE = DseSpace(n_taps=(3, 5), hidden=(1, 2, 3), steps=(1, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(strategy=st.sampled_from(["grid", "random"]),
+       budget=st.integers(1, len(SMALL_SPACE.enumerate())), seed=st.integers(0, 2 ** 32 - 1))
+def test_resume_is_idempotent(strategy, budget, seed):
+    # a second search over the same results file runs nothing and returns the same trials
+    calls = []
+
+    def counting_runner(config, channel_cfg, scale, trial_seed_):
+        calls.append(config)
+        return stub_runner(config, channel_cfg, scale, trial_seed_)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "results.jsonl")
+        first = search(SMALL_SPACE, CHANNEL, strategy, budget, seed, results_path=path,
+                       trial_runner=stub_runner)
+        second = search(SMALL_SPACE, CHANNEL, strategy, budget, seed, results_path=path,
+                        trial_runner=counting_runner)
+    assert calls == []
+    assert len(first) == budget
+    assert {t.config_key() for t in second} == {t.config_key() for t in first}
+
+
+def test_train_config_defaults_are_the_trial_budget():
+    cfg, scale = TrainConfig(), TrialScale()
+    assert (cfg.epochs, cfg.batch_size) == (1, scale.batch_size)
+    assert cfg.batches_per_epoch == scale.train_symbols // scale.batch_size
+    assert cfg.learning_rate == scale.learning_rate and cfg.train_snr_db == scale.train_snr_db
 
 
 def input_size_of(cfg):

@@ -138,6 +138,12 @@ class TestEncodeWindow:
         edges = rx_min + np.arange(8) * (span / 8)
         np.testing.assert_array_equal(encoder.bin_indices(edges), np.arange(8))
 
+    @pytest.mark.parametrize("ends", [(np.nan, 1.0), (0.0, np.nan), (-np.inf, 1.0),
+                                      (0.0, np.inf)])
+    def test_non_finite_ends_rejected(self, ends):
+        with pytest.raises(ValueError, match="finite"):
+            EncoderConfig(*ends)
+
     def test_window_length_mismatch(self):
         with pytest.raises(ValueError):
             encode_window([0.0, 0.0, 0.0], [1], EncoderConfig(0.0, 1.0), m=2)
@@ -274,7 +280,7 @@ class TestEqualizeStream:
         lif = LifParams.shift_friendly() if qat else LifParams()
         bits = np.random.default_rng(20).integers(0, 2, 2 * 600)
         _, y = simulate_link(bits, ChannelConfig(), 17.0, np.random.default_rng(21))
-        encoder = EncoderConfig(float(y.samples.min()), float(y.samples.max()))
+        encoder = EncoderConfig(float(y.min()), float(y.max()))
         model = EqualizerModel.initialize(cfg, lif, encoder, np.random.default_rng(22), qat=qat)
         for name in model.PARAM_NAMES:
             getattr(model, name)[:] *= 3.0
@@ -282,7 +288,7 @@ class TestEqualizeStream:
         decisions = equalize_stream(y, model, fill_class=fill)
         assert len(set(decisions.tolist())) > 1  # not a constant decider
         fed = np.concatenate([np.full(cfg.history, fill), decisions])
-        windows, labels = teacher_forced_windows(y.samples, fed, encoder, cfg)
+        windows, labels = teacher_forced_windows(y, fed, encoder, cfg)
         np.testing.assert_array_equal(labels, decisions)
         logits, _ = forward(windows, model.effective_weights(), cfg, lif, qat)
         np.testing.assert_array_equal(np.argmax(logits, axis=1), decisions)
@@ -354,6 +360,19 @@ class TestSerialization:
         assert loaded.config == model.config and loaded.lif == model.lif
         assert loaded.qat == QatConfig(8, 8)
         np.testing.assert_array_equal(loaded.w_fc2, model.w_fc2)
+
+    def test_non_finite_encoder_end_in_header_rejected(self, tmp_path):
+        # JSON headers can hold NaN; the loader must not build a model from it
+        path = tmp_path / "model.npz"
+        save_model(path, make_model(seed=15))
+        with np.load(path) as data:
+            content = {key: data[key] for key in data.files}
+        header = json.loads(str(content["header"]))
+        header["encoder"]["rx_min"] = float("nan")
+        assert '"rx_min": NaN' in json.dumps(header)
+        np.savez(path, **{**content, "header": json.dumps(header)})
+        with pytest.raises(ValueError, match="finite"):
+            load_model(path)
 
     @pytest.mark.parametrize("drop", ["hidden", "qat", "w_fc2", "lif.alpha_v",
                                       "encoder.rx_max", "qat.state_bits"])

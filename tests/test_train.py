@@ -299,6 +299,12 @@ class TestTrainLoop:
         for name in m1.PARAM_NAMES:
             np.testing.assert_array_equal(getattr(m1, name), getattr(m2, name))
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_non_pam4_topology_rejected(self, m):
+        topo = TopologyConfig(n_tap=3, bits_per_symbol=m, hidden=4, steps=2)
+        with pytest.raises(ValueError, match=rf"bits_per_symbol={m}.*channel\.BITS_PER_SYMBOL"):
+            train(DESK_CHANNEL, topo, self.desk_cfg(batches_per_epoch=1, batch_size=32))
+
     def test_descent_on_fixed_batch(self):
         # sanity: 10 small Adam steps on one fixed batch never increase the loss
         model = tiny_model(n_tap=5, hidden=8, steps=3, seed=14)
