@@ -179,22 +179,29 @@ def add_awgn(x, snr_db: float, rng: np.random.Generator) -> np.ndarray:
     10*log10(P_signal/P_noise) = snr_db. On the detected signal that total
     power includes its DC part: at the default link it is about 4.9 dB above
     the AC power, so the AC SNR is that much below snr_db. snr_db = +inf
-    returns a copy of the input; NaN and -inf raise ValueError. For complex
-    inputs the noise power is split across quadratures.
+    returns a copy of the input; NaN and -inf raise ValueError, and so does a
+    signal power or noisy output that overflows. For complex inputs the noise
+    power is split across quadratures.
     """
     x = _finite(x, "add_awgn")
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
     if snr_db == math.inf:
         return x.copy()
-    p_signal = float(np.mean(np.abs(x) ** 2))
-    p_noise = p_signal / (10.0 ** (snr_db / 10.0))
-    if np.iscomplexobj(x):
-        scale = math.sqrt(p_noise / 2.0)
-        noise = scale * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
-    else:
-        noise = math.sqrt(p_noise) * rng.standard_normal(x.size)
-    return x + noise
+    with np.errstate(all="ignore"):  # an overflow is reported by the checks below
+        p_signal = float(np.mean(np.abs(x) ** 2))
+        if not math.isfinite(p_signal):
+            raise ValueError("add_awgn: the signal power overflows")
+        p_noise = p_signal / np.float64(10.0) ** (snr_db / 10.0)
+        if np.iscomplexobj(x):
+            scale = math.sqrt(p_noise / 2.0)
+            noise = scale * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
+        else:
+            noise = math.sqrt(p_noise) * rng.standard_normal(x.size)
+        noisy = x + noise
+    if not np.all(np.isfinite(noisy)):
+        raise ValueError(f"add_awgn: the noisy output overflows at {snr_db} dB")
+    return noisy
 
 
 def simulate_link(tx_bits, cfg: ChannelConfig, snr_db: float, rng: np.random.Generator):

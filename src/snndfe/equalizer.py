@@ -6,15 +6,21 @@ afterwards; fc1 feeds the LIF block, fc2 carries its recurrence, and the fc3
 readout is accumulated over all steps before the argmax decision. Decided
 classes are fed back into the next windows (true DFE); genie mode substitutes
 the ground-truth classes for training and diagnostics.
+
+The closed loop runs as a fixed-point iteration: batched passes over the
+undecided symbols, each keeping the decisions the per-symbol DFE makes (see
+equalize_stream).
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .lif import LifParams, lif_step
 from .quant import QatConfig, fake_quantize, fake_quantize_with_mask, state_format
@@ -23,6 +29,9 @@ RX_LEVELS = 8  # received samples are one-hot coded over 8 amplitude bins
 
 MODEL_FORMAT = "snndfe-model"
 MODEL_VERSION = 1
+
+# Most windows one closed-loop pass decides (see equalize_stream).
+_PASS_ROWS = 64
 
 
 def input_size(n_tap: int, m: int) -> int:
@@ -200,14 +209,16 @@ class EqualizerModel:
         return {k: fake_quantize(v, self.qat.weight_bits) for k, v in params.items()}
 
     def make_decider(self):
-        """Bind a per-window decision closure: the argmax of forward's logits for
-        one window, ties to the lowest class (weights resolved once)."""
+        """Bind a batched decision closure, decide(windows (B, n_input), stats=None)
+        -> classes (B,): the argmax of forward's logits, ties to the lowest class
+        (weights resolved once). `stats` is the integer engine's clip counter
+        and is ignored here."""
         eff = self.effective_weights()
         cfg, lif, qat = self.config, self.lif, self.qat
 
-        def decide(encoded: np.ndarray, stats=None) -> int:
-            logits, _ = forward(encoded[None, :], eff, cfg, lif, qat)
-            return int(np.argmax(logits[0]))
+        def decide(windows: np.ndarray, stats=None) -> np.ndarray:
+            logits, _ = forward(windows, eff, cfg, lif, qat)
+            return np.argmax(logits, axis=1)
 
         return decide
 
@@ -267,34 +278,82 @@ def equalize_stream(y, model, mode: str = "feedback", true_classes=None,
     The first `history` symbols have no fully-populated window: they are never
     decided, stand in the feedback window as `fill_class`, and are excluded
     from error accounting. In feedback mode each decision is fed back; in
-    genie mode the ground-truth class is (teacher forcing).
+    genie mode the ground-truth class is (teacher forcing). `fill_class` and
+    genie `true_classes` must be classes in [0, 2^m), or ValueError is raised.
+
+    Feedback mode runs passes over the undecided symbols: a pass builds the
+    windows of the next ones, feeding back the current guesses (`fill_class`
+    at first, then the last pass's decisions), and decides them in one call
+    of `model.make_decider()`. The pass's first decision sees only final
+    decisions, so it is final; each later one is final when every guess
+    before it in the pass was confirmed. The pass keeps its decisions up to
+    and including the first that changed its guess, and the next pass starts
+    after it, so the output is the per-symbol DFE's in at most one pass per
+    symbol.
+
+    Rows past the kept ones pay off when the iteration settles ahead of the
+    first undecided symbol, as on a trained model (about 9 passes per 52
+    symbols); on a chaotic model each kept decision flips the next guess, a
+    pass keeps about one symbol and its other rows are wasted. So a pass
+    covers 2*k^2 symbols, k the running mean of the decisions kept per pass,
+    up to _PASS_ROWS: the whole cap from k = 5.7 on, 2 or 3 symbols at
+    k = 1.1. On untrained chaotic models at 17 taps, hidden 72, T 5 (2,000
+    symbols, one core) the loop then took 0.45 to 0.87x the per-symbol loop's
+    time, against up to 3.7x with every pass at the cap.
+
+    Genie mode feeds nothing back, so its passes of _PASS_ROWS are final at
+    once. With `stats`, feedback mode decides the final windows once more, in
+    passes of _PASS_ROWS, to count the integer engine's clips exactly as
+    deciding them one by one would.
     """
     y = np.asarray(y, dtype=float)
     cfg = model.config
-    history = cfg.history
-    if y.size < history + 1:
-        raise ValueError(f"stream of {y.size} symbols is shorter than history+1 = {history + 1}")
+    history, n = cfg.history, y.size
+    if n < history + 1:
+        raise ValueError(f"stream of {n} symbols is shorter than history+1 = {history + 1}")
     if mode not in ("feedback", "genie"):
         raise ValueError(f"unknown mode {mode!r}")
-    fed = np.full(y.size, fill_class, dtype=np.int64)  # the classes the windows see
+    if not 0 <= fill_class < cfg.n_classes:
+        raise ValueError(f"fill_class must be in [0, {cfg.n_classes}), got {fill_class}")
+    fed = np.full(n, fill_class, dtype=np.int64)  # the classes the windows see
     if mode == "genie":
         if true_classes is None:
             raise ValueError("genie mode requires true_classes")
         true_classes = np.asarray(true_classes, dtype=np.int64)
-        if true_classes.size != y.size:
+        if true_classes.size != n:
             raise ValueError("true_classes must align with y")
+        if true_classes.min() < 0 or true_classes.max() >= cfg.n_classes:
+            raise ValueError(f"true_classes must be in [0, {cfg.n_classes})")
         fed[history:] = true_classes[history:]
 
     decide = model.make_decider()
-    bins = model.encoder.bin_indices(y)
-    m = cfg.bits_per_symbol
-    out = np.zeros(y.size - history, dtype=np.int64)
-    for k in range(history, y.size):
-        window = one_hot_windows(bins[None, k - history : k + 1], fed[None, k - history : k], m)
-        out[k - history] = decide(window[0], stats)
-        if mode == "feedback":
-            fed[k] = out[k - history]
-    return out
+    received = sliding_window_view(model.encoder.bin_indices(y), history + 1)
+    fed_back = sliding_window_view(fed, history)  # a view: sees every write to fed
+
+    def windows(lo, hi):
+        """Windows of symbols lo..hi-1 over the classes fed so far."""
+        rows = slice(lo - history, hi - history)
+        return one_hot_windows(received[rows], fed_back[rows], cfg.bits_per_symbol)
+
+    def decide_fed(stats):
+        """Decide every window over the classes in fed, in passes of _PASS_ROWS."""
+        return np.concatenate([decide(windows(lo, min(lo + _PASS_ROWS, n)), stats)
+                               for lo in range(history, n, _PASS_ROWS)])
+
+    if mode == "genie":
+        return decide_fed(stats)
+    start, kept_mean = history, math.sqrt(_PASS_ROWS / 2)  # a first pass of the whole cap
+    while start < n:
+        stop = min(start + min(_PASS_ROWS, round(2 * kept_mean ** 2)), n)
+        decided = decide(windows(start, stop))
+        changed = np.flatnonzero(decided != fed[start:stop])
+        fed[start:stop] = decided
+        kept = int(changed[0]) + 1 if changed.size else stop - start
+        start += kept
+        kept_mean += (kept - kept_mean) / 8
+    if stats is not None:
+        decide_fed(stats)
+    return fed[history:].copy()
 
 
 _HEADER_KEYS = ("n_tap", "bits_per_symbol", "hidden", "steps", "lif", "encoder")

@@ -33,15 +33,21 @@ class ConversionError(ValueError):
 
 @dataclass(frozen=True)
 class FxpFormats:
-    """Bit widths for a conversion: weights/biases, LIF state, accumulators."""
+    """Bit widths for a conversion: weights/biases, LIF state, accumulators.
+
+    weight_bits <= 32 keeps fxp_forward's float64 products exact: a ternary
+    window or spike row times an n-column weight row sums to at most
+    n * 2^31 < 2^53 for any n below 2^22.
+    """
 
     weight_bits: int = 8
     state_bits: int = 8
     acc_bits: int = 32
 
     def __post_init__(self):
-        if self.weight_bits < 2 or self.state_bits < 4:
-            raise ValueError("weight_bits >= 2 and state_bits >= 4 required")
+        if not 2 <= self.weight_bits <= 32 or self.state_bits < 4:
+            raise ValueError("weight_bits in [2, 32] (float64-exact products) "
+                             "and state_bits >= 4 required")
         if not 16 <= self.acc_bits <= 62:
             raise ValueError("acc_bits must be in [16, 62] (int64 arithmetic)")
 
@@ -91,10 +97,11 @@ class FxpModel:
         return self.ints[name].astype(float) * 2.0 ** (-self.fracs[name])
 
     def make_decider(self):
-        """Bind a per-window decision closure: the argmax of fxp_forward's logits
-        for one window, ties to the lowest class."""
-        def decide(encoded: np.ndarray, stats=None) -> int:
-            return int(np.argmax(fxp_forward(encoded[None], self, stats)[0]))
+        """Bind a batched decision closure, decide(windows (B, n_input), stats=None)
+        -> classes (B,): the argmax of fxp_forward's logits, ties to the lowest
+        class; `stats` counts clips as fxp_forward does."""
+        def decide(windows: np.ndarray, stats=None) -> np.ndarray:
+            return np.argmax(fxp_forward(windows, self, stats), axis=1)
 
         return decide
 
@@ -249,14 +256,17 @@ def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarr
     half-up) before entering the current equation; fc3 readouts accumulate over
     steps. Returns the int64 logits (B, n_classes) on the fc3 grid. With
     `stats`, accumulator saturations and state clips are added to its
-    "saturations" and "state_clips" counts.
+    "saturations" and "state_clips" counts. The fc0, fc2 and fc3 products,
+    whose left operand is the window or the spikes, run as float64 BLAS
+    products, exact because every partial sum is an integer of at most
+    n * 2^(weight_bits-1) < 2^53 (see FxpFormats); the fc1 product stays int64.
     """
     windows = np.asarray(windows)
     if windows.ndim != 2 or windows.shape[1] != model.config.n_input:
         raise ValueError(f"windows have shape {windows.shape}, "
                          f"expected (B, {model.config.n_input})")
-    enc = windows.astype(np.int64)
-    if (np.abs(enc) > 1).any() or (enc != windows).any():
+    enc = windows.astype(float)
+    if (np.abs(enc) > 1).any() or (enc != np.trunc(enc)).any():
         raise ValueError("fxp_forward requires ternary {-1, 0, 1} windows")
 
     w = model.ints
@@ -268,9 +278,12 @@ def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarr
 
     f_a, f_h, f_z = _accumulator_fracs(f)
 
+    # float64 for the window and spike products: numpy's int64 matmul does not
+    # use BLAS, and these products are exact in float64 (see the docstring)
+    w0, w2, w3 = (w[name].T.astype(float) for name in ("w_fc0", "w_fc2", "w_fc3"))
     # NB: << binds looser than + in Python; every shift is parenthesized
     a_bias = w["b_fc0"] << (f_a - f["b_fc0"])
-    a_window = _sat(((enc @ w["w_fc0"].T) << (f_a - f["w_fc0"])) + a_bias,
+    a_window = _sat(((enc @ w0).astype(np.int64) << (f_a - f["w_fc0"])) + a_bias,
                     acc_lo, acc_hi, stats)
     b1_aligned = w["b_fc1"] << (f_h - f["b_fc1"])
     z_bias = w["b_fc3"] << (f_z - f["b_fc3"])
@@ -286,13 +299,13 @@ def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarr
     logits = np.zeros((enc.shape[0], model.config.n_classes), dtype=np.int64)
     for t in range(model.config.steps):
         h = _sat((h_first if t == 0 else h_rest)
-                 + ((spikes @ w["w_fc2"].T) << (f_h - f["w_fc2"])),
+                 + ((spikes @ w2).astype(np.int64) << (f_h - f["w_fc2"])),
                  acc_lo, acc_hi, stats)
         drive = _sat(_rshift_round_half_up(h, f_h - fmt.frac_bits),
                      spec.state_min, spec.state_max, stats, key="state_clips")
         v, i, spikes = fxp_lif_step(v, i, drive, spec, stats)
         logits = _sat(
-            logits + ((spikes @ w["w_fc3"].T) << (f_z - f["w_fc3"])) + z_bias,
+            logits + ((spikes @ w3).astype(np.int64) << (f_z - f["w_fc3"])) + z_bias,
             acc_lo, acc_hi, stats,
         )
     return logits
@@ -314,7 +327,10 @@ def save_fxp_model(path, model: FxpModel) -> None:
 
 
 def load_fxp_model(path) -> FxpModel:
+    """Read a save_fxp_model container; ValueError on a malformed file or on bit
+    widths FxpFormats refuses."""
     header, ints, common = load_container(path, FXP_FORMAT, FXP_VERSION, _FXP_FIELDS)
+    FxpFormats(header["weight_bits"], header["state_bits"], header["acc_bits"])  # checks them
     return FxpModel(
         **common,
         ints=ints,

@@ -3,9 +3,9 @@
 A traced benchmark run (`perfbench/run.py --trace 1`) wraps snndfe functions
 where their callers look them up; renaming one of them in `src/` would break
 only that run. These tests install and restore the patches of every workload
-in BENCHMARK.json without running any workload, and run the integer engine's
-output checks, whose pinned bit errors change with any change of channel or
-engine output.
+in BENCHMARK.json without running any workload, and run the output checks of
+the three closed-loop engines, whose pinned bit errors change with any change
+of channel or engine output.
 """
 
 import json
@@ -54,3 +54,14 @@ def test_ber_int_output_checks_pass(bench, tmp_path):
     assert checks
     assert [(c.name, c.detail) for c in checks if not c.ok] == []
     assert workload.report["baseline_bit_errors"] == workloads.PINNED_BIT_ERRORS["baseline"]
+
+
+@pytest.mark.parametrize("engine", ["float", "qat"])
+def test_ber_float_and_qat_output_checks_pass(bench, engine, tmp_path):
+    # perfbench only reports a float or QAT-float count that differs from its
+    # pin; here a difference fails
+    _, _, workloads = bench
+    workload = workloads.make(f"ber_{engine}", 0, str(tmp_path))
+    checks = workload.checks(workload.setup())
+    assert [(c.name, c.detail) for c in checks if not c.ok] == []
+    assert workload.report["bit_errors"] == workloads.PINNED_BIT_ERRORS[engine]

@@ -168,6 +168,12 @@ class TestAddAwgn:
         with pytest.raises(ValueError, match="snr_db"):
             add_awgn(np.arange(10.0), snr_db, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("x, snr_db", [([1e200, 1.0], 17.0), ([1.0, 2.0], -4000.0)])
+    def test_overflow_rejected(self, x, snr_db):
+        # the mean square of 1e200 overflows; at -4000 dB the noise power does
+        with pytest.raises(ValueError, match="overflows"):
+            add_awgn(np.array(x), snr_db, np.random.default_rng(0))
+
     def test_infinite_snr_is_identity(self):
         x = np.arange(10.0)
         out = add_awgn(x, math.inf, np.random.default_rng(0))

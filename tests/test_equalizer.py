@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -16,8 +17,10 @@ from snndfe.equalizer import (
     input_size,
     load_model,
     mac_count,
+    one_hot_windows,
     save_model,
 )
+from snndfe.fxp import ConversionError, FxpFormats, convert
 from snndfe.lif import LifParams
 from snndfe.quant import QatConfig
 from snndfe.train import teacher_forced_windows
@@ -57,6 +60,25 @@ def build_bin_classifier_model(bin_to_class, encoder, n_tap=17, steps=1):
         w_fc2=np.zeros((4, 4)),
         w_fc3=np.eye(4), b_fc3=np.zeros(4),
     )
+
+
+def sequential_equalize(y, model, mode="feedback", true_classes=None, fill_class=0,
+                        stats=None):
+    """The per-symbol decision-feedback loop: one window and one decider call per
+    symbol, each decision fed back before the next window is built (reference
+    for equalize_stream's batched passes)."""
+    history, m = model.config.history, model.config.bits_per_symbol
+    fed = np.full(len(y), fill_class, dtype=np.int64)
+    if mode == "genie":
+        fed[history:] = true_classes[history:]
+    decide, bins = model.make_decider(), model.encoder.bin_indices(y)
+    out = np.zeros(len(y) - history, dtype=np.int64)
+    for k in range(history, len(y)):
+        window = one_hot_windows(bins[None, k - history : k + 1], fed[None, k - history : k], m)
+        out[k - history] = decide(window, stats)[0]
+        if mode == "feedback":
+            fed[k] = out[k - history]
+    return out
 
 
 class TestSizing:
@@ -185,7 +207,7 @@ class TestSnnForward:
         encoded = encode_window([0.5, 0.5, 0.5], [0, 0], model.encoder)
         logits, _ = forward_one(encoded, model)
         np.testing.assert_array_equal(logits, np.zeros(4))
-        assert model.make_decider()(encoded) == 0
+        np.testing.assert_array_equal(model.make_decider()(encoded[None]), [0])
 
     def test_always_spiking_neuron_closed_form(self):
         # constant huge bias drive makes neuron 0 spike at every step, so the
@@ -293,6 +315,53 @@ class TestEqualizeStream:
         logits, _ = forward(windows, model.effective_weights(), cfg, lif, qat)
         np.testing.assert_array_equal(np.argmax(logits, axis=1), decisions)
 
+    @pytest.mark.parametrize("fill_class", [4, -1, 7])
+    def test_fill_class_outside_the_classes_rejected(self, fill_class):
+        model = make_model()
+        with pytest.raises(ValueError, match="fill_class"):
+            equalize_stream(np.linspace(0, 1, 40), model, fill_class=fill_class)
+
+    @pytest.mark.parametrize("bad_class", [5, -3])
+    def test_genie_true_classes_outside_the_classes_rejected(self, bad_class):
+        model = make_model()
+        classes = np.zeros(40, dtype=np.int64)
+        classes[20] = bad_class
+        with pytest.raises(ValueError, match="true_classes"):
+            equalize_stream(np.linspace(0, 1, 40), model, mode="genie", true_classes=classes)
+
+    def test_chaotic_model_passes_shrink(self, monkeypatch):
+        # untrained, with the decision-block weights scaled up so that each
+        # decision flips the guess fed to the next: passes of the whole cap
+        # would keep about one symbol each (482 passes, 28,832 rows for these
+        # 498 decisions), so the passes shrink until they keep their rows
+        cfg = TopologyConfig(n_tap=5, hidden=16, steps=2)
+        model = EqualizerModel.initialize(cfg, LifParams(), EncoderConfig(0.0, 1.0),
+                                          np.random.default_rng(2))
+        history = cfg.history
+        model.w_fc0[:, 8 * history : (8 + cfg.n_classes) * history] *= 30.0
+        model.w_fc1 *= 3.0
+        model.w_fc3 *= 3.0
+        y = np.random.default_rng(102).uniform(0.0, 1.0, 500)
+        rows = []
+        make_decider = EqualizerModel.make_decider
+
+        def counting_decider(self):
+            decide = make_decider(self)
+
+            def counted(windows, stats=None):
+                rows.append(len(windows))
+                return decide(windows, stats)
+
+            return counted
+
+        monkeypatch.setattr(EqualizerModel, "make_decider", counting_decider)
+        out = equalize_stream(y, model)
+        assert rows[0] == 64 and min(rows) <= 3  # from the cap down to a few rows
+        assert sum(rows) < 3 * out.size
+        assert len(set(out.tolist())) == 3
+        monkeypatch.undo()
+        np.testing.assert_array_equal(out, sequential_equalize(y, model))
+
     def test_class_permutation_equivariance(self):
         # permuting fc3 rows together with the decision-block encoding relabels
         # every decision by the same permutation
@@ -316,6 +385,51 @@ class TestEqualizeStream:
         base_out = equalize_stream(y, model, fill_class=0)
         perm_out = equalize_stream(y, permuted, fill_class=int(perm[0]))
         np.testing.assert_array_equal(perm_out, perm[base_out])
+
+
+def closed_loop_model(engine, n_tap, hidden, steps, seed, scale):
+    """A random model run by one engine: "float", "qat" (QAT-float 8/8) or "int"
+    (its integer twin), "int16" with the accumulators narrowed to 16 bits."""
+    cfg = TopologyConfig(n_tap=n_tap, hidden=hidden, steps=steps)
+    float_engine = engine == "float"
+    model = EqualizerModel.initialize(
+        cfg, LifParams() if float_engine else LifParams.shift_friendly(),
+        EncoderConfig(0.0, 1.0), np.random.default_rng(seed),
+        qat=None if float_engine else QatConfig(8, 8))
+    for name in model.PARAM_NAMES:
+        getattr(model, name)[:] *= scale
+    if engine.startswith("int"):
+        model = convert(model, FxpFormats())
+    if engine == "int16":
+        model = dataclasses.replace(model, acc_bits=16)
+    return model
+
+
+@settings(max_examples=60, deadline=None)
+@given(engine=st.sampled_from(["float", "qat", "int", "int16"]),
+       mode=st.sampled_from(["feedback", "genie"]),
+       n_tap=st.sampled_from([1, 3, 5, 9]), hidden=st.integers(1, 12),
+       steps=st.integers(1, 4), scale=st.floats(0.5, 8.0),
+       fill_class=st.integers(0, 3), extra=st.integers(0, 200),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_equalize_stream_equals_sequential_loop(engine, mode, n_tap, hidden, steps, scale,
+                                                fill_class, extra, seed):
+    # decisions and (integer engine) clip counts of the batched passes equal
+    # the per-symbol loop's; streams past 64 decisions need several passes
+    try:
+        model = closed_loop_model(engine, n_tap, hidden, steps, seed % 1000, scale)
+    except ConversionError:
+        return  # the worst case does not fit the accumulator: nothing to run
+    rng = np.random.default_rng(seed)
+    y = rng.uniform(-0.1, 1.1, model.config.history + 1 + extra)
+    classes = rng.integers(0, model.config.n_classes, y.size)
+    stats, expected_stats = {}, {}
+    got = equalize_stream(y, model, mode=mode, true_classes=classes, fill_class=fill_class,
+                          stats=stats)
+    expected = sequential_equalize(y, model, mode=mode, true_classes=classes,
+                                   fill_class=fill_class, stats=expected_stats)
+    np.testing.assert_array_equal(got, expected)
+    assert stats == expected_stats
 
 
 class TestSerialization:

@@ -220,8 +220,7 @@ class TestFxpForward:
         np.testing.assert_array_equal(logits, rows)
         assert batch_stats == row_stats
         assert batch_stats["saturations"] > 0 and batch_stats["state_clips"] > 0
-        decide = fm.make_decider()
-        assert [decide(w) for w in windows] == list(np.argmax(logits, axis=1))
+        np.testing.assert_array_equal(fm.make_decider()(windows), np.argmax(logits, axis=1))
 
     def test_zero_window_driven_by_biases_only(self):
         model = make_float_model(seed=6)
@@ -276,14 +275,18 @@ class TestFxpForward:
         assert stats.get("saturations", 0) == 0
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.05, 8.0),
-       bits=st.integers(4, 10), steps=st.integers(1, 6))
-def test_matches_float_twin_property(seed, scale, bits, steps):
+       bits=st.integers(4, 10), weight_bits=st.integers(4, 32), steps=st.integers(1, 6))
+def test_matches_float_twin_property(seed, scale, bits, weight_bits, steps):
+    # weight widths up to FxpFormats' cap; a 53-bit accumulator keeps every
+    # value of the twin exact in float64. convert() refuses widths above about
+    # 24 here, where the fc1 product's worst case exceeds the accumulator.
     model = make_float_model(n_tap=3, hidden=5, steps=steps, seed=seed % 1000, scale=scale,
                              qat_bits=bits)
+    model.qat = QatConfig(weight_bits=weight_bits, state_bits=bits)
     try:
-        fm = convert(model, FxpFormats(weight_bits=bits, state_bits=bits))
+        fm = convert(model, FxpFormats(weight_bits=weight_bits, state_bits=bits, acc_bits=53))
     except ConversionError:
         return  # the worst case does not fit the accumulator: nothing to run
     windows = random_windows(model, 8, seed=seed)
@@ -351,6 +354,16 @@ class TestFxpStreamAndSerialization:
         assert dataclasses.asdict(loaded.state_fmt) == dataclasses.asdict(fm.state_fmt)
         assert (loaded.k_v, loaded.k_i, loaded.v_th_int) == (fm.k_v, fm.k_i, fm.v_th_int)
         assert loaded.lif == fm.lif and loaded.config == fm.config
+
+    def test_weight_bits_over_the_cap_refused(self, tmp_path):
+        # 32 bits keep fxp_forward's float64 products exact; a wider file is refused
+        with pytest.raises(ValueError, match="weight_bits"):
+            FxpFormats(weight_bits=33)
+        fm = convert(make_float_model(seed=18), FxpFormats())
+        path = tmp_path / "model_fxp.npz"
+        save_fxp_model(path, dataclasses.replace(fm, weight_bits=33))
+        with pytest.raises(ValueError, match="weight_bits"):
+            load_fxp_model(path)
 
     @pytest.mark.parametrize("drop", ["fracs", "hidden", "w_fc2", "lif.v_th"])
     def test_missing_key_or_array_is_a_value_error(self, tmp_path, drop):
