@@ -83,6 +83,12 @@ class TopologyConfig:
     def macs_per_symbol(self) -> int:
         return mac_count(self.hidden, self.n_input, self.steps, self.bits_per_symbol)
 
+    def param_shapes(self) -> dict:
+        """Shape of each model parameter, in EqualizerModel.PARAM_NAMES order."""
+        n_i, n_h, n_c = self.n_input, self.hidden, self.n_classes
+        return {"w_fc0": (n_h, n_i), "b_fc0": (n_h,), "w_fc1": (n_h, n_h), "b_fc1": (n_h,),
+                "w_fc2": (n_h, n_h), "w_fc3": (n_c, n_h), "b_fc3": (n_c,)}
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -165,14 +171,7 @@ class EqualizerModel:
     PARAM_NAMES = ("w_fc0", "b_fc0", "w_fc1", "b_fc1", "w_fc2", "w_fc3", "b_fc3")
 
     def __post_init__(self):
-        n_i, n_h, n_c = self.config.n_input, self.config.hidden, self.config.n_classes
-        expected = {
-            "w_fc0": (n_h, n_i), "b_fc0": (n_h,),
-            "w_fc1": (n_h, n_h), "b_fc1": (n_h,),
-            "w_fc2": (n_h, n_h),
-            "w_fc3": (n_c, n_h), "b_fc3": (n_c,),
-        }
-        for name, shape in expected.items():
+        for name, shape in self.config.param_shapes().items():
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
@@ -182,21 +181,14 @@ class EqualizerModel:
     @classmethod
     def initialize(cls, config: TopologyConfig, lif: LifParams, encoder: EncoderConfig,
                    rng: np.random.Generator, qat: QatConfig | None = None) -> "EqualizerModel":
-        """Fresh model with uniform +/-1/sqrt(fan_in) weights and biases."""
-        n_i, n_h, n_c = config.n_input, config.hidden, config.n_classes
-
-        def uniform(shape, fan_in):
-            bound = 1.0 / np.sqrt(fan_in)
-            return rng.uniform(-bound, bound, size=shape)
-
-        return cls(
-            config=config, lif=lif, encoder=encoder,
-            w_fc0=uniform((n_h, n_i), n_i), b_fc0=uniform((n_h,), n_i),
-            w_fc1=uniform((n_h, n_h), n_h), b_fc1=uniform((n_h,), n_h),
-            w_fc2=uniform((n_h, n_h), n_h),
-            w_fc3=uniform((n_c, n_h), n_h), b_fc3=uniform((n_c,), n_h),
-            qat=qat,
-        )
+        """Fresh model with uniform +/-1/sqrt(fan_in) weights and biases, drawn in
+        PARAM_NAMES order; a bias has the fan-in of its layer's weight."""
+        shapes = config.param_shapes()
+        params = {}
+        for name, shape in shapes.items():
+            bound = 1.0 / np.sqrt(shapes["w" + name[1:]][1])
+            params[name] = rng.uniform(-bound, bound, size=shape)
+        return cls(config=config, lif=lif, encoder=encoder, qat=qat, **params)
 
     def parameters(self) -> dict:
         return {name: getattr(self, name) for name in self.PARAM_NAMES}

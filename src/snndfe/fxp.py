@@ -2,18 +2,19 @@
 
 Mirrors the hardware arithmetic decisions: power-of-two per-tensor scales,
 shift-based LIF decay (alpha = 2^-k), ternary inputs so multiplies reduce to
-add/subtract/skip, and 32-bit saturating accumulators. All rounding is pinned:
-decay shifts are arithmetic shifts (floor, also for negatives), the one drive
-requantization onto the state grid rounds half-up, and offline conversion
-rounds to nearest-even. Identical inputs give identical outputs on any
-platform.
+add/subtract/skip, and saturating accumulators acc_bits wide (FxpFormats,
+default 32) that a constructed FxpModel cannot saturate: it refuses tensors
+whose worst case does not fit them. All rounding is pinned: decay shifts are
+arithmetic shifts (floor, also for negatives), the one drive requantization
+onto the state grid rounds half-up, and offline conversion rounds to
+nearest-even. Identical inputs give identical outputs on any platform.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,11 +34,12 @@ class ConversionError(ValueError):
 
 @dataclass(frozen=True)
 class FxpFormats:
-    """Bit widths for a conversion: weights/biases, LIF state, accumulators.
+    """Bit widths of an integer model: weights/biases, LIF state, accumulators.
 
     weight_bits <= 32 keeps fxp_forward's float64 products exact: a ternary
     window or spike row times an n-column weight row sums to at most
-    n * 2^31 < 2^53 for any n below 2^22.
+    n * 2^31 < 2^53 for any n below 2^22. state_bits >= 4, as
+    quant.state_format requires.
     """
 
     weight_bits: int = 8
@@ -45,9 +47,9 @@ class FxpFormats:
     acc_bits: int = 32
 
     def __post_init__(self):
-        if not 2 <= self.weight_bits <= 32 or self.state_bits < 4:
-            raise ValueError("weight_bits in [2, 32] (float64-exact products) "
-                             "and state_bits >= 4 required")
+        if not 2 <= self.weight_bits <= 32:
+            raise ValueError("weight_bits must be in [2, 32] (float64-exact products)")
+        state_format(self.state_bits)
         if not 16 <= self.acc_bits <= 62:
             raise ValueError("acc_bits must be in [16, 62] (int64 arithmetic)")
 
@@ -62,56 +64,40 @@ def _sat(x: np.ndarray, lo: int, hi: int, stats: dict | None,
     return clipped
 
 
-@dataclass
-class FxpModel:
-    """Integer twin of an EqualizerModel.
+def _shift_exponent(alpha: float, name: str) -> int:
+    k = -math.log2(alpha)
+    if abs(k - round(k)) > 1e-12 or round(k) < 1:
+        raise ConversionError(
+            f"{name}={alpha} is not a power-of-two decay; train with shift-friendly "
+            "LIF constants (e.g. LifParams.shift_friendly())"
+        )
+    return int(round(k))
 
-    Weight tensors are int64 arrays on per-tensor power-of-two grids
-    (value = int * 2^-frac); the LIF state lives on the state-format grid with
-    decay shifts k_v/k_i. The export carries everything a hardware
-    implementation needs to reproduce the arithmetic bit-for-bit.
-    """
 
-    config: TopologyConfig
-    encoder: EncoderConfig
-    lif: LifParams
-    ints: dict
-    fracs: dict
-    state_fmt: FxpFormat
+@dataclass(frozen=True)
+class FxpLifSpec:
+    """Shift amounts, thresholds and clamp range of the integer LIF step."""
+
     k_v: int
     k_i: int
     v_th_int: int
     v_r_int: int
-    weight_bits: int
-    acc_bits: int = 32
+    state_min: int
+    state_max: int
 
-    @property
-    def acc_min(self) -> int:
-        return -(2 ** (self.acc_bits - 1))
-
-    @property
-    def acc_max(self) -> int:
-        return 2 ** (self.acc_bits - 1) - 1
-
-    def dequant(self, name: str) -> np.ndarray:
-        return self.ints[name].astype(float) * 2.0 ** (-self.fracs[name])
-
-    def make_decider(self):
-        """Bind a batched decision closure, decide(windows (B, n_input), stats=None)
-        -> classes (B,): the argmax of fxp_forward's logits, ties to the lowest
-        class; `stats` counts clips as fxp_forward does."""
-        def decide(windows: np.ndarray, stats=None) -> np.ndarray:
-            return np.argmax(fxp_forward(windows, self, stats), axis=1)
-
-        return decide
-
-
-def _fit_frac(arr: np.ndarray, bits: int) -> int:
-    """Fractional bits of the finest power-of-two grid that holds max|arr|."""
-    max_abs = float(np.max(np.abs(arr))) if arr.size else 0.0
-    scale = pow2_scale(max_abs, bits)
-    frac = -int(round(math.log2(scale)))
-    return frac
+    @classmethod
+    def derive(cls, lif: LifParams, fmt: FxpFormat) -> "FxpLifSpec":
+        """The integer constants of `lif` on the state grid `fmt`; ConversionError
+        unless v_leak = 0, both decays are powers of two and v_th fits the grid."""
+        if lif.v_leak != 0.0:
+            raise ConversionError("integer engine assumes v_leak = 0")
+        k_v = _shift_exponent(lif.alpha_v, "alpha_v")
+        k_i = _shift_exponent(lif.alpha_i, "alpha_i")
+        v_th_int = int(round(lif.v_th * 2.0 ** fmt.frac_bits))
+        if not fmt.min_int <= v_th_int <= fmt.max_int:
+            raise ConversionError("v_th does not fit the state format")
+        return cls(k_v, k_i, v_th_int, int(round(lif.v_r * 2.0 ** fmt.frac_bits)),
+                   fmt.min_int, fmt.max_int)
 
 
 def _accumulator_fracs(fracs: dict) -> tuple:
@@ -145,14 +131,89 @@ def _worst_case_accumulators(ints: dict, fracs: dict, steps: int) -> dict:
     return {"fc0": fc0, "hidden drive": hidden, "logits": logits}
 
 
-def _shift_exponent(alpha: float, name: str) -> int:
-    k = -math.log2(alpha)
-    if abs(k - round(k)) > 1e-12 or round(k) < 1:
-        raise ConversionError(
-            f"{name}={alpha} is not a power-of-two decay; train with shift-friendly "
-            "LIF constants (e.g. LifParams.shift_friendly())"
-        )
-    return int(round(k))
+@dataclass
+class FxpModel:
+    """Integer twin of an EqualizerModel, checked once on construction.
+
+    Weight tensors are int64 arrays on per-tensor power-of-two grids
+    (value = ints[name] * 2^-fracs[name]) within formats.weight_bits; the LIF
+    state lives on the state grid (state_fmt), and `lif_spec` holds the
+    integer LIF constants derived from `lif` on it. Construction raises
+    ConversionError (a ValueError) unless `lif` passes FxpLifSpec.derive,
+    `ints` and `fracs` hold exactly the EqualizerModel parameters, each an
+    int64 array of its shape on the weight_bits grid with an int frac, and
+    every worst-case accumulator (see _worst_case_accumulators) fits
+    formats.acc_bits, so the model neither saturates an accumulator nor wraps
+    an int64 alignment shift. Fields edited after construction are not
+    checked again. The export carries everything a hardware implementation
+    needs to reproduce the arithmetic bit-for-bit.
+    """
+
+    config: TopologyConfig
+    encoder: EncoderConfig
+    lif: LifParams
+    ints: dict
+    fracs: dict
+    formats: FxpFormats
+    lif_spec: FxpLifSpec = field(init=False)
+
+    def __post_init__(self):
+        self.lif_spec = FxpLifSpec.derive(self.lif, self.state_fmt)
+        shapes = self.config.param_shapes()
+        for label, table in (("ints", self.ints), ("fracs", self.fracs)):
+            if not isinstance(table, dict) or table.keys() != shapes.keys():
+                got = list(table) if isinstance(table, dict) else type(table).__name__
+                raise ConversionError(f"{label} must hold exactly {list(shapes)}, got {got}")
+        qmax, overflowed = 2 ** (self.formats.weight_bits - 1) - 1, []
+        for name, shape in shapes.items():
+            arr, frac = self.ints[name], self.fracs[name]
+            if not (isinstance(arr, np.ndarray) and arr.dtype == np.int64
+                    and arr.shape == shape and isinstance(frac, int)):
+                raise ConversionError(
+                    f"{name} must be an int64 array of shape {shape} with an int frac, got "
+                    f"{getattr(arr, 'dtype', type(arr))} {np.shape(arr)}, frac {frac!r}")
+            if arr.min(initial=0) < -qmax - 1 or arr.max(initial=0) > qmax:
+                overflowed.append(name)
+        if overflowed:
+            raise ConversionError(f"tensors exceed the representable range: {overflowed}")
+        worst = _worst_case_accumulators(self.ints, self.fracs, self.config.steps)
+        too_wide = [f"{name} 2^{math.log2(peak):.1f}" for name, peak in worst.items()
+                    if peak > self.acc_max]
+        if too_wide:
+            raise ConversionError(f"worst-case accumulators exceed {self.formats.acc_bits} "
+                                  f"bits: {', '.join(too_wide)}")
+
+    @property
+    def state_fmt(self) -> FxpFormat:
+        return state_format(self.formats.state_bits)
+
+    @property
+    def acc_min(self) -> int:
+        return -(2 ** (self.formats.acc_bits - 1))
+
+    @property
+    def acc_max(self) -> int:
+        return 2 ** (self.formats.acc_bits - 1) - 1
+
+    def dequant(self, name: str) -> np.ndarray:
+        return self.ints[name].astype(float) * 2.0 ** (-self.fracs[name])
+
+    def make_decider(self):
+        """Bind a batched decision closure, decide(windows (B, n_input), stats=None)
+        -> classes (B,): the argmax of fxp_forward's logits, ties to the lowest
+        class; `stats` counts clips as fxp_forward does."""
+        def decide(windows: np.ndarray, stats=None) -> np.ndarray:
+            return np.argmax(fxp_forward(windows, self, stats), axis=1)
+
+        return decide
+
+
+def _fit_frac(arr: np.ndarray, bits: int) -> int:
+    """Fractional bits of the finest power-of-two grid that holds max|arr|."""
+    max_abs = float(np.max(np.abs(arr))) if arr.size else 0.0
+    scale = pow2_scale(max_abs, bits)
+    frac = -int(round(math.log2(scale)))
+    return frac
 
 
 def convert(model: EqualizerModel, formats: FxpFormats) -> FxpModel:
@@ -160,11 +221,9 @@ def convert(model: EqualizerModel, formats: FxpFormats) -> FxpModel:
 
     The fitted grids match the QAT fake-quantization grids, so a model trained
     with matching bit widths converts exactly (zero error); a warning is issued
-    when the QAT setup does not match. Tensors whose pinned grid cannot hold a
-    value raise ConversionError naming the offenders, and so does a model whose
-    worst-case aligned accumulator can exceed acc_bits (see
-    _worst_case_accumulators), so a converted model neither saturates an
-    accumulator nor wraps an int64 alignment shift.
+    when the QAT setup does not match. Each fitted grid holds its tensor;
+    FxpModel's checks raise ConversionError for LIF constants the integer
+    engine cannot run and for a worst-case accumulator wider than acc_bits.
     """
     if model.qat is None:
         warnings.warn("converting a model that was not QAT-trained", stacklevel=2)
@@ -173,53 +232,12 @@ def convert(model: EqualizerModel, formats: FxpFormats) -> FxpModel:
             f"model QAT bits {model.qat} do not match conversion formats {formats}",
             stacklevel=2,
         )
-    if model.lif.v_leak != 0.0:
-        raise ConversionError("integer engine assumes v_leak = 0")
-    k_v = _shift_exponent(model.lif.alpha_v, "alpha_v")
-    k_i = _shift_exponent(model.lif.alpha_i, "alpha_i")
-
-    ints, fracs, overflowed = {}, {}, []
-    qmin, qmax = -(2 ** (formats.weight_bits - 1)), 2 ** (formats.weight_bits - 1) - 1
+    ints, fracs = {}, {}
     for name, arr in model.parameters().items():
-        frac = _fit_frac(arr, formats.weight_bits)
-        q = np.rint(arr * 2.0 ** frac).astype(np.int64)
-        if q.min(initial=0) < qmin or q.max(initial=0) > qmax:
-            overflowed.append(name)
-        ints[name] = np.clip(q, qmin, qmax)
-        fracs[name] = frac
-    if overflowed:
-        raise ConversionError(f"tensors exceed the representable range: {overflowed}")
-    worst = _worst_case_accumulators(ints, fracs, model.config.steps)
-    too_wide = [f"{name} 2^{math.log2(peak):.1f}" for name, peak in worst.items()
-                if peak > 2 ** (formats.acc_bits - 1) - 1]
-    if too_wide:
-        raise ConversionError(
-            f"worst-case accumulators exceed {formats.acc_bits} bits: {', '.join(too_wide)}"
-        )
-
-    fmt = state_format(formats.state_bits)
-    v_th_int = int(round(model.lif.v_th * 2.0 ** fmt.frac_bits))
-    v_r_int = int(round(model.lif.v_r * 2.0 ** fmt.frac_bits))
-    if not fmt.min_int <= v_th_int <= fmt.max_int:
-        raise ConversionError("v_th does not fit the state format")
-    return FxpModel(
-        config=model.config, encoder=model.encoder, lif=model.lif,
-        ints=ints, fracs=fracs, state_fmt=fmt, k_v=k_v, k_i=k_i,
-        v_th_int=v_th_int, v_r_int=v_r_int,
-        weight_bits=formats.weight_bits, acc_bits=formats.acc_bits,
-    )
-
-
-@dataclass(frozen=True)
-class FxpLifSpec:
-    """Shift amounts, thresholds and clamp range of the integer LIF step."""
-
-    k_v: int
-    k_i: int
-    v_th_int: int
-    v_r_int: int
-    state_min: int
-    state_max: int
+        fracs[name] = _fit_frac(arr, formats.weight_bits)
+        ints[name] = np.rint(arr * 2.0 ** fracs[name]).astype(np.int64)
+    return FxpModel(config=model.config, encoder=model.encoder, lif=model.lif,
+                    ints=ints, fracs=fracs, formats=formats)
 
 
 def fxp_lif_step(v: np.ndarray, i: np.ndarray, drive: np.ndarray, spec: FxpLifSpec,
@@ -271,12 +289,11 @@ def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarr
 
     w = model.ints
     f = model.fracs
-    fmt = model.state_fmt
-    spec = FxpLifSpec(model.k_v, model.k_i, model.v_th_int, model.v_r_int,
-                      fmt.min_int, fmt.max_int)
+    spec = model.lif_spec
     acc_lo, acc_hi = model.acc_min, model.acc_max
 
     f_a, f_h, f_z = _accumulator_fracs(f)
+    f_s = model.state_fmt.frac_bits
 
     # float64 for the window and spike products: numpy's int64 matmul does not
     # use BLAS, and these products are exact in float64 (see the docstring)
@@ -301,7 +318,7 @@ def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarr
         h = _sat((h_first if t == 0 else h_rest)
                  + ((spikes @ w2).astype(np.int64) << (f_h - f["w_fc2"])),
                  acc_lo, acc_hi, stats)
-        drive = _sat(_rshift_round_half_up(h, f_h - fmt.frac_bits),
+        drive = _sat(_rshift_round_half_up(h, f_h - f_s),
                      spec.state_min, spec.state_max, stats, key="state_clips")
         v, i, spikes = fxp_lif_step(v, i, drive, spec, stats)
         logits = _sat(
@@ -315,28 +332,33 @@ _FXP_FIELDS = ("fracs", "state_bits", "state_frac_bits", "k_v", "k_i",
                "v_th_int", "v_r_int", "weight_bits", "acc_bits")
 
 
+def _header_constants(model: FxpModel) -> dict:
+    """The header keys after "fracs" in _FXP_FIELDS, as the model derives them."""
+    spec, fmt = model.lif_spec, model.state_fmt
+    return {"state_bits": fmt.total_bits, "state_frac_bits": fmt.frac_bits,
+            "k_v": spec.k_v, "k_i": spec.k_i, "v_th_int": spec.v_th_int, "v_r_int": spec.v_r_int,
+            "weight_bits": model.formats.weight_bits, "acc_bits": model.formats.acc_bits}
+
+
 def save_fxp_model(path, model: FxpModel) -> None:
-    """Integer model container: json header plus raw int64 tensors."""
-    save_container(
-        path, FXP_FORMAT, FXP_VERSION, model, model.ints,
-        fracs=model.fracs,
-        state_bits=model.state_fmt.total_bits, state_frac_bits=model.state_fmt.frac_bits,
-        k_v=model.k_v, k_i=model.k_i, v_th_int=model.v_th_int, v_r_int=model.v_r_int,
-        weight_bits=model.weight_bits, acc_bits=model.acc_bits,
-    )
+    """Integer model container: json header plus raw int64 tensors. The header
+    carries the derived constants (k_v, v_th_int, ...) for hardware readers."""
+    save_container(path, FXP_FORMAT, FXP_VERSION, model, model.ints,
+                   fracs=model.fracs, **_header_constants(model))
 
 
 def load_fxp_model(path) -> FxpModel:
-    """Read a save_fxp_model container; ValueError on a malformed file or on bit
-    widths FxpFormats refuses."""
+    """Read a save_fxp_model container through FxpModel's checks.
+
+    Raises ValueError on a malformed file, on bit widths FxpFormats refuses,
+    on a model FxpModel refuses (ConversionError) and on a header constant
+    that differs from the one the model derives.
+    """
     header, ints, common = load_container(path, FXP_FORMAT, FXP_VERSION, _FXP_FIELDS)
-    FxpFormats(header["weight_bits"], header["state_bits"], header["acc_bits"])  # checks them
-    return FxpModel(
-        **common,
-        ints=ints,
-        fracs={k: int(v) for k, v in header["fracs"].items()},
-        state_fmt=FxpFormat(header["state_bits"], header["state_frac_bits"]),
-        k_v=header["k_v"], k_i=header["k_i"],
-        v_th_int=header["v_th_int"], v_r_int=header["v_r_int"],
-        weight_bits=header["weight_bits"], acc_bits=header["acc_bits"],
-    )
+    formats = FxpFormats(header["weight_bits"], header["state_bits"], header["acc_bits"])
+    model = FxpModel(**common, ints=ints, fracs=header["fracs"], formats=formats)
+    differ = [f"{key}={header[key]} (derived {value})"
+              for key, value in _header_constants(model).items() if header[key] != value]
+    if differ:
+        raise ValueError(f"header constants differ from the model's: {', '.join(differ)}")
+    return model

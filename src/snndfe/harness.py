@@ -127,9 +127,13 @@ def evaluate_baseline_ber(channel_cfg: ChannelConfig, m: int, snrs_db,
 
     Uses the same derived eval streams as evaluate_ber so comparisons are
     paired, and the same warm-up exclusion window. m must be
-    channel.BITS_PER_SYMBOL, or ConfigError is raised.
+    channel.BITS_PER_SYMBOL and 0 <= warmup < symbols_per_snr, or ConfigError
+    is raised.
     """
     check_pam4(m)
+    if not 0 <= warmup < symbols_per_snr:
+        raise ConfigError(f"warmup must be in [0, symbols_per_snr = {symbols_per_snr}), "
+                          f"got {warmup}")
     n_classes = 2 ** m
     points = []
     for snr_db in snrs_db:

@@ -38,7 +38,10 @@ class FxpFormat:
 
 
 def state_format(bits: int) -> FxpFormat:
-    """Grid for LIF voltage/current: 3 integer bits (range +/-4) by convention."""
+    """Grid for LIF voltage/current: 3 integer bits (range +/-4) by convention,
+    so ValueError unless state_bits >= 4."""
+    if bits < 4:
+        raise ValueError(f"state_bits must be >= 4 (3 integer bits and a fraction), got {bits}")
     return FxpFormat(bits, bits - 3)
 
 
@@ -50,9 +53,9 @@ class QatConfig:
     state_bits: int = 8
 
     def __post_init__(self):
-        for bits in (self.weight_bits, self.state_bits):
-            if bits < 2:
-                raise ValueError("bit widths must be >= 2")
+        if self.weight_bits < 2:
+            raise ValueError("weight_bits must be >= 2")
+        state_format(self.state_bits)
 
 
 def pow2_scale(max_abs: float, bits: int) -> float:

@@ -12,7 +12,13 @@ import json
 import pathlib
 import sys
 
+import numpy as np
 import pytest
+
+from snndfe.channel import ChannelConfig
+from snndfe.equalizer import equalize_stream
+from snndfe.fxp import load_fxp_model, save_fxp_model
+from snndfe.harness import _eval_frame
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
@@ -65,3 +71,15 @@ def test_ber_float_and_qat_output_checks_pass(bench, engine, tmp_path):
     checks = workload.checks(workload.setup())
     assert [(c.name, c.detail) for c in checks if not c.ok] == []
     assert workload.report["bit_errors"] == workloads.PINNED_BIT_ERRORS[engine]
+
+
+def test_ber_int_model_survives_its_file(bench, tmp_path):
+    # the loader's checks must never refuse the benchmark's converted model
+    _, _, workloads = bench
+    model = workloads.make("ber_int", 0, str(tmp_path)).setup()
+    path = tmp_path / "fixture_fxp.npz"
+    save_fxp_model(path, model)
+    loaded = load_fxp_model(path)
+    _, y = _eval_frame(ChannelConfig(), workloads.SNRS_DB[1], workloads.CHECK_SYMBOLS,
+                       workloads.CHECK_SEED)
+    np.testing.assert_array_equal(equalize_stream(y, loaded), equalize_stream(y, model))

@@ -401,7 +401,7 @@ def closed_loop_model(engine, n_tap, hidden, steps, seed, scale):
     if engine.startswith("int"):
         model = convert(model, FxpFormats())
     if engine == "int16":
-        model = dataclasses.replace(model, acc_bits=16)
+        model.formats = dataclasses.replace(model.formats, acc_bits=16)
     return model
 
 
@@ -488,6 +488,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match="finite"):
             load_model(path)
 
+    def test_qat_state_bits_below_the_state_grid_refused(self, tmp_path):
+        # the state grid keeps 3 integer bits, so 3 state bits leave no fraction
+        with pytest.raises(ValueError, match="state_bits"):
+            QatConfig(8, 3)
+        model = make_model(seed=16)
+        model.qat = QatConfig()
+        path = tmp_path / "model.npz"
+        save_model(path, model)
+        edit_container(path, lambda header, arrays: header["qat"].update(state_bits=3))
+        with pytest.raises(ValueError, match="state_bits"):
+            load_model(path)
+
     @pytest.mark.parametrize("drop", ["hidden", "qat", "w_fc2", "lif.alpha_v",
                                       "encoder.rx_max", "qat.state_bits"])
     def test_missing_key_or_array_is_a_value_error(self, tmp_path, drop):
@@ -498,6 +510,15 @@ class TestSerialization:
         drop_from_container(path, drop)
         with pytest.raises(ValueError, match=drop):
             load_model(path)
+
+
+def edit_container(path, edit):
+    """Rewrite an npz container after edit(header, arrays) changed its dicts."""
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files if key != "header"}
+        header = json.loads(str(data["header"]))
+    edit(header, arrays)
+    np.savez(path, header=json.dumps(header), **arrays)
 
 
 def drop_from_container(path, name):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -26,7 +27,7 @@ from snndfe.fxp import (
 )
 from snndfe.lif import LifParams, lif_step
 from snndfe.quant import QatConfig, fake_quantize
-from test_equalizer import drop_from_container
+from test_equalizer import drop_from_container, edit_container
 
 
 def make_float_model(n_tap=5, hidden=8, steps=3, seed=0, scale=3.0, qat_bits=8):
@@ -63,7 +64,8 @@ def float_twin_forward(windows, fm):
     f_h = max(f["w_fc1"] + f_a, f["w_fc2"], f["b_fc1"])
     f_z = max(f["w_fc3"], f["b_fc3"])
     fs = fm.state_fmt.frac_bits
-    s_lo, s_hi = fm.state_fmt.min_int * 2.0 ** -fs, fm.state_fmt.max_int * 2.0 ** -fs
+    spec = fm.lif_spec
+    s_lo, s_hi = spec.state_min * 2.0 ** -fs, spec.state_max * 2.0 ** -fs
 
     def acc_clip(val, frac):
         return np.clip(val, fm.acc_min * 2.0 ** -frac, fm.acc_max * 2.0 ** -frac)
@@ -83,14 +85,14 @@ def float_twin_forward(windows, fm):
     i = np.zeros_like(v)
     spikes = np.zeros_like(v)
     z = np.zeros((windows.shape[0], fm.config.n_classes))
-    v_th = fm.v_th_int * 2.0 ** -fs
-    v_r = fm.v_r_int * 2.0 ** -fs
+    v_th = spec.v_th_int * 2.0 ** -fs
+    v_r = spec.v_r_int * 2.0 ** -fs
     for t in range(fm.config.steps):
         a_t = a_window if t == 0 else a_bias
         h = acc_clip(a_t @ deq["w_fc1"].T + deq["b_fc1"] + spikes @ deq["w_fc2"].T, f_h)
         drive = np.clip(requant_half_up(h), s_lo, s_hi)
-        i = np.clip(i - floor_shift(i, fm.k_i) + drive, s_lo, s_hi)
-        v_pre = np.clip(v - floor_shift(v, fm.k_v) + floor_shift(i, fm.k_v), s_lo, s_hi)
+        i = np.clip(i - floor_shift(i, spec.k_i) + drive, s_lo, s_hi)
+        v_pre = np.clip(v - floor_shift(v, spec.k_v) + floor_shift(i, spec.k_v), s_lo, s_hi)
         spikes = (v_pre >= v_th).astype(float)
         v = np.where(spikes > 0, v_r, v_pre)
         z = acc_clip(z + spikes @ deq["w_fc3"].T + deq["b_fc3"], f_z)
@@ -212,7 +214,8 @@ class TestFxpForward:
     def test_batch_equals_rows_one_at_a_time(self):
         # narrowed accumulator, so both counters are nonzero
         model = make_float_model(seed=9, scale=6.0)
-        fm = dataclasses.replace(convert(model, FxpFormats()), acc_bits=16)
+        fm = convert(model, FxpFormats())
+        fm.formats = dataclasses.replace(fm.formats, acc_bits=16)
         windows = random_windows(model, 30, seed=19)
         batch_stats, row_stats = {}, {}
         logits = fxp_forward(windows, fm, stats=batch_stats)
@@ -252,7 +255,8 @@ class TestFxpForward:
     def test_narrow_accumulator_saturates_and_counts(self):
         # convert() refuses an accumulator this narrow, so narrow one afterwards
         model = make_float_model(seed=9, scale=6.0)
-        fm = dataclasses.replace(convert(model, FxpFormats()), acc_bits=16)
+        fm = convert(model, FxpFormats())
+        fm.formats = dataclasses.replace(fm.formats, acc_bits=16)
         stats = {}
         fxp_forward(random_windows(model, 20, seed=10), fm, stats=stats)
         assert stats.get("saturations", 0) > 0
@@ -260,7 +264,8 @@ class TestFxpForward:
     def test_narrow_accumulator_matches_float_twin(self):
         # the other twin comparisons run where no accumulator saturates
         model = make_float_model(seed=11, scale=6.0)
-        fm = dataclasses.replace(convert(model, FxpFormats()), acc_bits=16)
+        fm = convert(model, FxpFormats())
+        fm.formats = dataclasses.replace(fm.formats, acc_bits=16)
         windows = random_windows(model, 200, seed=19)
         stats = {}
         logits = fxp_forward(windows, fm, stats=stats)
@@ -290,8 +295,15 @@ def test_matches_float_twin_property(seed, scale, bits, weight_bits, steps):
     except ConversionError:
         return  # the worst case does not fit the accumulator: nothing to run
     windows = random_windows(model, 8, seed=seed)
-    np.testing.assert_array_equal(fxp_forward(windows, fm) * fc3_grid(fm),
-                                  float_twin_forward(windows, fm))
+    logits = fxp_forward(windows, fm)
+    np.testing.assert_array_equal(logits * fc3_grid(fm), float_twin_forward(windows, fm))
+    # every model convert accepts survives its file
+    file = io.BytesIO()
+    save_fxp_model(file, fm)
+    file.seek(0)
+    loaded = load_fxp_model(file)
+    assert loaded.formats == fm.formats and loaded.lif_spec == fm.lif_spec
+    np.testing.assert_array_equal(fxp_forward(windows, loaded), logits)
 
 
 class TestFxpStreamAndSerialization:
@@ -311,7 +323,8 @@ class TestFxpStreamAndSerialization:
         # decisions and clip counts of a fixed feedback run; the narrowed
         # accumulator saturates without changing a decision here
         model = make_float_model(n_tap=5, hidden=8, steps=4, seed=26, scale=4.0)
-        fm = dataclasses.replace(convert(model, FxpFormats()), acc_bits=acc_bits)
+        fm = convert(model, FxpFormats())
+        fm.formats = dataclasses.replace(fm.formats, acc_bits=acc_bits)
         y = np.random.default_rng(27).uniform(-0.1, 1.1, 400)
         stats = {}
         out = equalize_stream(y, fm, mode="feedback", stats=stats)
@@ -328,8 +341,7 @@ class TestFxpStreamAndSerialization:
         loaded = load_fxp_model(path)
         assert loaded.config == fm.config
         assert loaded.fracs == fm.fracs
-        assert (loaded.k_v, loaded.k_i) == (fm.k_v, fm.k_i)
-        assert (loaded.v_th_int, loaded.v_r_int) == (fm.v_th_int, fm.v_r_int)
+        assert loaded.lif_spec == fm.lif_spec
         for name in fm.ints:
             np.testing.assert_array_equal(loaded.ints[name], fm.ints[name])
         windows = random_windows(model, 10, seed=16)
@@ -352,17 +364,38 @@ class TestFxpStreamAndSerialization:
         np.savez(path, header=json.dumps(header), **fm.ints)
         loaded = load_fxp_model(path)
         assert dataclasses.asdict(loaded.state_fmt) == dataclasses.asdict(fm.state_fmt)
-        assert (loaded.k_v, loaded.k_i, loaded.v_th_int) == (fm.k_v, fm.k_i, fm.v_th_int)
+        assert (loaded.lif_spec.k_v, loaded.lif_spec.k_i, loaded.lif_spec.v_th_int) == (
+            fm.lif_spec.k_v, fm.lif_spec.k_i, fm.lif_spec.v_th_int)
         assert loaded.lif == fm.lif and loaded.config == fm.config
 
     def test_weight_bits_over_the_cap_refused(self, tmp_path):
         # 32 bits keep fxp_forward's float64 products exact; a wider file is refused
         with pytest.raises(ValueError, match="weight_bits"):
             FxpFormats(weight_bits=33)
-        fm = convert(make_float_model(seed=18), FxpFormats())
         path = tmp_path / "model_fxp.npz"
-        save_fxp_model(path, dataclasses.replace(fm, weight_bits=33))
+        save_fxp_model(path, convert(make_float_model(seed=18), FxpFormats()))
+        edit_container(path, lambda header, arrays: header.update(weight_bits=33))
         with pytest.raises(ValueError, match="weight_bits"):
+            load_fxp_model(path)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda h, a: h.update(v_th_int=h["v_th_int"] + 7), "v_th_int"),
+        (lambda h, a: h.update(k_v=0), "k_v"),
+        (lambda h, a: h.update(state_frac_bits=2), "state_frac_bits"),
+        (lambda h, a: a.update(w_fc1=a["w_fc1"] * 2 ** 20), "w_fc1"),
+        (lambda h, a: a.update(w_fc0=a["w_fc0"] * 2 ** 40), "w_fc0"),
+        (lambda h, a: h["fracs"].update(w_fc0=h["fracs"]["w_fc0"] + 40), "accumulators.*fc0"),
+        (lambda h, a: h["fracs"].pop("b_fc3"), "fracs"),
+        (lambda h, a: a.update(b_fc0=a["b_fc0"][:1]), "b_fc0"),
+    ], ids=["v_th_int", "k_v", "state_frac_bits", "w_fc1_range", "w_fc0_range",
+            "fracs_accumulator", "fracs_key", "b_fc0_shape"])
+    def test_edited_file_refused(self, tmp_path, edit, match):
+        # each edit loads into a model that convert would refuse or that
+        # fxp_forward runs wrongly, so the loader must name what is wrong
+        path = tmp_path / "model_fxp.npz"
+        save_fxp_model(path, convert(make_float_model(seed=18), FxpFormats()))
+        edit_container(path, edit)
+        with pytest.raises(ValueError, match=match):
             load_fxp_model(path)
 
     @pytest.mark.parametrize("drop", ["fracs", "hidden", "w_fc2", "lif.v_th"])

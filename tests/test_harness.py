@@ -22,3 +22,14 @@ def test_evaluate_ber_rejects_non_pam4_model(m):
 def test_evaluate_baseline_ber_rejects_non_pam4(m):
     with pytest.raises(ConfigError, match=NOT_PAM4.format(m=m)):
         evaluate_baseline_ber(ChannelConfig(), m, (17.0,), 50, seed=1)
+
+
+@pytest.mark.parametrize("warmup", [-5, 100, 200])
+def test_evaluate_baseline_ber_rejects_warmup_outside_the_frame(warmup):
+    with pytest.raises(ConfigError, match="warmup"):
+        evaluate_baseline_ber(ChannelConfig(), 2, (17.0,), 100, seed=1, warmup=warmup)
+
+
+def test_evaluate_baseline_ber_counts_after_the_warmup():
+    point, = evaluate_baseline_ber(ChannelConfig(), 2, (17.0,), 100, seed=1, warmup=99).points
+    assert point.bits_counted == 2 and 0 <= point.bit_errors <= 2
