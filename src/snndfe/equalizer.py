@@ -274,23 +274,25 @@ def equalize_stream(y, model, mode: str = "feedback", true_classes=None,
     genie `true_classes` must be classes in [0, 2^m), or ValueError is raised.
 
     Feedback mode runs passes over the undecided symbols: a pass builds the
-    windows of the next ones, feeding back the current guesses (`fill_class`
-    at first, then the last pass's decisions), and decides them in one call
-    of `model.make_decider()`. The pass's first decision sees only final
-    decisions, so it is final; each later one is final when every guess
-    before it in the pass was confirmed. The pass keeps its decisions up to
-    and including the first that changed its guess, and the next pass starts
-    after it, so the output is the per-symbol DFE's in at most one pass per
-    symbol.
+    windows of the next ones, feeding back the current guesses, and decides
+    them in one call of `model.make_decider()`. The first guess for a symbol
+    is its received bin mapped onto the classes in amplitude order (bin // 2
+    for PAM-4); later ones are the last pass's decisions. The pass's first
+    decision sees only final decisions, so it is final; each later one is
+    final when every guess before it in the pass was confirmed. The pass
+    keeps its decisions up to and including the first that changed its
+    guess, and the next pass starts after it, so the output is the
+    per-symbol DFE's in at most one pass per symbol, whatever the guesses:
+    they only set the number of passes.
 
     Rows past the kept ones pay off when the iteration settles ahead of the
-    first undecided symbol, as on a trained model (about 9 passes per 52
+    first undecided symbol, as on a trained model (about 7 passes per 52
     symbols); on a chaotic model each kept decision flips the next guess, a
     pass keeps about one symbol and its other rows are wasted. So a pass
     covers 2*k^2 symbols, k the running mean of the decisions kept per pass,
     up to _PASS_ROWS: the whole cap from k = 5.7 on, 2 or 3 symbols at
     k = 1.1. On untrained chaotic models at 17 taps, hidden 72, T 5 (2,000
-    symbols, one core) the loop then took 0.45 to 0.87x the per-symbol loop's
+    symbols, one core) the loop then takes 0.6 to 0.7x the per-symbol loop's
     time, against up to 3.7x with every pass at the cap.
 
     Genie mode feeds nothing back, so its passes of _PASS_ROWS are final at
@@ -308,6 +310,7 @@ def equalize_stream(y, model, mode: str = "feedback", true_classes=None,
     if not 0 <= fill_class < cfg.n_classes:
         raise ValueError(f"fill_class must be in [0, {cfg.n_classes}), got {fill_class}")
     fed = np.full(n, fill_class, dtype=np.int64)  # the classes the windows see
+    bins = model.encoder.bin_indices(y)
     if mode == "genie":
         if true_classes is None:
             raise ValueError("genie mode requires true_classes")
@@ -317,9 +320,11 @@ def equalize_stream(y, model, mode: str = "feedback", true_classes=None,
         if true_classes.min() < 0 or true_classes.max() >= cfg.n_classes:
             raise ValueError(f"true_classes must be in [0, {cfg.n_classes})")
         fed[history:] = true_classes[history:]
+    else:  # first guesses: each sample's bin onto the amplitude-ranked classes
+        fed[history:] = bins[history:] * cfg.n_classes // RX_LEVELS
 
     decide = model.make_decider()
-    received = sliding_window_view(model.encoder.bin_indices(y), history + 1)
+    received = sliding_window_view(bins, history + 1)
     fed_back = sliding_window_view(fed, history)  # a view: sees every write to fed
 
     def windows(lo, hi):

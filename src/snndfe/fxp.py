@@ -3,11 +3,13 @@
 Mirrors the hardware arithmetic decisions: power-of-two per-tensor scales,
 shift-based LIF decay (alpha = 2^-k), ternary inputs so multiplies reduce to
 add/subtract/skip, and saturating accumulators acc_bits wide (FxpFormats,
-default 32) that a constructed FxpModel cannot saturate: it refuses tensors
-whose worst case does not fit them. All rounding is pinned: decay shifts are
-arithmetic shifts (floor, also for negatives), the one drive requantization
-onto the state grid rounds half-up, and offline conversion rounds to
-nearest-even. Identical inputs give identical outputs on any platform.
+default 32, at most 53) that a constructed FxpModel cannot saturate: it
+refuses tensors whose worst case does not fit them. That check and the
+weight_bits cap keep every partial sum of a product an integer below 2^53, so
+every product, fc1's too, runs exactly on float64 BLAS (see FxpFormats). All
+rounding is pinned: decay shifts are arithmetic shifts (floor, also for
+negatives), the one drive requantization onto the state grid rounds half-up,
+and offline conversion rounds to nearest-even. Identical inputs give identical outputs on any platform.
 """
 
 from __future__ import annotations
@@ -36,10 +38,13 @@ class ConversionError(ValueError):
 class FxpFormats:
     """Bit widths of an integer model: weights/biases, LIF state, accumulators.
 
-    weight_bits <= 32 keeps fxp_forward's float64 products exact: a ternary
-    window or spike row times an n-column weight row sums to at most
-    n * 2^31 < 2^53 for any n below 2^22. state_bits >= 4, as
-    quant.state_format requires.
+    fxp_forward runs every product in float64, exact while each partial sum
+    is an integer below 2^53. weight_bits <= 32 keeps the window and spike
+    products so: a ternary row times an n-column weight row sums to at most
+    n * 2^31 < 2^53 for any n below 2^22. acc_bits <= 53 keeps the fc1
+    product so: its partial sums are bounded by the hidden-drive worst case,
+    which FxpModel holds to 2^52. state_bits >= 4, as quant.state_format
+    requires.
     """
 
     weight_bits: int = 8
@@ -50,8 +55,8 @@ class FxpFormats:
         if not 2 <= self.weight_bits <= 32:
             raise ValueError("weight_bits must be in [2, 32] (float64-exact products)")
         state_format(self.state_bits)
-        if not 16 <= self.acc_bits <= 62:
-            raise ValueError("acc_bits must be in [16, 62] (int64 arithmetic)")
+        if not 16 <= self.acc_bits <= 53:
+            raise ValueError("acc_bits must be in [16, 53] (float64-exact fc1 product)")
 
 
 def _sat(x: np.ndarray, lo: int, hi: int, stats: dict | None,
@@ -88,16 +93,19 @@ class FxpLifSpec:
     @classmethod
     def derive(cls, lif: LifParams, fmt: FxpFormat) -> "FxpLifSpec":
         """The integer constants of `lif` on the state grid `fmt`; ConversionError
-        unless v_leak = 0, both decays are powers of two and v_th fits the grid."""
+        unless v_leak = 0, both decays are powers of two and v_th and v_r fit
+        the grid."""
         if lif.v_leak != 0.0:
             raise ConversionError("integer engine assumes v_leak = 0")
         k_v = _shift_exponent(lif.alpha_v, "alpha_v")
         k_i = _shift_exponent(lif.alpha_i, "alpha_i")
-        v_th_int = int(round(lif.v_th * 2.0 ** fmt.frac_bits))
-        if not fmt.min_int <= v_th_int <= fmt.max_int:
-            raise ConversionError("v_th does not fit the state format")
-        return cls(k_v, k_i, v_th_int, int(round(lif.v_r * 2.0 ** fmt.frac_bits)),
-                   fmt.min_int, fmt.max_int)
+        levels = {}
+        for name in ("v_th", "v_r"):
+            scaled = getattr(lif, name) * 2.0 ** fmt.frac_bits
+            if not (math.isfinite(scaled) and fmt.min_int <= round(scaled) <= fmt.max_int):
+                raise ConversionError(f"{name}={getattr(lif, name)} does not fit the state format")
+            levels[name] = round(scaled)
+        return cls(k_v, k_i, levels["v_th"], levels["v_r"], fmt.min_int, fmt.max_int)
 
 
 def _accumulator_fracs(fracs: dict) -> tuple:
@@ -114,7 +122,9 @@ def _worst_case_accumulators(ints: dict, fracs: dict, steps: int) -> dict:
 
     Row sums of |w| times the largest input (1 for the ternary window and the
     spikes, the fc0 bound for fc1), plus the largest |bias|, each after its
-    alignment shift; the logits add that over all steps.
+    alignment shift; the logits add that over all steps. The fc1 shift is
+    >= 0, so the hidden-drive bound also bounds every partial sum of the fc1
+    product.
     """
     f_a, f_h, f_z = _accumulator_fracs(fracs)
 
@@ -131,6 +141,12 @@ def _worst_case_accumulators(ints: dict, fracs: dict, steps: int) -> dict:
     return {"fc0": fc0, "hidden drive": hidden, "logits": logits}
 
 
+# Widest |frac| FxpModel accepts. convert's grid steps are float64 powers of
+# two, 2^-1074 to 2^1023, so it writes |frac| <= 1074; a 32-bit weight's 31
+# bits leave room past that. A wider frac is refused before any shift by it.
+_MAX_FRAC = 1074 + 31
+
+
 @dataclass
 class FxpModel:
     """Integer twin of an EqualizerModel, checked once on construction.
@@ -141,11 +157,12 @@ class FxpModel:
     integer LIF constants derived from `lif` on it. Construction raises
     ConversionError (a ValueError) unless `lif` passes FxpLifSpec.derive,
     `ints` and `fracs` hold exactly the EqualizerModel parameters, each an
-    int64 array of its shape on the weight_bits grid with an int frac, and
-    every worst-case accumulator (see _worst_case_accumulators) fits
-    formats.acc_bits, so the model neither saturates an accumulator nor wraps
-    an int64 alignment shift. Fields edited after construction are not
-    checked again. The export carries everything a hardware implementation
+    int64 array of its shape on the weight_bits grid with an int frac within
+    +-_MAX_FRAC, and every worst-case accumulator (see
+    _worst_case_accumulators) fits formats.acc_bits, so the model neither
+    saturates an accumulator nor wraps an int64 alignment shift, and its fc1
+    product is exact in float64 (see FxpFormats). Fields edited after
+    construction are not checked again. The export carries everything a hardware implementation
     needs to reproduce the arithmetic bit-for-bit.
     """
 
@@ -172,6 +189,9 @@ class FxpModel:
                 raise ConversionError(
                     f"{name} must be an int64 array of shape {shape} with an int frac, got "
                     f"{getattr(arr, 'dtype', type(arr))} {np.shape(arr)}, frac {frac!r}")
+            if abs(frac) > _MAX_FRAC:
+                raise ConversionError(f"fracs[{name!r}] = {frac} is outside "
+                                      f"[-{_MAX_FRAC}, {_MAX_FRAC}]")
             if arr.min(initial=0) < -qmax - 1 or arr.max(initial=0) > qmax:
                 overflowed.append(name)
         if overflowed:
@@ -274,10 +294,10 @@ def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarr
     half-up) before entering the current equation; fc3 readouts accumulate over
     steps. Returns the int64 logits (B, n_classes) on the fc3 grid. With
     `stats`, accumulator saturations and state clips are added to its
-    "saturations" and "state_clips" counts. The fc0, fc2 and fc3 products,
-    whose left operand is the window or the spikes, run as float64 BLAS
-    products, exact because every partial sum is an integer of at most
-    n * 2^(weight_bits-1) < 2^53 (see FxpFormats); the fc1 product stays int64.
+    "saturations" and "state_clips" counts. Every product runs as a float64
+    BLAS product, exact because every partial sum is an integer below 2^53:
+    the window and spike products by weight_bits <= 32, the fc1 product by
+    FxpModel's accumulator check (see FxpFormats).
     """
     windows = np.asarray(windows)
     if windows.ndim != 2 or windows.shape[1] != model.config.n_input:
@@ -295,9 +315,9 @@ def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarr
     f_a, f_h, f_z = _accumulator_fracs(f)
     f_s = model.state_fmt.frac_bits
 
-    # float64 for the window and spike products: numpy's int64 matmul does not
-    # use BLAS, and these products are exact in float64 (see the docstring)
-    w0, w2, w3 = (w[name].T.astype(float) for name in ("w_fc0", "w_fc2", "w_fc3"))
+    # float64 for every product: numpy's int64 matmul does not use BLAS, and
+    # these products are exact in float64 (see the docstring)
+    w0, w1, w2, w3 = (w[name].T.astype(float) for name in ("w_fc0", "w_fc1", "w_fc2", "w_fc3"))
     # NB: << binds looser than + in Python; every shift is parenthesized
     a_bias = w["b_fc0"] << (f_a - f["b_fc0"])
     a_window = _sat(((enc @ w0).astype(np.int64) << (f_a - f["w_fc0"])) + a_bias,
@@ -306,8 +326,10 @@ def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarr
     z_bias = w["b_fc3"] << (f_z - f["b_fc3"])
     # the fc1 drive of steps t >= 1 sees only the fc0 bias: hoisted, exact
     # since int64 + and << wrap mod 2^64 in any order
-    h_first = ((a_window @ w["w_fc1"].T) << (f_h - f["w_fc1"] - f_a)) + b1_aligned
-    h_rest = ((a_bias @ w["w_fc1"].T) << (f_h - f["w_fc1"] - f_a)) + b1_aligned
+    h_first = ((a_window.astype(float) @ w1).astype(np.int64)
+               << (f_h - f["w_fc1"] - f_a)) + b1_aligned
+    h_rest = ((a_bias.astype(float) @ w1).astype(np.int64)
+              << (f_h - f["w_fc1"] - f_a)) + b1_aligned
 
     shape = (enc.shape[0], model.config.hidden)
     v = np.zeros(shape, dtype=np.int64)

@@ -5,7 +5,8 @@ where their callers look them up; renaming one of them in `src/` would break
 only that run. These tests install and restore the patches of every workload
 in BENCHMARK.json without running any workload, and run the output checks of
 the three closed-loop engines, whose pinned bit errors change with any change
-of channel or engine output.
+of channel or engine output, and count those engines' passes on the check
+frames.
 """
 
 import json
@@ -83,3 +84,33 @@ def test_ber_int_model_survives_its_file(bench, tmp_path):
     _, y = _eval_frame(ChannelConfig(), workloads.SNRS_DB[1], workloads.CHECK_SYMBOLS,
                        workloads.CHECK_SEED)
     np.testing.assert_array_equal(equalize_stream(y, loaded), equalize_stream(y, model))
+
+
+# Decider calls (closed-loop passes) over the three check frames, recorded when
+# the first guesses became the received bins; with every first guess the fill
+# class they were 280, 282 and 310. Deterministic, so a change that needs more
+# passes to reach the same decisions shows here.
+PASSES = {"float": 235, "qat": 234, "int": 255}
+
+
+@pytest.mark.parametrize("engine", sorted(PASSES))
+def test_check_frame_passes_do_not_grow(bench, engine, tmp_path, monkeypatch):
+    _, _, workloads = bench
+    workload = workloads.make(f"ber_{engine}", 0, str(tmp_path))
+    model = workload.setup()
+    calls = 0
+    make_decider = type(model).make_decider
+
+    def counting_decider(self):
+        decide = make_decider(self)
+
+        def counted(windows, stats=None):
+            nonlocal calls
+            calls += 1
+            return decide(windows, stats)
+
+        return counted
+
+    monkeypatch.setattr(type(model), "make_decider", counting_decider)
+    workload._decisions(model, workloads.CHECK_SYMBOLS, workloads.CHECK_SEED)
+    assert calls <= PASSES[engine]

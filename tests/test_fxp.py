@@ -19,6 +19,7 @@ from snndfe.fxp import (
     ConversionError,
     FxpFormats,
     FxpLifSpec,
+    FxpModel,
     convert,
     fxp_forward,
     fxp_lif_step,
@@ -148,6 +149,14 @@ class TestConvert:
         with pytest.raises(ConversionError, match="hidden drive"):
             convert(model, FxpFormats(acc_bits=16))
 
+    def test_rejects_reset_off_the_state_grid(self):
+        # -10.0 is -320 on the 8-bit state grid [-128, 127]; QAT-float would
+        # clamp the reset to -4.0, so the two engines would part after a spike
+        model = make_float_model()
+        model.lif = LifParams(alpha_v=0.125, alpha_i=0.25, v_th=1.0, v_r=-10.0)
+        with pytest.raises(ConversionError, match="v_r"):
+            convert(model, FxpFormats())
+
     def test_rejects_non_shift_decay(self):
         cfg = TopologyConfig(n_tap=3, hidden=2, steps=1)
         model = EqualizerModel.initialize(
@@ -272,6 +281,46 @@ class TestFxpForward:
         np.testing.assert_array_equal(logits * fc3_grid(fm), float_twin_forward(windows, fm))
         assert stats["saturations"] > 0 and stats["state_clips"] > 0
 
+    def test_fc1_product_exact_at_the_accumulator_cap(self):
+        # fc0 rows of all-maximal 32-bit weights give |a_window| up to 20 * (2^31-1)
+        # on all-+1 and all-(-1) windows, and fc1 rows (c, -c) put its worst case at
+        # 0.95 * 2^52: the largest the 53-bit cap allows. Rows 0 and 1 of fc0 differ
+        # by delta, so the hidden drive c * delta is on the state grid's scale, and a
+        # product that rounds a_window (float32 would, to multiples of 2^12) changes
+        # the spikes.
+        cfg = TopologyConfig(n_tap=3, hidden=4, steps=4)
+        q, c, delta = 2 ** 31 - 1, 50_000, 1_200
+        w_fc0 = np.full((cfg.hidden, cfg.n_input), q, dtype=np.int64)
+        w_fc0[1, 0] -= delta
+        w_fc0[3, 1] -= delta // 2
+        w_fc1 = np.zeros((cfg.hidden, cfg.hidden), dtype=np.int64)
+        w_fc1[[0, 1, 2], [0, 2, 3]] = c
+        w_fc1[[0, 1, 2], [1, 3, 0]] = -c
+        rng = np.random.default_rng(31)
+        ints = {"w_fc0": w_fc0, "b_fc0": np.zeros(cfg.hidden, dtype=np.int64), "w_fc1": w_fc1,
+                "b_fc1": np.full(cfg.hidden, 2 ** 25),  # a drive of 1.0 a step
+                "w_fc2": rng.integers(-99, 100, (cfg.hidden, cfg.hidden)),
+                "w_fc3": rng.integers(-99, 100, (cfg.n_classes, cfg.hidden)),
+                "b_fc3": rng.integers(-99, 100, cfg.n_classes)}
+        # fc1 products on the 2^-25 grid, 20 bits finer than the state grid's 2^-5
+        fracs = {"w_fc0": 16, "b_fc0": 16, "w_fc1": 9, "b_fc1": 25, "w_fc2": 25,
+                 "w_fc3": 0, "b_fc3": 0}
+        fm = FxpModel(config=cfg, encoder=EncoderConfig(0.0, 1.0),
+                      lif=LifParams.shift_friendly(), ints=ints, fracs=fracs,
+                      formats=FxpFormats(weight_bits=32, acc_bits=53))
+        fc1_worst = 2 * c * cfg.n_input * q
+        assert 2 ** 51 <= fc1_worst < 2 ** 52
+        received = 8 * (cfg.history + 1)
+        windows = np.zeros((6, cfg.n_input), dtype=np.int64)
+        windows[0], windows[1] = 1, -1
+        windows[2, :received], windows[3, :received] = 1, -1
+        windows[4:] = random_windows(fm, 2, seed=32)
+        stats = {}
+        logits = fxp_forward(windows, fm, stats)
+        np.testing.assert_array_equal(logits * fc3_grid(fm), float_twin_forward(windows, fm))
+        assert stats.get("saturations", 0) == 0
+        assert len(set(map(tuple, logits))) > 1  # the drive reaches the readout
+
     def test_wide_accumulator_never_saturates_here(self):
         model = make_float_model(seed=11)
         fm = convert(model, FxpFormats())
@@ -378,6 +427,16 @@ class TestFxpStreamAndSerialization:
         with pytest.raises(ValueError, match="weight_bits"):
             load_fxp_model(path)
 
+    def test_acc_bits_over_the_cap_refused(self, tmp_path):
+        # 53 bits keep the fc1 product exact in float64; a wider file is refused
+        with pytest.raises(ValueError, match="acc_bits"):
+            FxpFormats(acc_bits=54)
+        path = tmp_path / "model_fxp.npz"
+        save_fxp_model(path, convert(make_float_model(seed=18), FxpFormats()))
+        edit_container(path, lambda header, arrays: header.update(acc_bits=54))
+        with pytest.raises(ValueError, match="acc_bits"):
+            load_fxp_model(path)
+
     @pytest.mark.parametrize("edit, match", [
         (lambda h, a: h.update(v_th_int=h["v_th_int"] + 7), "v_th_int"),
         (lambda h, a: h.update(k_v=0), "k_v"),
@@ -387,8 +446,10 @@ class TestFxpStreamAndSerialization:
         (lambda h, a: h["fracs"].update(w_fc0=h["fracs"]["w_fc0"] + 40), "accumulators.*fc0"),
         (lambda h, a: h["fracs"].pop("b_fc3"), "fracs"),
         (lambda h, a: a.update(b_fc0=a["b_fc0"][:1]), "b_fc0"),
+        (lambda h, a: (h["lif"].update(v_r=-10.0), h.update(v_r_int=-320)), "v_r"),
+        (lambda h, a: h["fracs"].update(w_fc0=10 ** 8), "fracs"),
     ], ids=["v_th_int", "k_v", "state_frac_bits", "w_fc1_range", "w_fc0_range",
-            "fracs_accumulator", "fracs_key", "b_fc0_shape"])
+            "fracs_accumulator", "fracs_key", "b_fc0_shape", "v_r_off_grid", "fracs_range"])
     def test_edited_file_refused(self, tmp_path, edit, match):
         # each edit loads into a model that convert would refuse or that
         # fxp_forward runs wrongly, so the loader must name what is wrong
