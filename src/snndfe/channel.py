@@ -11,6 +11,7 @@ sample per symbol, group-delay compensated so y[k] lines up with x[k].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -106,12 +107,15 @@ def gray_demap(symbols) -> np.ndarray:
     return classes_to_bits(classes, BITS_PER_SYMBOL)
 
 
+@functools.cache
 def rrc_taps(rolloff: float, span_symbols: int, sps: int) -> np.ndarray:
     """Root-raised-cosine taps, unit energy, exactly symmetric about the center.
 
     span_symbols is the total support in symbol periods (even), giving
     span_symbols*sps + 1 taps. The removable singularities at t = 0 and
-    t = +/- Ts/(4*rolloff) are filled with their analytic limits.
+    t = +/- Ts/(4*rolloff) are filled with their analytic limits. Cached per
+    (rolloff, span_symbols, sps) and returned read-only, since every link
+    simulation shapes with the same taps.
     """
     if span_symbols % 2 != 0 or span_symbols < 2:
         raise ValueError("span_symbols must be even and >= 2")
@@ -143,7 +147,9 @@ def rrc_taps(rolloff: float, span_symbols: int, sps: int) -> np.ndarray:
     h[regular] = num / den
     h[sing] = h_sing
     taps = np.concatenate([h[:0:-1], h])
-    return taps / math.sqrt(float(np.dot(taps, taps)))
+    taps /= math.sqrt(float(np.dot(taps, taps)))
+    taps.flags.writeable = False  # shared by every caller through the cache
+    return taps
 
 
 def chromatic_dispersion(x, cfg: ChannelConfig) -> np.ndarray:

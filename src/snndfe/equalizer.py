@@ -252,7 +252,8 @@ def forward(windows, weights: dict, config: TopologyConfig, lif: LifParams,
     v = i = s = np.zeros((windows.shape[0], config.hidden))
     logits = np.zeros((windows.shape[0], config.n_classes))
     for t in range(config.steps):
-        h = (a0 @ w1.T + b1 if t == 0 else a_rest) + s @ w2.T
+        # no spikes before the first step: its drive skips fc2
+        h = a0 @ w1.T + b1 if t == 0 else a_rest + s @ w2.T
         if quantize is not None:
             h = quantize(h, "h")
         v, i, s, v_pre = lif_step(v, i, h, lif, quantize, smooth_slope)

@@ -4,12 +4,14 @@ Mirrors the hardware arithmetic decisions: power-of-two per-tensor scales,
 shift-based LIF decay (alpha = 2^-k), ternary inputs so multiplies reduce to
 add/subtract/skip, and saturating accumulators acc_bits wide (FxpFormats,
 default 32, at most 53) that a constructed FxpModel cannot saturate: it
-refuses tensors whose worst case does not fit them. That check and the
-weight_bits cap keep every partial sum of a product an integer below 2^53, so
-every product, fc1's too, runs exactly on float64 BLAS (see FxpFormats). All
-rounding is pinned: decay shifts are arithmetic shifts (floor, also for
-negatives), the one drive requantization onto the state grid rounds half-up,
-and offline conversion rounds to nearest-even. Identical inputs give identical outputs on any platform.
+refuses tensors whose worst case does not fit them. That check keeps every
+shifted partial sum an integer below 2^53, so every product runs exactly on
+float64 BLAS with its alignment shift folded into the weights, and a clamp
+runs only where it can change a value (see fxp_forward). All rounding is
+pinned: decay shifts are arithmetic shifts (floor, also for negatives), the
+one drive requantization onto the state grid rounds half-up, and offline
+conversion rounds to nearest-even. Identical inputs give identical outputs
+on any platform.
 """
 
 from __future__ import annotations
@@ -38,13 +40,15 @@ class ConversionError(ValueError):
 class FxpFormats:
     """Bit widths of an integer model: weights/biases, LIF state, accumulators.
 
-    fxp_forward runs every product in float64, exact while each partial sum
-    is an integer below 2^53. weight_bits <= 32 keeps the window and spike
-    products so: a ternary row times an n-column weight row sums to at most
-    n * 2^31 < 2^53 for any n below 2^22. acc_bits <= 53 keeps the fc1
-    product so: its partial sums are bounded by the hidden-drive worst case,
-    which FxpModel holds to 2^52. state_bits >= 4, as quant.state_format
-    requires.
+    fxp_forward runs every product in float64 on weights scaled by the
+    product's alignment shift, exact while each shifted partial sum is an
+    integer below 2^53. acc_bits <= 53 keeps every product so: each shifted
+    partial sum is bounded by its accumulator's worst case, which FxpModel
+    holds to acc_max <= 2^52 - 1. weight_bits <= 32 keeps the unshifted
+    window and spike products below 2^53 for any row under 2^22 columns.
+    Narrowing acc_bits after construction keeps the products exact and makes
+    fxp_forward clamp the accumulators whose worst case no longer fits.
+    state_bits >= 4, as quant.state_format requires.
     """
 
     weight_bits: int = 8
@@ -56,7 +60,7 @@ class FxpFormats:
             raise ValueError("weight_bits must be in [2, 32] (float64-exact products)")
         state_format(self.state_bits)
         if not 16 <= self.acc_bits <= 53:
-            raise ValueError("acc_bits must be in [16, 53] (float64-exact fc1 product)")
+            raise ValueError("acc_bits must be in [16, 53] (float64-exact products)")
 
 
 def _sat(x: np.ndarray, lo: int, hi: int, stats: dict | None,
@@ -122,9 +126,9 @@ def _worst_case_accumulators(ints: dict, fracs: dict, steps: int) -> dict:
 
     Row sums of |w| times the largest input (1 for the ternary window and the
     spikes, the fc0 bound for fc1), plus the largest |bias|, each after its
-    alignment shift; the logits add that over all steps. The fc1 shift is
-    >= 0, so the hidden-drive bound also bounds every partial sum of the fc1
-    product.
+    alignment shift; the logits add that over all steps. Every alignment
+    shift is >= 0, so each bound also bounds every shifted partial sum of the
+    products into its accumulator.
     """
     f_a, f_h, f_z = _accumulator_fracs(fracs)
 
@@ -160,9 +164,12 @@ class FxpModel:
     int64 array of its shape on the weight_bits grid with an int frac within
     +-_MAX_FRAC, and every worst-case accumulator (see
     _worst_case_accumulators) fits formats.acc_bits, so the model neither
-    saturates an accumulator nor wraps an int64 alignment shift, and its fc1
-    product is exact in float64 (see FxpFormats). Fields edited after
-    construction are not checked again. The export carries everything a hardware implementation
+    saturates an accumulator nor wraps an int64 alignment shift, and its
+    products are exact in float64 (see FxpFormats). Fields edited after
+    construction are not checked again, but fxp_forward reads them afresh
+    per stream (make_decider) or per call: a narrowed formats turns its
+    clamps on, and an edit that lets a partial sum reach 2^53 raises
+    ConversionError. The export carries everything a hardware implementation
     needs to reproduce the arithmetic bit-for-bit.
     """
 
@@ -222,18 +229,24 @@ class FxpModel:
         """Bind a batched decision closure, decide(windows (B, n_input), stats=None)
         -> classes (B,): the argmax of fxp_forward's logits, ties to the lowest
         class; `stats` counts clips as fxp_forward does."""
+        resolved = _Resolved(self)  # once per stream; fxp_forward would per call
+
         def decide(windows: np.ndarray, stats=None) -> np.ndarray:
-            return np.argmax(fxp_forward(windows, self, stats), axis=1)
+            return np.argmax(fxp_forward(windows, resolved, stats), axis=1)
 
         return decide
 
 
-def _fit_frac(arr: np.ndarray, bits: int) -> int:
-    """Fractional bits of the finest power-of-two grid that holds max|arr|."""
+def _fit_frac(arr: np.ndarray, bits: int, name: str) -> int:
+    """Fractional bits of the finest power-of-two grid that holds max|arr|;
+    ConversionError naming `name` when that grid's step overflows float64."""
     max_abs = float(np.max(np.abs(arr))) if arr.size else 0.0
-    scale = pow2_scale(max_abs, bits)
-    frac = -int(round(math.log2(scale)))
-    return frac
+    try:
+        scale = pow2_scale(max_abs, bits)
+    except OverflowError:
+        raise ConversionError(f"{name}: max |value| {max_abs} needs a grid step beyond "
+                              f"float64's range at {bits} bits") from None
+    return -int(round(math.log2(scale)))
 
 
 def convert(model: EqualizerModel, formats: FxpFormats) -> FxpModel:
@@ -254,7 +267,7 @@ def convert(model: EqualizerModel, formats: FxpFormats) -> FxpModel:
         )
     ints, fracs = {}, {}
     for name, arr in model.parameters().items():
-        fracs[name] = _fit_frac(arr, formats.weight_bits)
+        fracs[name] = _fit_frac(arr, formats.weight_bits, name)
         ints[name] = np.rint(arr * 2.0 ** fracs[name]).astype(np.int64)
     return FxpModel(config=model.config, encoder=model.encoder, lif=model.lif,
                     ints=ints, fracs=fracs, formats=formats)
@@ -286,6 +299,40 @@ def _rshift_round_half_up(x: np.ndarray, shift: int) -> np.ndarray:
     return (x + (1 << (shift - 1))) >> shift
 
 
+class _Resolved:
+    """fxp_forward's constants, from an FxpModel's current fields: the weights
+    as float64, transposed, with each product's alignment shift folded in; the
+    aligned biases; the t >= 1 hidden drive before fc2 (h_rest); and whether
+    each accumulator's worst case can saturate it under the current formats.
+    ConversionError when an edit lets a partial sum reach 2^53 (float64 rounds).
+    """
+
+    def __init__(self, model: FxpModel):
+        w, f, cfg = model.ints, model.fracs, model.config
+        f_a, f_h, f_z = _accumulator_fracs(f)
+        worst = _worst_case_accumulators(w, f, cfg.steps)
+        if max(worst.values()) >= 2 ** 53:
+            raise ConversionError("an edited tensor lets a partial sum reach 2^53")
+        self.clamps = {name: peak > model.acc_max for name, peak in worst.items()}
+        self.config, self.lif_spec = cfg, model.lif_spec
+        self.acc_min, self.acc_max = model.acc_min, model.acc_max
+        self.drive_shift = f_h - model.state_fmt.frac_bits
+
+        def folded(name, shift):  # every alignment shift is >= 0
+            return np.ldexp(w[name].T.astype(float), shift)
+
+        self.w0 = folded("w_fc0", f_a - f["w_fc0"])
+        self.w1 = folded("w_fc1", f_h - f["w_fc1"] - f_a)
+        self.w2 = folded("w_fc2", f_h - f["w_fc2"])
+        self.w3 = folded("w_fc3", f_z - f["w_fc3"])
+        # NB: << binds looser than + in Python; every shift is parenthesized
+        self.a_bias = w["b_fc0"] << (f_a - f["b_fc0"])
+        self.b1 = w["b_fc1"] << (f_h - f["b_fc1"])
+        # the fc1 drive of steps t >= 1 sees only the fc0 bias
+        self.h_rest = (self.a_bias.astype(float) @ self.w1).astype(np.int64) + self.b1
+        self.z_bias = w["b_fc3"] << (f_z - f["b_fc3"])
+
+
 def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarray:
     """Integer-exact T-step forward pass over a batch of ternary windows (B, n_input).
 
@@ -294,60 +341,46 @@ def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarr
     half-up) before entering the current equation; fc3 readouts accumulate over
     steps. Returns the int64 logits (B, n_classes) on the fc3 grid. With
     `stats`, accumulator saturations and state clips are added to its
-    "saturations" and "state_clips" counts. Every product runs as a float64
-    BLAS product, exact because every partial sum is an integer below 2^53:
-    the window and spike products by weight_bits <= 32, the fc1 product by
-    FxpModel's accumulator check (see FxpFormats).
+    "saturations" and "state_clips" counts.
+
+    Every product runs on float64 BLAS with its alignment shift folded into
+    the weights, exact since each shifted partial sum is an integer within its
+    accumulator's worst case, below 2^53 (see FxpFormats). An accumulator is
+    clamped only when that worst case exceeds the current acc_max, as no other
+    clamp can change a value. The constants are resolved from `model`'s
+    current fields per call; FxpModel.make_decider resolves them per stream.
     """
-    windows = np.asarray(windows)
-    if windows.ndim != 2 or windows.shape[1] != model.config.n_input:
-        raise ValueError(f"windows have shape {windows.shape}, "
-                         f"expected (B, {model.config.n_input})")
-    enc = windows.astype(float)
+    c = model if isinstance(model, _Resolved) else _Resolved(model)
+    cfg, spec = c.config, c.lif_spec
+    enc = np.asarray(windows, dtype=float)
+    if enc.ndim != 2 or enc.shape[1] != cfg.n_input:
+        raise ValueError(f"windows have shape {enc.shape}, expected (B, {cfg.n_input})")
     if (np.abs(enc) > 1).any() or (enc != np.trunc(enc)).any():
         raise ValueError("fxp_forward requires ternary {-1, 0, 1} windows")
+    if stats is not None:  # counted even when no clamp runs
+        stats.setdefault("saturations", 0)
 
-    w = model.ints
-    f = model.fracs
-    spec = model.lif_spec
-    acc_lo, acc_hi = model.acc_min, model.acc_max
+    def accumulate(x, name):
+        return _sat(x, c.acc_min, c.acc_max, stats) if c.clamps[name] else x
 
-    f_a, f_h, f_z = _accumulator_fracs(f)
-    f_s = model.state_fmt.frac_bits
-
-    # float64 for every product: numpy's int64 matmul does not use BLAS, and
-    # these products are exact in float64 (see the docstring)
-    w0, w1, w2, w3 = (w[name].T.astype(float) for name in ("w_fc0", "w_fc1", "w_fc2", "w_fc3"))
-    # NB: << binds looser than + in Python; every shift is parenthesized
-    a_bias = w["b_fc0"] << (f_a - f["b_fc0"])
-    a_window = _sat(((enc @ w0).astype(np.int64) << (f_a - f["w_fc0"])) + a_bias,
-                    acc_lo, acc_hi, stats)
-    b1_aligned = w["b_fc1"] << (f_h - f["b_fc1"])
-    z_bias = w["b_fc3"] << (f_z - f["b_fc3"])
-    # the fc1 drive of steps t >= 1 sees only the fc0 bias: hoisted, exact
-    # since int64 + and << wrap mod 2^64 in any order
-    h_first = ((a_window.astype(float) @ w1).astype(np.int64)
-               << (f_h - f["w_fc1"] - f_a)) + b1_aligned
-    h_rest = ((a_bias.astype(float) @ w1).astype(np.int64)
-              << (f_h - f["w_fc1"] - f_a)) + b1_aligned
-
-    shape = (enc.shape[0], model.config.hidden)
+    a_window = accumulate((enc @ c.w0).astype(np.int64) + c.a_bias, "fc0")
+    h_first = (a_window.astype(float) @ c.w1).astype(np.int64) + c.b1
+    shape = (enc.shape[0], cfg.hidden)
     v = np.zeros(shape, dtype=np.int64)
     i = np.zeros(shape, dtype=np.int64)
-    spikes = np.zeros(shape, dtype=np.int64)
-    logits = np.zeros((enc.shape[0], model.config.n_classes), dtype=np.int64)
-    for t in range(model.config.steps):
-        h = _sat((h_first if t == 0 else h_rest)
-                 + ((spikes @ w2).astype(np.int64) << (f_h - f["w_fc2"])),
-                 acc_lo, acc_hi, stats)
-        drive = _sat(_rshift_round_half_up(h, f_h - f_s),
+    # an unclamped readout is linear in the spikes: one product of their counts
+    clamp_z = c.clamps["logits"]
+    readout = np.zeros((enc.shape[0], cfg.n_classes if clamp_z else cfg.hidden), dtype=np.int64)
+    for t in range(cfg.steps):
+        # no spikes before the first step: its drive is h_first alone
+        h = accumulate(h_first if t == 0 else c.h_rest + (spikes @ c.w2).astype(np.int64),
+                       "hidden drive")
+        drive = _sat(_rshift_round_half_up(h, c.drive_shift),
                      spec.state_min, spec.state_max, stats, key="state_clips")
         v, i, spikes = fxp_lif_step(v, i, drive, spec, stats)
-        logits = _sat(
-            logits + ((spikes @ w3).astype(np.int64) << (f_z - f["w_fc3"])) + z_bias,
-            acc_lo, acc_hi, stats,
-        )
-    return logits
+        readout = (accumulate(readout + (spikes @ c.w3).astype(np.int64) + c.z_bias, "logits")
+                   if clamp_z else readout + spikes)
+    return readout if clamp_z else (readout @ c.w3).astype(np.int64) + cfg.steps * c.z_bias
 
 
 _FXP_FIELDS = ("fracs", "state_bits", "state_frac_bits", "k_v", "k_i",

@@ -11,6 +11,7 @@ forward pass, and so training and inference, run it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,9 @@ class LifParams:
     r: float = 1.0  # input resistance, folded into the weights; kept for completeness
 
     def __post_init__(self):
+        for name in ("v_th", "v_r", "v_leak"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.alpha_v < 1.0:
             raise ValueError("alpha_v must be in (0, 1)")
         if not 0.0 < self.alpha_i < 1.0:
@@ -74,8 +78,9 @@ def lif_step(v: np.ndarray, i: np.ndarray, drive: np.ndarray, params: LifParams,
         i = quantize(i, "i")
     v_pre = v + params.alpha_v * ((params.v_leak - v) + i)
     if smooth_slope is None:
-        spikes = (v_pre >= params.v_th).astype(float)
-        v = np.where(spikes > 0, params.v_r, v_pre)
+        fired = v_pre >= params.v_th
+        spikes = fired.astype(float)
+        v = np.where(fired, params.v_r, v_pre)
     else:
         spikes, _ = smooth_spike(v_pre - params.v_th, smooth_slope)
         v = v_pre - spikes * (v_pre - params.v_r)

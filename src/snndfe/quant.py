@@ -70,17 +70,27 @@ def pow2_scale(max_abs: float, bits: int) -> float:
 def fake_quantize(x: np.ndarray, bits: int, scale: float | None = None) -> np.ndarray:
     """Round onto a symmetric signed grid with saturation.
 
-    value -> clamp(round(value/step), -2^(bits-1), 2^(bits-1)-1) * step, with a
-    per-tensor power-of-two step fitted from max|x| when not given. Rounding is
-    to nearest, ties to even. Idempotent by construction.
+    value -> clamp(rint(value/step), -2^(bits-1), 2^(bits-1)-1) * step, with a
+    per-tensor power-of-two step fitted from max|x| when not given; a given
+    `scale` must be a power of two, or ValueError is raised. Rounding is to
+    nearest, ties to even. Idempotent by construction. The division is
+    np.ldexp by the grid's fractional bits, bitwise equal to it for every
+    power-of-two step down to 2^-1074 (a reciprocal multiply is not: 1/2^-1074
+    overflows), and the rounding and clamps work in place on that one array.
     """
     x = np.asarray(x, dtype=float)
     if scale is None:
         scale = pow2_scale(float(np.max(np.abs(x))) if x.size else 0.0, bits)
-    lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+    mantissa, exponent = math.frexp(scale)
+    if mantissa != 0.5:
+        raise ValueError(f"scale must be a power of two, got {scale}")
+    q = np.ldexp(x, 1 - exponent, out=np.empty_like(x))  # x / scale, exactly
     # the ufuncs directly: np.clip's Python wrapper dominates per-step calls
-    ints = np.minimum(np.maximum(np.rint(x / scale), lo), hi)
-    return ints * scale
+    np.rint(q, out=q)
+    np.maximum(q, -(2 ** (bits - 1)), out=q)
+    np.minimum(q, 2 ** (bits - 1) - 1, out=q)
+    q *= scale
+    return q
 
 
 def fake_quantize_with_mask(x: np.ndarray, bits: int, scale: float | None = None):

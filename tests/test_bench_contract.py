@@ -114,3 +114,23 @@ def test_check_frame_passes_do_not_grow(bench, engine, tmp_path, monkeypatch):
     monkeypatch.setattr(type(model), "make_decider", counting_decider)
     workload._decisions(model, workloads.CHECK_SYMBOLS, workloads.CHECK_SEED)
     assert calls <= PASSES[engine]
+
+
+@pytest.mark.parametrize("name, counter", [("ber_int", "fxp.fxp_forward.calls"),
+                                           ("ber_qat", "quant.fake_quantize.calls")])
+def test_traced_run_sees_the_engine(bench, name, counter, tmp_path, monkeypatch, capsys):
+    # the traced per-layer metrics come from patched module attributes; an
+    # engine that stopped looking them up would read 0 (or only the 7 weight
+    # quantizations per stream) here
+    run, _, workloads = bench
+    monkeypatch.setattr(run, "OUT_DIR", tmp_path)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main() prepends src/ and perfbench/
+    assert run.main(["--workload", name, "--seed", "0", "--seconds", "0", "--trace", "1"]) == 0
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert result["correct"]
+    calls = result["metrics"][counter]["value"]
+    decisions = result["metrics"]["equalizer.decide.calls"]["value"]
+    steps = workloads.fixture.load_fixture()[0]["topology"]["steps"]
+    assert calls > 0 and decisions > 0
+    # one integer forward per decider call; QAT-float quantizes every step
+    assert calls == decisions if name == "ber_int" else calls >= steps * decisions

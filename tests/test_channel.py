@@ -82,6 +82,15 @@ class TestRrcTaps:
         taps = rrc_taps(rolloff, 16, 4)
         assert np.all(np.isfinite(taps))
 
+    def test_cached_taps_are_read_only(self):
+        # every caller shares one array per (rolloff, span, sps)
+        taps = rrc_taps(0.2, 40, 2)
+        assert rrc_taps(0.2, 40, 2) is taps
+        assert not taps.flags.writeable
+        with pytest.raises(ValueError):
+            taps[0] = 0.0
+        np.testing.assert_array_equal(rrc_taps.__wrapped__(0.2, 40, 2), taps)
+
 
 class TestChromaticDispersion:
     def test_zero_length_is_identity(self):

@@ -488,6 +488,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="finite"):
             load_model(path)
 
+    def test_non_finite_lif_voltage_in_header_rejected(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_model(path, make_model(seed=15))
+        edit_container(path, lambda header, arrays: header["lif"].update(v_th=float("nan")))
+        with pytest.raises(ValueError, match="v_th"):
+            load_model(path)
+
     def test_qat_state_bits_below_the_state_grid_refused(self, tmp_path):
         # the state grid keeps 3 integer bits, so 3 state bits leave no fraction
         with pytest.raises(ValueError, match="state_bits"):

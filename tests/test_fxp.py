@@ -149,6 +149,14 @@ class TestConvert:
         with pytest.raises(ConversionError, match="hidden drive"):
             convert(model, FxpFormats(acc_bits=16))
 
+    def test_grid_beyond_float64_is_a_conversion_error(self):
+        # at 2 bits, max |w| = 1.7e308 needs a step of 2^1024
+        model = make_float_model()
+        model.qat = QatConfig(weight_bits=2, state_bits=8)
+        model.w_fc0[0, 0] = 1.7e308
+        with pytest.raises(ConversionError, match="w_fc0"):
+            convert(model, FxpFormats(weight_bits=2))
+
     def test_rejects_reset_off_the_state_grid(self):
         # -10.0 is -320 on the 8-bit state grid [-128, 127]; QAT-float would
         # clamp the reset to -4.0, so the two engines would part after a spike
@@ -321,6 +329,30 @@ class TestFxpForward:
         assert stats.get("saturations", 0) == 0
         assert len(set(map(tuple, logits))) > 1  # the drive reaches the readout
 
+    def test_large_alignment_shifts_exact_at_32_bits(self):
+        # fc2 products shift left by 40 bits and fc3 products by 45 (folded into
+        # the float64 weights), with the logits' worst case just under 2^52
+        cfg = TopologyConfig(n_tap=3, hidden=4, steps=4)
+        rng = np.random.default_rng(41)
+        ints = {"w_fc0": rng.integers(-2 ** 30, 2 ** 30, (cfg.hidden, cfg.n_input)),
+                "b_fc0": rng.integers(-2 ** 29, 2 ** 29, cfg.hidden),
+                "w_fc1": rng.integers(-2 ** 12, 2 ** 12, (cfg.hidden, cfg.hidden)),
+                "b_fc1": rng.integers(-2 ** 31, 2 ** 31, cfg.hidden),
+                "w_fc2": rng.integers(-2, 3, (cfg.hidden, cfg.hidden)),
+                "w_fc3": rng.integers(-7, 8, (cfg.n_classes, cfg.hidden)),
+                "b_fc3": rng.integers(-2 ** 31, 2 ** 31, cfg.n_classes)}
+        fracs = {"w_fc0": 30, "b_fc0": 30, "w_fc1": 10, "b_fc1": 40, "w_fc2": 0,
+                 "w_fc3": 0, "b_fc3": 45}
+        fm = FxpModel(config=cfg, encoder=EncoderConfig(0.0, 1.0),
+                      lif=LifParams.shift_friendly(), ints=ints, fracs=fracs,
+                      formats=FxpFormats(weight_bits=32, acc_bits=53))
+        windows = random_windows(fm, 64, seed=42)
+        stats = {}
+        logits = fxp_forward(windows, fm, stats)
+        np.testing.assert_array_equal(logits * fc3_grid(fm), float_twin_forward(windows, fm))
+        assert stats["saturations"] == 0
+        assert len(set(map(tuple, logits))) > 1  # the spikes reach the readout
+
     def test_wide_accumulator_never_saturates_here(self):
         model = make_float_model(seed=11)
         fm = convert(model, FxpFormats())
@@ -381,6 +413,51 @@ class TestFxpStreamAndSerialization:
         assert hashlib.sha256(out.tobytes()).hexdigest() == (
             "e32047101a5d01d414c8bfdf6cf56fb7a335e7fd678dd66541036d10efa17e64")
         assert stats == {"saturations": saturations, "state_clips": state_clips}
+
+    def test_narrowed_stream_equals_rows_one_at_a_time(self):
+        # clamps resolved once per stream count what per-row calls count
+        model = make_float_model(n_tap=5, hidden=8, steps=4, seed=26, scale=6.0)
+        fm = convert(model, FxpFormats())
+        fm.formats = dataclasses.replace(fm.formats, acc_bits=16)
+        y = np.random.default_rng(28).uniform(-0.1, 1.1, 150)
+        stream_stats, row_stats = {}, {}
+        out = equalize_stream(y, fm, stats=stream_stats)
+        history, m = fm.config.history, fm.config.bits_per_symbol
+        bins, fed = fm.encoder.bin_indices(y), np.zeros(y.size, dtype=np.int64)
+        for k in range(history, y.size):
+            window = one_hot_windows(bins[None, k - history:k + 1], fed[None, k - history:k], m)
+            fed[k] = np.argmax(fxp_forward(window, fm, row_stats)[0])
+        np.testing.assert_array_equal(out, fed[history:])
+        assert stream_stats == row_stats
+        assert row_stats["saturations"] > 0
+
+    def test_next_stream_sees_edited_fields(self):
+        model = make_float_model(n_tap=5, hidden=8, steps=4, seed=26, scale=4.0)
+        fm = convert(model, FxpFormats())
+        y = np.random.default_rng(27).uniform(-0.1, 1.1, 200)
+        first = equalize_stream(y, fm)
+        fm.ints["w_fc3"] = -fm.ints["w_fc3"]
+        fm.fracs["b_fc3"] += 1
+        edited = FxpModel(config=fm.config, encoder=fm.encoder, lif=fm.lif,
+                          ints=dict(fm.ints), fracs=dict(fm.fracs), formats=fm.formats)
+        second = equalize_stream(y, fm)
+        assert (second != first).any()
+        np.testing.assert_array_equal(second, equalize_stream(y, edited))
+        stats = {}
+        fm.formats = dataclasses.replace(fm.formats, acc_bits=16)
+        equalize_stream(y, fm, stats=stats)
+        assert stats["saturations"] > 0
+
+    def test_edit_past_float64_exactness_refused(self):
+        # construction bounds every partial sum below 2^53; an edit that breaks
+        # that bound would round the float64 products, so the engine refuses it
+        model = make_float_model(seed=18)
+        fm = convert(model, FxpFormats())
+        fm.ints["w_fc0"] = fm.ints["w_fc0"] << 50
+        with pytest.raises(ConversionError, match="2\\^53"):
+            fxp_forward(random_windows(model, 2), fm)
+        with pytest.raises(ConversionError, match="2\\^53"):
+            fm.make_decider()
 
     def test_roundtrip(self, tmp_path):
         model = make_float_model(seed=15)

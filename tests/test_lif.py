@@ -166,3 +166,11 @@ def test_burst_pattern_fires_once_per_burst():
     for t in fired:
         assert v[t] == params.v_r
         assert v_pre[t] >= params.v_th
+
+
+@pytest.mark.parametrize("name", ["v_th", "v_r", "v_leak"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_voltage_rejected(name, value):
+    # a NaN threshold would construct a neuron that never spikes
+    with pytest.raises(ValueError, match=name):
+        LifParams(**{name: value})

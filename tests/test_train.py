@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snndfe.channel import ChannelConfig
 from snndfe.equalizer import EncoderConfig, EqualizerModel, TopologyConfig, forward
@@ -261,6 +263,30 @@ class TestFakeQuantize:
                 qmax = 2 ** (bits - 1) - 1
                 assert max_abs <= qmax * scale
                 assert max_abs > qmax * scale / 2
+
+    def test_scalar_input(self):
+        assert fake_quantize(0.3, 8, 2.0 ** -5) == 10 * 2.0 ** -5
+
+    def test_scale_off_the_power_of_two_grid_rejected(self):
+        with pytest.raises(ValueError, match="power of two"):
+            fake_quantize(np.ones(3), 8, 0.3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False), max_size=12),
+       ties=st.lists(st.integers(-300, 300), max_size=6),
+       exponent=st.integers(-1074, 1023), bits=st.integers(2, 32))
+def test_fake_quantize_bitwise_equals_reference(values, ties, exponent, bits):
+    # the reference formula, dividing by the step; ties are (2k+1)/2 steps, and
+    # the exponent reaches float64's smallest subnormal step, 2^-1074
+    scale = math.ldexp(1.0, exponent)
+    lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+    with np.errstate(over="ignore"):  # huge |x| over a tiny step overflows to inf
+        tied = np.ldexp(2.0 * np.array(ties) + 1.0, exponent - 1)
+        x = np.concatenate([values, [0.0, -0.0, 1e308, -1e308], tied])
+        expected = np.minimum(np.maximum(np.rint(x / scale), lo), hi) * scale
+        got = fake_quantize(x, bits, scale)
+    assert got.tobytes() == expected.tobytes()
 
 
 class TestTrainLoop:
