@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import ChannelConfig
 from .equalizer import TopologyConfig
-from .fxp import FxpFormats, convert
+from .fxp import ConversionError, FxpFormats, convert
 from .harness import derive_seed, evaluate_ber
 from .quant import QatConfig
 from .train import TrainConfig, TrainingDiverged, train
@@ -107,8 +107,9 @@ def run_trial(config: dict, channel_cfg: ChannelConfig, scale: TrialScale,
               seed: int) -> TrialResult:
     """Train one configuration at the training SNR and sweep its BER curve.
 
-    A diverging training run marks the trial failed (no BER map) and the
-    exploration continues.
+    A diverging training run, or a trained model that convert refuses at the
+    trial's bit width, marks the trial failed (no BER map, the error kept)
+    and the exploration continues.
     """
     topo = TopologyConfig(n_tap=config["n_tap"], hidden=config["hidden"],
                           steps=config["steps"])
@@ -128,7 +129,7 @@ def run_trial(config: dict, channel_cfg: ChannelConfig, scale: TrialScale,
             model = convert(model, FxpFormats(weight_bits=bits, state_bits=bits))
         curve = evaluate_ber(model, channel_cfg, scale.snrs_db,
                              scale.eval_symbols, seed=seed)
-    except TrainingDiverged as exc:
+    except (TrainingDiverged, ConversionError) as exc:
         return TrialResult(
             n_tap=topo.n_tap, hidden=topo.hidden, steps=topo.steps, bits=bits,
             mac=mac, ber=None, seed=seed,

@@ -4,8 +4,9 @@ Per decided symbol the network runs an episodic T-step schedule: the encoded
 window drives the linear input layer (fc0) at the first step only, zeros
 afterwards; fc1 feeds the LIF block, fc2 carries its recurrence, and the fc3
 readout is accumulated over all steps before the argmax decision. Decided
-classes are fed back into the next windows (true DFE); genie mode substitutes
-the ground-truth classes for training and diagnostics.
+classes are fed back into the next windows (true DFE); teacher_forced_windows
+feeds back the ground-truth classes instead, for training and the genie
+diagnostic.
 
 The closed loop runs as a fixed-point iteration: batched passes over the
 undecided symbols, each keeping the decisions the per-symbol DFE makes (see
@@ -144,12 +145,47 @@ def one_hot_windows(bins: np.ndarray, decisions: np.ndarray, m: int) -> np.ndarr
 def encode_window(received, decisions, encoder: EncoderConfig, m: int = 2) -> np.ndarray:
     """One-hot encode a window of history+1 received samples and history decisions
     (layout: one_hot_windows); the per-window reference for the windows that
-    equalize_stream and teacher_forced_windows build from one binning."""
+    _window_builder builds from one binning."""
     received = np.asarray(received, dtype=float)
     decisions = np.asarray(decisions, dtype=np.int64)
     if received.size != decisions.size + 1:
         raise ValueError("received window must hold history+1 samples")
     return one_hot_windows(encoder.bin_indices(received)[None], decisions[None], m)[0]
+
+
+def _window_builder(bins: np.ndarray, fed: np.ndarray, config: TopologyConfig):
+    """windows(lo, hi): the one-hot windows of symbols lo..hi-1 of a stream from
+    its received bins and the classes in `fed` when called (views: they see
+    every write to fed). Window k holds the samples k-history..k and the
+    classes k-history..k-1. ValueError for a stream shorter than history+1."""
+    history = config.history
+    if bins.size < history + 1:
+        raise ValueError(f"stream of {bins.size} symbols is shorter than history+1 = "
+                         f"{history + 1}")
+    received = sliding_window_view(bins, history + 1)
+    fed_back = sliding_window_view(fed, history)
+
+    def windows(lo, hi):
+        rows = slice(lo - history, hi - history)
+        return one_hot_windows(received[rows], fed_back[rows], config.bits_per_symbol)
+
+    return windows
+
+
+def teacher_forced_windows(y, classes, encoder: EncoderConfig, config: TopologyConfig):
+    """(windows, labels) of symbols history..N-1 with the true classes fed back,
+    warm-up included: the windows of a closed loop that decides every symbol
+    right (teacher forcing; the genie receiver). ValueError for a stream
+    shorter than history+1, or classes not aligned with y or outside [0, 2^m).
+    """
+    y = np.asarray(y, dtype=float)
+    classes = np.asarray(classes, dtype=np.int64)
+    if classes.shape != y.shape:
+        raise ValueError("classes must align with y")
+    windows = _window_builder(encoder.bin_indices(y), classes, config)
+    if classes.min() < 0 or classes.max() >= config.n_classes:
+        raise ValueError(f"classes must be in [0, {config.n_classes})")
+    return windows(config.history, y.size), classes[config.history:]
 
 
 @dataclass
@@ -264,17 +300,15 @@ def forward(windows, weights: dict, config: TopologyConfig, lif: LifParams,
     return logits, tape
 
 
-def equalize_stream(y, model, mode: str = "feedback", true_classes=None,
-                    fill_class: int = 0, stats: dict | None = None) -> np.ndarray:
-    """Equalize a symbol-rate stream; returns decisions for symbols history..N-1.
+def equalize_stream(y, model, stats: dict | None = None) -> np.ndarray:
+    """Decision-feedback equalize a symbol-rate stream; returns the decisions for
+    symbols history..N-1.
 
     The first `history` symbols have no fully-populated window: they are never
-    decided, stand in the feedback window as `fill_class`, and are excluded
-    from error accounting. In feedback mode each decision is fed back; in
-    genie mode the ground-truth class is (teacher forcing). `fill_class` and
-    genie `true_classes` must be classes in [0, 2^m), or ValueError is raised.
+    decided, stand in the feedback window as class 0, and are excluded from
+    error accounting. Each decision is fed back into the next windows.
 
-    Feedback mode runs passes over the undecided symbols: a pass builds the
+    The loop runs passes over the undecided symbols: a pass builds the
     windows of the next ones, feeding back the current guesses, and decides
     them in one call of `model.make_decider()`. The first guess for a symbol
     is its received bin mapped onto the classes in amplitude order (bin // 2
@@ -296,50 +330,17 @@ def equalize_stream(y, model, mode: str = "feedback", true_classes=None,
     symbols, one core) the loop then takes 0.6 to 0.7x the per-symbol loop's
     time, against up to 3.7x with every pass at the cap.
 
-    Genie mode feeds nothing back, so its passes of _PASS_ROWS are final at
-    once. With `stats`, feedback mode decides the final windows once more, in
-    passes of _PASS_ROWS, to count the integer engine's clips exactly as
-    deciding them one by one would.
+    With `stats`, the final windows are decided once more, in one call, to
+    count the integer engine's clips exactly as deciding them one by one would.
     """
-    y = np.asarray(y, dtype=float)
     cfg = model.config
-    history, n = cfg.history, y.size
-    if n < history + 1:
-        raise ValueError(f"stream of {n} symbols is shorter than history+1 = {history + 1}")
-    if mode not in ("feedback", "genie"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if not 0 <= fill_class < cfg.n_classes:
-        raise ValueError(f"fill_class must be in [0, {cfg.n_classes}), got {fill_class}")
-    fed = np.full(n, fill_class, dtype=np.int64)  # the classes the windows see
-    bins = model.encoder.bin_indices(y)
-    if mode == "genie":
-        if true_classes is None:
-            raise ValueError("genie mode requires true_classes")
-        true_classes = np.asarray(true_classes, dtype=np.int64)
-        if true_classes.size != n:
-            raise ValueError("true_classes must align with y")
-        if true_classes.min() < 0 or true_classes.max() >= cfg.n_classes:
-            raise ValueError(f"true_classes must be in [0, {cfg.n_classes})")
-        fed[history:] = true_classes[history:]
-    else:  # first guesses: each sample's bin onto the amplitude-ranked classes
-        fed[history:] = bins[history:] * cfg.n_classes // RX_LEVELS
-
+    history, bins = cfg.history, model.encoder.bin_indices(y)
+    n = bins.size
+    fed = np.zeros(n, dtype=np.int64)  # the classes the windows see
+    windows = _window_builder(bins, fed, cfg)
+    # first guesses: each sample's bin onto the amplitude-ranked classes
+    fed[history:] = bins[history:] * cfg.n_classes // RX_LEVELS
     decide = model.make_decider()
-    received = sliding_window_view(bins, history + 1)
-    fed_back = sliding_window_view(fed, history)  # a view: sees every write to fed
-
-    def windows(lo, hi):
-        """Windows of symbols lo..hi-1 over the classes fed so far."""
-        rows = slice(lo - history, hi - history)
-        return one_hot_windows(received[rows], fed_back[rows], cfg.bits_per_symbol)
-
-    def decide_fed(stats):
-        """Decide every window over the classes in fed, in passes of _PASS_ROWS."""
-        return np.concatenate([decide(windows(lo, min(lo + _PASS_ROWS, n)), stats)
-                               for lo in range(history, n, _PASS_ROWS)])
-
-    if mode == "genie":
-        return decide_fed(stats)
     start, kept_mean = history, math.sqrt(_PASS_ROWS / 2)  # a first pass of the whole cap
     while start < n:
         stop = min(start + min(_PASS_ROWS, round(2 * kept_mean ** 2)), n)
@@ -350,7 +351,7 @@ def equalize_stream(y, model, mode: str = "feedback", true_classes=None,
         start += kept
         kept_mean += (kept - kept_mean) / 8
     if stats is not None:
-        decide_fed(stats)
+        decide(windows(history, n), stats)
     return fed[history:].copy()
 
 

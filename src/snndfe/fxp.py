@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,8 +157,8 @@ class FxpModel:
 
     Weight tensors are int64 arrays on per-tensor power-of-two grids
     (value = ints[name] * 2^-fracs[name]) within formats.weight_bits; the LIF
-    state lives on the state grid (state_fmt), and `lif_spec` holds the
-    integer LIF constants derived from `lif` on it. Construction raises
+    state lives on the state grid (state_fmt), and `lif_spec` derives the
+    integer LIF constants from the current `lif` on it. Construction raises
     ConversionError (a ValueError) unless `lif` passes FxpLifSpec.derive,
     `ints` and `fracs` hold exactly the EqualizerModel parameters, each an
     int64 array of its shape on the weight_bits grid with an int frac within
@@ -179,10 +179,9 @@ class FxpModel:
     ints: dict
     fracs: dict
     formats: FxpFormats
-    lif_spec: FxpLifSpec = field(init=False)
 
     def __post_init__(self):
-        self.lif_spec = FxpLifSpec.derive(self.lif, self.state_fmt)
+        FxpLifSpec.derive(self.lif, self.state_fmt)  # refuses constants it cannot run
         shapes = self.config.param_shapes()
         for label, table in (("ints", self.ints), ("fracs", self.fracs)):
             if not isinstance(table, dict) or table.keys() != shapes.keys():
@@ -211,6 +210,10 @@ class FxpModel:
                                   f"bits: {', '.join(too_wide)}")
 
     @property
+    def lif_spec(self) -> FxpLifSpec:
+        return FxpLifSpec.derive(self.lif, self.state_fmt)
+
+    @property
     def state_fmt(self) -> FxpFormat:
         return state_format(self.formats.state_bits)
 
@@ -221,9 +224,6 @@ class FxpModel:
     @property
     def acc_max(self) -> int:
         return 2 ** (self.formats.acc_bits - 1) - 1
-
-    def dequant(self, name: str) -> np.ndarray:
-        return self.ints[name].astype(float) * 2.0 ** (-self.fracs[name])
 
     def make_decider(self):
         """Bind a batched decision closure, decide(windows (B, n_input), stats=None)
@@ -268,7 +268,8 @@ def convert(model: EqualizerModel, formats: FxpFormats) -> FxpModel:
     ints, fracs = {}, {}
     for name, arr in model.parameters().items():
         fracs[name] = _fit_frac(arr, formats.weight_bits, name)
-        ints[name] = np.rint(arr * 2.0 ** fracs[name]).astype(np.int64)
+        # ldexp is exact, where 2.0 ** frac overflows for a frac above 1023
+        ints[name] = np.rint(np.ldexp(arr, fracs[name])).astype(np.int64)
     return FxpModel(config=model.config, encoder=model.encoder, lif=model.lif,
                     ints=ints, fracs=fracs, formats=formats)
 

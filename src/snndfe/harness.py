@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import (BITS_PER_SYMBOL, ChannelConfig, bits_to_classes, classes_to_bits,
                       simulate_link)
-from .equalizer import equalize_stream
+from .equalizer import equalize_stream, teacher_forced_windows
 
 
 class ConfigError(ValueError):
@@ -76,12 +76,17 @@ def _eval_frame(channel_cfg: ChannelConfig, snr_db, symbols: int, seed: int):
 
 def evaluate_ber(model, channel_cfg: ChannelConfig, snrs_db, symbols_per_snr: int,
                  seed: int, mode: str = "feedback", stats: dict | None = None) -> BerCurve:
-    """Closed-loop BER curve over fresh per-SNR channel realizations.
+    """BER curve over fresh per-SNR channel realizations, closed loop
+    (equalize_stream) in mode "feedback", teacher-forced windows decided in one
+    call in mode "genie"; `stats` goes to the decider.
 
     The comparison window excludes the warm-up symbols (the model's history
-    length). Deterministic: every SNR point uses its own derived seed. A model
-    whose bits_per_symbol is not channel.BITS_PER_SYMBOL raises ConfigError.
+    length). Deterministic: every SNR point uses its own derived seed. An
+    unknown mode or a model whose bits_per_symbol is not
+    channel.BITS_PER_SYMBOL raises ConfigError.
     """
+    if mode not in ("feedback", "genie"):
+        raise ConfigError(f"unknown mode {mode!r}")
     cfg = model.config
     m = cfg.bits_per_symbol
     check_pam4(m)
@@ -91,7 +96,11 @@ def evaluate_ber(model, channel_cfg: ChannelConfig, snrs_db, symbols_per_snr: in
     points = []
     for snr_db in snrs_db:
         classes, y = _eval_frame(channel_cfg, snr_db, symbols_per_snr, seed)
-        decided = equalize_stream(y, model, mode=mode, true_classes=classes, stats=stats)
+        if mode == "genie":
+            windows, _ = teacher_forced_windows(y, classes, model.encoder, cfg)
+            decided = model.make_decider()(windows, stats)
+        else:
+            decided = equalize_stream(y, model, stats=stats)
         errors = count_bit_errors(classes[history:], decided, m)
         points.append(BerPoint(snr_db, errors, m * (symbols_per_snr - history)))
     return BerCurve(points)

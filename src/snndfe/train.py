@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import BITS_PER_SYMBOL, ChannelConfig, bits_to_classes, simulate_link
-from .equalizer import EncoderConfig, EqualizerModel, TopologyConfig, forward, one_hot_windows
+from .equalizer import (EncoderConfig, EqualizerModel, TopologyConfig, forward,
+                        teacher_forced_windows)
 from .lif import LifParams, smooth_spike
 from .quant import QatConfig, fake_quantize_with_mask
 
@@ -178,24 +179,6 @@ def loss_and_grads(windows: np.ndarray, labels: np.ndarray, model: EqualizerMode
     if qat is not None:
         grads = {key: g * wmasks[key] for key, g in grads.items()}
     return loss, grads
-
-
-def teacher_forced_windows(y_samples: np.ndarray, classes: np.ndarray,
-                           encoder: EncoderConfig, config: TopologyConfig):
-    """Vectorized window encoding with ground-truth feedback (genie mode).
-
-    Returns (windows, labels) for symbol positions history..N-1.
-    """
-    y_samples = np.asarray(y_samples, dtype=float)
-    classes = np.asarray(classes, dtype=np.int64)
-    history = config.history
-    batch = y_samples.size - history
-    if batch < 1:
-        raise ValueError("stream shorter than history+1 symbols")
-    span = np.arange(batch)[:, None] + np.arange(history + 1)  # window k: k..k+history
-    bins = encoder.bin_indices(y_samples)[span]
-    windows = one_hot_windows(bins, classes[span[:, :history]], config.bits_per_symbol)
-    return windows, classes[history:]
 
 
 def calibrate_encoder(channel_cfg: ChannelConfig, snr_db: float,

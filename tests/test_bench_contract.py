@@ -16,10 +16,12 @@ import sys
 import numpy as np
 import pytest
 
+from snndfe import train
 from snndfe.channel import ChannelConfig
-from snndfe.equalizer import equalize_stream
+from snndfe.equalizer import TopologyConfig, equalize_stream
 from snndfe.fxp import load_fxp_model, save_fxp_model
 from snndfe.harness import _eval_frame
+from snndfe.quant import QatConfig
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
@@ -52,6 +54,22 @@ def test_patches_install_and_restore(bench, name, tmp_path):
         tracer.restore()
     for owner, attr, original in patched:
         assert getattr(owner, attr) == original, f"{attr} was not restored"
+
+
+def test_traced_training_counts_its_patch_points(bench, tmp_path):
+    # train.train looks up teacher_forced_windows and fake_quantize_with_mask
+    # in train's namespace, where train_desk_qat's patches count them
+    run, tracing, workloads = bench
+    tracer = tracing.Tracer()
+    cfg = train.TrainConfig(batches_per_epoch=2, batch_size=16, qat=QatConfig())
+    try:
+        run.install_patches(tracer, workloads.make("train_desk_qat", 0, str(tmp_path)))
+        train.train(ChannelConfig(), TopologyConfig(n_tap=3, hidden=4, steps=2), cfg)
+    finally:
+        tracer.restore()
+    spans = tracer.summary()
+    assert spans["train.teacher_forced_windows"]["calls"] == 2
+    assert spans["quant.fake_quantize_with_mask"]["calls"] > 0
 
 
 def test_ber_int_output_checks_pass(bench, tmp_path):

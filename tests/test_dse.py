@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tempfile
 
@@ -17,6 +18,8 @@ from snndfe.dse import (
     search,
     trial_seed,
 )
+from snndfe.equalizer import EncoderConfig, EqualizerModel
+from snndfe.lif import LifParams
 from snndfe.train import TrainConfig, TrainingDiverged
 
 CHANNEL = ChannelConfig()
@@ -152,18 +155,30 @@ class TestSearch:
         assert trial_seed(9, cfg) != trial_seed(10, cfg)
 
     def test_failed_trial_recorded_and_continues(self, tmp_path, monkeypatch):
+        # a diverging training run, and an 8-bit model that convert refuses
         import snndfe.dse as dse_mod
 
         def exploding_train(channel_cfg, topo, train_cfg, lif=None, progress=None):
             raise TrainingDiverged("loss became non-finite at batch 0")
 
-        monkeypatch.setattr(dse_mod, "train", exploding_train)
-        path = tmp_path / "results.jsonl"
-        res = search(self.SPACE, CHANNEL, "grid", 2, seed=4, results_path=path)
-        assert all(t.status == "failed" and t.ber is None for t in res)
-        assert all("non-finite" in t.error for t in res)
-        stored = load_results(path)
-        assert len(stored) == 2
+        def unconvertible_train(channel_cfg, topo, train_cfg, lif=None, progress=None):
+            model = EqualizerModel.initialize(topo, LifParams.shift_friendly(),
+                                              EncoderConfig(0.0, 1.0),
+                                              np.random.default_rng(0), qat=train_cfg.qat)
+            model.b_fc0[:] = 1e-12  # pins the fc0 grid far past a 32-bit accumulator
+            return model, []
+
+        cases = [(exploding_train, self.SPACE, "non-finite"),
+                 (unconvertible_train, dataclasses.replace(self.SPACE, bits=(8,)),
+                  "accumulators exceed 32 bits")]
+        for k, (train_stub, space, error) in enumerate(cases):
+            monkeypatch.setattr(dse_mod, "train", train_stub)
+            path = tmp_path / f"results{k}.jsonl"
+            res = search(space, CHANNEL, "grid", 2, seed=4, results_path=path)
+            assert all(t.status == "failed" and t.ber is None for t in res)
+            assert all(error in t.error for t in res)
+            stored = load_results(path)
+            assert len(stored) == 2
 
     def test_real_trial_smoke(self):
         # one genuinely trained micro trial end to end

@@ -1,12 +1,14 @@
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from snndfe.channel import ChannelConfig, bits_to_classes, simulate_link
+from snndfe import harness
+from snndfe.channel import ChannelConfig, simulate_link
 from snndfe.equalizer import (
     EncoderConfig,
     EqualizerModel,
@@ -19,11 +21,11 @@ from snndfe.equalizer import (
     mac_count,
     one_hot_windows,
     save_model,
+    teacher_forced_windows,
 )
 from snndfe.fxp import ConversionError, FxpFormats, convert
 from snndfe.lif import LifParams
 from snndfe.quant import QatConfig
-from snndfe.train import teacher_forced_windows
 
 
 def make_model(n_tap=5, hidden=6, steps=3, seed=0, encoder=None):
@@ -65,12 +67,13 @@ def build_bin_classifier_model(bin_to_class, encoder, n_tap=17, steps=1):
 def sequential_equalize(y, model, mode="feedback", true_classes=None, fill_class=0,
                         stats=None):
     """The per-symbol decision-feedback loop: one window and one decider call per
-    symbol, each decision fed back before the next window is built (reference
-    for equalize_stream's batched passes)."""
+    symbol, each decision fed back before the next window is built, the
+    warm-up standing as `fill_class` (reference for equalize_stream's batched
+    passes). Genie mode feeds back `true_classes`, warm-up included."""
     history, m = model.config.history, model.config.bits_per_symbol
     fed = np.full(len(y), fill_class, dtype=np.int64)
     if mode == "genie":
-        fed[history:] = true_classes[history:]
+        fed[:] = true_classes
     decide, bins = model.make_decider(), model.encoder.bin_indices(y)
     out = np.zeros(len(y) - history, dtype=np.int64)
     for k in range(history, len(y)):
@@ -261,7 +264,7 @@ class TestEqualizeStream:
     def test_genie_equals_feedback_when_all_correct(self):
         # constructed oracle: a memoryless noiseless stream whose current
         # sample determines the class lets a bin-lookup model decide every
-        # symbol correctly, so feedback and genie buffers stay identical
+        # symbol correctly, so feedback and teacher-forced windows decide alike
         rng = np.random.default_rng(5)
         classes = rng.integers(0, 4, 200)
         y = classes.astype(float)
@@ -272,8 +275,8 @@ class TestEqualizeStream:
             bin_to_class[b] = int(np.argmin(np.abs(bins - b)))
         model = build_bin_classifier_model(bin_to_class, encoder)
 
-        fb = equalize_stream(y, model, mode="feedback")
-        genie = equalize_stream(y, model, mode="genie", true_classes=classes)
+        fb = equalize_stream(y, model)
+        genie = model.make_decider()(teacher_forced_windows(y, classes, encoder, model.config)[0])
         np.testing.assert_array_equal(fb, genie)
         np.testing.assert_array_equal(fb, classes[model.config.history :])
 
@@ -306,28 +309,21 @@ class TestEqualizeStream:
         model = EqualizerModel.initialize(cfg, lif, encoder, np.random.default_rng(22), qat=qat)
         for name in model.PARAM_NAMES:
             getattr(model, name)[:] *= 3.0
-        fill = 1
-        decisions = equalize_stream(y, model, fill_class=fill)
+        decisions = equalize_stream(y, model)
         assert len(set(decisions.tolist())) > 1  # not a constant decider
-        fed = np.concatenate([np.full(cfg.history, fill), decisions])
+        fed = np.concatenate([np.zeros(cfg.history, dtype=np.int64), decisions])
         windows, labels = teacher_forced_windows(y, fed, encoder, cfg)
         np.testing.assert_array_equal(labels, decisions)
         logits, _ = forward(windows, model.effective_weights(), cfg, lif, qat)
         np.testing.assert_array_equal(np.argmax(logits, axis=1), decisions)
-
-    @pytest.mark.parametrize("fill_class", [4, -1, 7])
-    def test_fill_class_outside_the_classes_rejected(self, fill_class):
-        model = make_model()
-        with pytest.raises(ValueError, match="fill_class"):
-            equalize_stream(np.linspace(0, 1, 40), model, fill_class=fill_class)
 
     @pytest.mark.parametrize("bad_class", [5, -3])
     def test_genie_true_classes_outside_the_classes_rejected(self, bad_class):
         model = make_model()
         classes = np.zeros(40, dtype=np.int64)
         classes[20] = bad_class
-        with pytest.raises(ValueError, match="true_classes"):
-            equalize_stream(np.linspace(0, 1, 40), model, mode="genie", true_classes=classes)
+        with pytest.raises(ValueError, match="classes must be in"):
+            teacher_forced_windows(np.linspace(0, 1, 40), classes, model.encoder, model.config)
 
     def test_chaotic_model_passes_shrink(self, monkeypatch):
         # untrained, with the decision-block weights scaled up so that each
@@ -364,7 +360,8 @@ class TestEqualizeStream:
 
     def test_class_permutation_equivariance(self):
         # permuting fc3 rows together with the decision-block encoding relabels
-        # every decision by the same permutation
+        # every decision by the same permutation; the permuted model's warm-up
+        # class 0 is the original's class argsort(perm)[0]
         model = make_model(n_tap=5, hidden=8, steps=3, seed=9)
         model.b_fc1[:] = 1.0  # make it actually spike
         cfg = model.config
@@ -382,9 +379,8 @@ class TestEqualizeStream:
             w_fc3=model.w_fc3[np.argsort(perm)], b_fc3=model.b_fc3[np.argsort(perm)],
         )
         y = np.random.default_rng(10).uniform(0, 1, 80)
-        base_out = equalize_stream(y, model, fill_class=0)
-        perm_out = equalize_stream(y, permuted, fill_class=int(perm[0]))
-        np.testing.assert_array_equal(perm_out, perm[base_out])
+        base_out = sequential_equalize(y, model, fill_class=int(np.argsort(perm)[0]))
+        np.testing.assert_array_equal(equalize_stream(y, permuted), perm[base_out])
 
 
 def closed_loop_model(engine, n_tap, hidden, steps, seed, scale):
@@ -410,12 +406,13 @@ def closed_loop_model(engine, n_tap, hidden, steps, seed, scale):
        mode=st.sampled_from(["feedback", "genie"]),
        n_tap=st.sampled_from([1, 3, 5, 9]), hidden=st.integers(1, 12),
        steps=st.integers(1, 4), scale=st.floats(0.5, 8.0),
-       fill_class=st.integers(0, 3), extra=st.integers(0, 200),
-       seed=st.integers(0, 2 ** 32 - 1))
+       extra=st.integers(0, 200), seed=st.integers(0, 2 ** 32 - 1))
 def test_equalize_stream_equals_sequential_loop(engine, mode, n_tap, hidden, steps, scale,
-                                                fill_class, extra, seed):
-    # decisions and (integer engine) clip counts of the batched passes equal
-    # the per-symbol loop's; streams past 64 decisions need several passes
+                                                extra, seed):
+    # decisions and (integer engine) clip counts of the batched passes, and of
+    # evaluate_ber's teacher-forced genie path, equal the per-symbol loop's;
+    # streams past 64 decisions need several passes
+    assume(mode == "feedback" or extra > 0)  # evaluate_ber decides 2 symbols or more
     try:
         model = closed_loop_model(engine, n_tap, hidden, steps, seed % 1000, scale)
     except ConversionError:
@@ -424,12 +421,29 @@ def test_equalize_stream_equals_sequential_loop(engine, mode, n_tap, hidden, ste
     y = rng.uniform(-0.1, 1.1, model.config.history + 1 + extra)
     classes = rng.integers(0, model.config.n_classes, y.size)
     stats, expected_stats = {}, {}
-    got = equalize_stream(y, model, mode=mode, true_classes=classes, fill_class=fill_class,
-                          stats=stats)
+    if mode == "feedback":
+        got = equalize_stream(y, model, stats=stats)
+    else:
+        got = genie_decisions(y, classes, model, stats)
     expected = sequential_equalize(y, model, mode=mode, true_classes=classes,
-                                   fill_class=fill_class, stats=expected_stats)
+                                   stats=expected_stats)
     np.testing.assert_array_equal(got, expected)
     assert stats == expected_stats
+
+
+def genie_decisions(y, classes, model, stats):
+    """The decisions evaluate_ber(mode="genie") counts errors of, on the frame (classes, y)."""
+    decided = []
+
+    def count_bit_errors(true, decisions, m):
+        decided.append(decisions)
+        return 0
+
+    with mock.patch.object(harness, "_eval_frame", lambda *_: (classes, y)), \
+            mock.patch.object(harness, "count_bit_errors", count_bit_errors):
+        harness.evaluate_ber(model, ChannelConfig(), (17.0,), y.size, seed=0, mode="genie",
+                             stats=stats)
+    return decided[0]
 
 
 class TestSerialization:

@@ -108,7 +108,8 @@ class TestConvert:
             arr[:] = fake_quantize(arr, 8)
         fm = convert(model, FxpFormats(weight_bits=8, state_bits=8))
         for name in model.PARAM_NAMES:
-            np.testing.assert_array_equal(fm.dequant(name), getattr(model, name))
+            np.testing.assert_array_equal(fm.ints[name] * 2.0 ** -fm.fracs[name],
+                                          getattr(model, name))
 
     def test_single_weight_rounding_example(self):
         model = make_float_model(n_tap=1, hidden=1, steps=1, scale=0.0)
@@ -117,7 +118,7 @@ class TestConvert:
         fm = convert(model, FxpFormats(weight_bits=8, state_bits=8))
         assert fm.fracs["w_fc0"] == 6
         assert fm.ints["w_fc0"][0, 0] == 19
-        err = abs(fm.dequant("w_fc0")[0, 0] - 0.30)
+        err = abs(fm.ints["w_fc0"][0, 0] * 2.0 ** -6 - 0.30)
         assert err == pytest.approx(0.003125)
         assert err <= 2.0 ** -6 / 2
 
@@ -150,12 +151,15 @@ class TestConvert:
             convert(model, FxpFormats(acc_bits=16))
 
     def test_grid_beyond_float64_is_a_conversion_error(self):
-        # at 2 bits, max |w| = 1.7e308 needs a step of 2^1024
-        model = make_float_model()
-        model.qat = QatConfig(weight_bits=2, state_bits=8)
-        model.w_fc0[0, 0] = 1.7e308
-        with pytest.raises(ConversionError, match="w_fc0"):
-            convert(model, FxpFormats(weight_bits=2))
+        # at 2 bits, max |w| = 1.7e308 needs a step of 2^1024; at 8 bits,
+        # max |w| = 1e-310 fits a step of 2^-1036, whose inverse overflows
+        for max_abs, bits, match in [(1.7e308, 2, "w_fc0"), (1e-310, 8, "accumulators")]:
+            model = make_float_model()
+            model.qat = QatConfig(weight_bits=bits, state_bits=8)
+            model.w_fc0[:] = 0.0
+            model.w_fc0[0, 0] = max_abs
+            with pytest.raises(ConversionError, match=match):
+                convert(model, FxpFormats(weight_bits=bits))
 
     def test_rejects_reset_off_the_state_grid(self):
         # -10.0 is -320 on the 8-bit state grid [-128, 127]; QAT-float would
@@ -408,7 +412,7 @@ class TestFxpStreamAndSerialization:
         fm.formats = dataclasses.replace(fm.formats, acc_bits=acc_bits)
         y = np.random.default_rng(27).uniform(-0.1, 1.1, 400)
         stats = {}
-        out = equalize_stream(y, fm, mode="feedback", stats=stats)
+        out = equalize_stream(y, fm, stats=stats)
         np.testing.assert_array_equal(np.bincount(out, minlength=4), [80, 48, 0, 270])
         assert hashlib.sha256(out.tobytes()).hexdigest() == (
             "e32047101a5d01d414c8bfdf6cf56fb7a335e7fd678dd66541036d10efa17e64")
@@ -447,6 +451,21 @@ class TestFxpStreamAndSerialization:
         fm.formats = dataclasses.replace(fm.formats, acc_bits=16)
         equalize_stream(y, fm, stats=stats)
         assert stats["saturations"] > 0
+
+    @pytest.mark.parametrize("edit", [
+        lambda fm: setattr(fm, "formats", dataclasses.replace(fm.formats, state_bits=6)),
+        lambda fm: setattr(fm, "lif", LifParams(alpha_v=0.5, alpha_i=0.5)),
+    ], ids=["state_bits", "lif"])
+    def test_edited_lif_fields_reach_the_engine(self, edit):
+        # the integer LIF constants derive from the current lif and state
+        # grid, so an edited model runs as one built with its fields
+        fm = convert(make_float_model(seed=26, scale=4.0), FxpFormats())
+        edit(fm)
+        fresh = FxpModel(config=fm.config, encoder=fm.encoder, lif=fm.lif,
+                         ints=fm.ints, fracs=fm.fracs, formats=fm.formats)
+        windows = np.random.default_rng(29).integers(-1, 2, (200, fm.config.n_input))
+        np.testing.assert_array_equal(fxp_forward(windows, fm), fxp_forward(windows, fresh))
+        assert fm.lif_spec == fresh.lif_spec
 
     def test_edit_past_float64_exactness_refused(self):
         # construction bounds every partial sum below 2^53; an edit that breaks

@@ -33,3 +33,10 @@ def test_evaluate_baseline_ber_rejects_warmup_outside_the_frame(warmup):
 def test_evaluate_baseline_ber_counts_after_the_warmup():
     point, = evaluate_baseline_ber(ChannelConfig(), 2, (17.0,), 100, seed=1, warmup=99).points
     assert point.bits_counted == 2 and 0 <= point.bit_errors <= 2
+
+
+def test_evaluate_ber_rejects_an_unknown_mode():
+    model = EqualizerModel.initialize(TopologyConfig(n_tap=3, hidden=4, steps=1), LifParams(),
+                                      EncoderConfig(0.0, 1.0), np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="unknown mode 'teacher'"):
+        evaluate_ber(model, ChannelConfig(), (17.0,), 50, seed=1, mode="teacher")
