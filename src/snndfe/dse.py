@@ -199,19 +199,24 @@ def search(space: DseSpace, channel_cfg: ChannelConfig, strategy: str, budget: i
 
 
 def pareto_front(trials, snr_db: float) -> list:
-    """Non-dominated subset under minimize(mac, ber at snr_db), mac-ascending.
+    """Non-dominated subset of the successful (status "ok") trials under
+    minimize(mac, ber at snr_db), mac-ascending.
 
-    Equal (mac, ber) ties are all kept. Trials missing the SNR point raise.
+    Failed trials, which have no BER, are left out; equal (mac, ber) ties are
+    all kept. ValueError when no trial succeeded or a successful one lacks
+    the SNR point.
     """
-    if not trials:
-        raise ValueError("pareto_front needs at least one trial")
     pts = []
     for t in trials:
+        if t.status != "ok":
+            continue
         if t.ber is None or float(snr_db) not in t.ber:
             raise ValueError(
                 f"trial {t.config_key()} has no BER at SNR {snr_db}"
             )
         pts.append((t.mac, t.ber[float(snr_db)], t))
+    if not pts:
+        raise ValueError("pareto_front needs at least one successful trial")
     pts.sort(key=lambda p: (p[0], p[1]))  # stable: equal points keep input order
     front = []
     best_ber = float("inf")

@@ -251,9 +251,26 @@ class EqualizerModel:
         return decide
 
 
+class Workspace:
+    """Named arrays that forward and train.loss_and_grads build their results
+    in, kept from call to call: a training loop that passes one Workspace to
+    every step reuses the same memory, instead of the allocator handing it
+    back to the system and faulting it in again each step. The next call
+    with the same Workspace overwrites what a call returned in it (the tape)."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def __call__(self, key, shape: tuple, dtype=float) -> np.ndarray:
+        arr = self._arrays.get(key)
+        if arr is None or arr.shape != shape or arr.dtype != dtype:
+            arr = self._arrays[key] = np.empty(shape, dtype)
+        return arr
+
+
 def forward(windows, weights: dict, config: TopologyConfig, lif: LifParams,
             qat: QatConfig | None = None, keep: bool = False,
-            smooth_slope: float | None = None):
+            smooth_slope: float | None = None, workspace: Workspace | None = None):
     """The T-step forward pass over a batch of encoded windows (B, n_input).
 
     Step 1 drives fc0 with the windows, later steps with zeros, so that fc0
@@ -262,38 +279,51 @@ def forward(windows, weights: dict, config: TopologyConfig, lif: LifParams,
     drive and the LIF state are fake-quantized onto the state grid each step.
     Returns the logits (B, n_classes) and, when `keep` is set, a tape of what
     the backward pass reads, else None: the fc0 output "a0" and per-step lists
-    of spikes "s" and pre-reset voltages "v_pre", and under QAT the
+    of spikes "s" and pre-reset voltages "v_pre", and under QAT the bool
     straight-through masks of the drive, current and voltage ("h", "i", "v").
-    `smooth_slope` runs the sigmoid twin of the spike (see lif_step).
+    `smooth_slope` runs the sigmoid twin of the spike (see lif_step). Biases
+    are added, and the drive and state quantized and updated, in place on
+    arrays from `workspace` (else fresh ones); windows and weights are never
+    written.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 2 or windows.shape[1] != config.n_input:
         raise ValueError(f"windows have shape {windows.shape}, expected (B, {config.n_input})")
+    new = Workspace() if workspace is None else workspace
+    shape = (windows.shape[0], config.hidden)
     w1, b1, w2 = weights["w_fc1"], weights["b_fc1"], weights["w_fc2"]
     w3, b3 = weights["w_fc3"], weights["b_fc3"]
-    a0 = windows @ weights["w_fc0"].T + weights["b_fc0"]
+    a0 = np.matmul(windows, weights["w_fc0"].T, out=new("a0", shape))
+    a0 += weights["b_fc0"]
     a_rest = weights["b_fc0"] @ w1.T + b1  # fc1 part of the drive at steps t >= 1
     tape = {"a0": a0, "s": [], "v_pre": [], "h": [], "i": [], "v": []} if keep else None
     quantize = None
     if qat is not None:
         grid = state_format(qat.state_bits)
 
-        def quantize(x, name):
+        def quantize(x, name):  # x is forward's own array: rounded in place
             if tape is None:
-                return fake_quantize(x, grid.total_bits, grid.scale)
-            q, mask, _ = fake_quantize_with_mask(x, grid.total_bits, grid.scale)
+                return fake_quantize(x, grid.total_bits, grid.scale, out=x)
+            q, mask, _ = fake_quantize_with_mask(x, grid.total_bits, grid.scale, out=x)
             tape[name].append(mask)
             return q
 
-    v = i = s = np.zeros((windows.shape[0], config.hidden))
+    v, i, h = new("v", shape), new("i", shape), new("h", shape)
+    v.fill(0.0)
+    i.fill(0.0)
+    s = None
     logits = np.zeros((windows.shape[0], config.n_classes))
     for t in range(config.steps):
         # no spikes before the first step: its drive skips fc2
-        h = a0 @ w1.T + b1 if t == 0 else a_rest + s @ w2.T
+        np.matmul(a0 if t == 0 else s, (w1 if t == 0 else w2).T, out=h)
+        h += b1 if t == 0 else a_rest
         if quantize is not None:
             h = quantize(h, "h")
-        v, i, s, v_pre = lif_step(v, i, h, lif, quantize, smooth_slope)
-        logits += s @ w3.T + b3
+        out = (v, i, new(("s", t), shape), new(("v_pre", t), shape))
+        v, i, s, v_pre = lif_step(v, i, h, lif, quantize, smooth_slope, out)
+        readout = s @ w3.T
+        readout += b3
+        logits += readout
         if tape is not None:
             tape["s"].append(s)
             tape["v_pre"].append(v_pre)

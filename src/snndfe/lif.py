@@ -60,30 +60,46 @@ def smooth_spike(u, slope: float = 100.0):
 
 
 def lif_step(v: np.ndarray, i: np.ndarray, drive: np.ndarray, params: LifParams,
-             quantize=None, smooth_slope: float | None = None):
+             quantize=None, smooth_slope: float | None = None, out=None):
     """Advance one step given the already-summed synaptic drive.
 
     Returns (v, i, spikes, v_pre) for arrays of any one shape. Update order:
     current decays and integrates the drive, voltage decays toward v_leak and
     integrates the new current, threshold compare (ties spike), hard reset to
     v_r. `quantize(x, name)`, when given, rounds the new current ("i") and the
-    reset voltage ("v") onto the state grid (QAT). `smooth_slope` swaps the
-    Heaviside for its sigmoid twin and the reset for the differentiable
-    v_pre - s*(v_pre - v_r), for finite-difference checks of training.
+    reset voltage ("v") onto the state grid (QAT), and may do so in place.
+    `smooth_slope` swaps the Heaviside for its sigmoid twin and the reset for
+    the differentiable v_pre - s*(v_pre - v_r), for finite-difference checks
+    of training.
+
+    Each result is built in place on one array: the matching one of `out`,
+    a sequence (v, i, spikes, v_pre) whose v and i may be the state inputs
+    themselves, else a fresh one. No other input is written.
     """
     if np.shape(drive) != np.shape(v):
         raise ValueError(f"drive shape {np.shape(drive)} != state shape {np.shape(v)}")
-    i = (1.0 - params.alpha_i) * i + drive
+    if out is None:
+        out = [np.empty(np.shape(v)) for _ in range(4)]
+    v_out, i_out, s_out, vp_out = out
+    i = np.multiply(i, 1.0 - params.alpha_i, out=i_out)  # (1 - alpha_i) * i + drive
+    i += drive
     if quantize is not None:
         i = quantize(i, "i")
-    v_pre = v + params.alpha_v * ((params.v_leak - v) + i)
+    v_pre = np.subtract(params.v_leak, v, out=vp_out)  # v + alpha_v * ((v_leak - v) + i)
+    v_pre += i
+    v_pre *= params.alpha_v
+    v_pre += v
+    spikes, v = s_out, v_out
     if smooth_slope is None:
         fired = v_pre >= params.v_th
-        spikes = fired.astype(float)
-        v = np.where(fired, params.v_r, v_pre)
+        np.copyto(spikes, fired)  # 1.0 where fired, else 0.0
+        np.copyto(v, v_pre)
+        np.putmask(v, fired, params.v_r)
     else:
-        spikes, _ = smooth_spike(v_pre - params.v_th, smooth_slope)
-        v = v_pre - spikes * (v_pre - params.v_r)
+        np.copyto(spikes, smooth_spike(v_pre - params.v_th, smooth_slope)[0])
+        np.subtract(v_pre, params.v_r, out=v)  # v_pre - s * (v_pre - v_r)
+        v *= spikes
+        np.subtract(v_pre, v, out=v)
     if quantize is not None:
         v = quantize(v, "v")
     return v, i, spikes, v_pre

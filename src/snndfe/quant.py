@@ -67,7 +67,31 @@ def pow2_scale(max_abs: float, bits: int) -> float:
     return 2.0 ** (exponent - 1) if mantissa == 0.5 else 2.0 ** exponent
 
 
-def fake_quantize(x: np.ndarray, bits: int, scale: float | None = None) -> np.ndarray:
+def _quantize(x, bits: int, scale: float | None, out, masked: bool):
+    """The core of fake_quantize and fake_quantize_with_mask: (q, mask or None,
+    scale), the mask taken between the rounding and the clamps."""
+    x = np.asarray(x, dtype=float)
+    if scale is None:
+        scale = pow2_scale(float(np.max(np.abs(x))) if x.size else 0.0, bits)
+    mantissa, exponent = math.frexp(scale)
+    if mantissa != 0.5:
+        raise ValueError(f"scale must be a power of two, got {scale}")
+    lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+    q = np.ldexp(x, 1 - exponent, out=np.empty_like(x) if out is None else out)  # x / scale
+    # the ufuncs directly: np.clip's Python wrapper dominates per-step calls
+    np.rint(q, out=q)
+    mask = None
+    if masked:
+        mask = q >= lo
+        mask &= q <= hi
+    np.maximum(q, lo, out=q)
+    np.minimum(q, hi, out=q)
+    q *= scale
+    return q, mask, scale
+
+
+def fake_quantize(x: np.ndarray, bits: int, scale: float | None = None,
+                  out=None) -> np.ndarray:
     """Round onto a symmetric signed grid with saturation.
 
     value -> clamp(rint(value/step), -2^(bits-1), 2^(bits-1)-1) * step, with a
@@ -76,29 +100,14 @@ def fake_quantize(x: np.ndarray, bits: int, scale: float | None = None) -> np.nd
     nearest, ties to even. Idempotent by construction. The division is
     np.ldexp by the grid's fractional bits, bitwise equal to it for every
     power-of-two step down to 2^-1074 (a reciprocal multiply is not: 1/2^-1074
-    overflows), and the rounding and clamps work in place on that one array.
+    overflows), and the rounding and clamps work in place on that one array:
+    `out` when given (which may be x itself), else a fresh one.
     """
-    x = np.asarray(x, dtype=float)
-    if scale is None:
-        scale = pow2_scale(float(np.max(np.abs(x))) if x.size else 0.0, bits)
-    mantissa, exponent = math.frexp(scale)
-    if mantissa != 0.5:
-        raise ValueError(f"scale must be a power of two, got {scale}")
-    q = np.ldexp(x, 1 - exponent, out=np.empty_like(x))  # x / scale, exactly
-    # the ufuncs directly: np.clip's Python wrapper dominates per-step calls
-    np.rint(q, out=q)
-    np.maximum(q, -(2 ** (bits - 1)), out=q)
-    np.minimum(q, 2 ** (bits - 1) - 1, out=q)
-    q *= scale
-    return q
+    return _quantize(x, bits, scale, out, False)[0]
 
 
-def fake_quantize_with_mask(x: np.ndarray, bits: int, scale: float | None = None):
-    """fake_quantize plus the straight-through mask (1 inside the clamp range)."""
-    x = np.asarray(x, dtype=float)
-    if scale is None:
-        scale = pow2_scale(float(np.max(np.abs(x))) if x.size else 0.0, bits)
-    ints = np.rint(x / scale)
-    lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
-    mask = ((ints >= lo) & (ints <= hi)).astype(float)
-    return np.clip(ints, lo, hi) * scale, mask, scale
+def fake_quantize_with_mask(x: np.ndarray, bits: int, scale: float | None = None, out=None):
+    """fake_quantize plus its straight-through mask: (q, mask, scale), the mask
+    a bool array, True where rint(value/step) lies inside the clamp range.
+    With `out` (which may be x itself) q is written there."""
+    return _quantize(x, bits, scale, out, True)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import BITS_PER_SYMBOL, ChannelConfig, bits_to_classes, simulate_link
-from .equalizer import (EncoderConfig, EqualizerModel, TopologyConfig, forward,
-                        teacher_forced_windows)
+from .equalizer import (EncoderConfig, EqualizerModel, TopologyConfig, Workspace,
+                        forward, teacher_forced_windows)
 from .lif import LifParams, smooth_spike
 from .quant import QatConfig, fake_quantize_with_mask
 
@@ -72,10 +72,15 @@ class AdamState:
         )
 
 
-def surrogate_grad(u, slope: float = 100.0):
-    """Fast-sigmoid surrogate for the Heaviside derivative: 1/(1+slope*|u|)^2."""
+def surrogate_grad(u, slope: float = 100.0, out=None):
+    """Fast-sigmoid surrogate for the Heaviside derivative: 1/(1+slope*|u|)^2,
+    built in place on one array: `out` (which may be u itself) when given."""
     u = np.asarray(u, dtype=float)
-    return 1.0 / (1.0 + slope * np.abs(u)) ** 2
+    g = np.abs(u, out=np.empty_like(u) if out is None else out)
+    g *= slope
+    g += 1.0
+    g *= g
+    return np.reciprocal(g, out=g)
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
@@ -92,7 +97,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
 
 
 def _effective_weights_with_masks(model: EqualizerModel, qat: QatConfig | None):
-    """The weights the forward sees and, under QAT, their straight-through masks."""
+    """The weights the forward sees and, under QAT, their bool straight-through masks."""
     if qat is None:
         return model.parameters(), None
     eff, masks = {}, {}
@@ -102,13 +107,16 @@ def _effective_weights_with_masks(model: EqualizerModel, qat: QatConfig | None):
 
 
 def loss_and_grads(windows: np.ndarray, labels: np.ndarray, model: EqualizerModel,
-                   config: TrainConfig, spike_mode: str = "hard"):
+                   config: TrainConfig, spike_mode: str = "hard",
+                   workspace: Workspace | None = None):
     """Mean cross-entropy over a teacher-forced batch and its gradients.
 
     spike_mode "hard" is the production path: Heaviside forward, surrogate
     backward, stop-gradient through the reset. "smooth" swaps in the sigmoid
     twin in both passes (full reset gradient) for finite-difference checks.
-    The forward pass is equalizer.forward, the one inference runs.
+    The forward pass is equalizer.forward, the one inference runs. The
+    backward works in place, on arrays from `workspace` (see forward) or fresh
+    ones; model parameters and windows are never written.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n_classes = model.config.n_classes
@@ -122,10 +130,11 @@ def loss_and_grads(windows: np.ndarray, labels: np.ndarray, model: EqualizerMode
     n_steps = model.config.steps
     batch = windows.shape[0]
 
+    new = Workspace() if workspace is None else workspace
     eff, wmasks = _effective_weights_with_masks(model, qat)
     w1, w2, w3 = eff["w_fc1"], eff["w_fc2"], eff["w_fc3"]
     z, tape = forward(windows, eff, model.config, lif, qat, keep=True,
-                      smooth_slope=slope if spike_mode == "smooth" else None)
+                      smooth_slope=slope if spike_mode == "smooth" else None, workspace=new)
     S, VP, a0 = tape["s"], tape["v_pre"], tape["a0"]
 
     z_shift = z - z.max(axis=1, keepdims=True)
@@ -138,46 +147,71 @@ def loss_and_grads(windows: np.ndarray, labels: np.ndarray, model: EqualizerMode
     dz = np.exp(z_shift - log_norm[:, None])
     dz[np.arange(batch), labels] -= 1.0
     dz /= batch
-    dz_w3 = dz @ w3
-
-    carry_v = np.zeros_like(a0)   # dL/d v_t (post-reset, post-quant), from step t+1
-    carry_i = np.zeros_like(a0)   # dL/d i_t (post-quant), from step t+1
-    gh_next = np.zeros_like(a0)   # dL/d drive of step t+1
+    dz_w3 = np.matmul(dz, w3, out=new("dz_w3", a0.shape))
+    carry_v = new("carry_v", a0.shape)  # dL/d v_t (post-reset, post-quant), from step t+1
+    carry_i = new("carry_i", a0.shape)  # dL/d i_t (post-quant), from step t+1
+    carry_v.fill(0.0)
+    carry_i.fill(0.0)
+    gh_next = None  # dL/d drive of step t+1: none after the last step
+    # in place: ds in `spare` (then the voltage carry, whose old buffer is the
+    # next spare), the drive gradient in `gh` once step t+1's has been read
+    spare, scratch, gh = new("ds", a0.shape), new("scratch", a0.shape), new("gh", a0.shape)
     gh_rest = np.zeros(model.config.hidden)  # batch-summed gh of the steps t >= 1
     g_w2 = np.zeros_like(w2)
     for t in range(n_steps - 1, -1, -1):
-        # step t+1's drive read s_t through fc2, and the fc1 input all steps t >= 1 share
-        gh_rest += gh_next.sum(axis=0)
-        g_w2 += gh_next.T @ S[t]
-        ds = dz_w3 + gh_next @ w2
-        gv = carry_v if qat is None else carry_v * tape["v"][t]
-        u = VP[t] - lif.v_th
+        if gh_next is None:
+            ds = np.add(dz_w3, 0.0, out=spare)  # as dz_w3 + (zeros @ w2): the same signed zeros
+        else:
+            # step t+1's drive read s_t through fc2, and the fc1 input all steps t >= 1 share
+            gh_rest += gh_next.sum(axis=0)
+            g_w2 += gh_next.T @ S[t]
+            ds = np.matmul(gh_next, w2, out=spare)
+            ds += dz_w3
+        gv = carry_v
+        if qat is not None:
+            gv *= tape["v"][t]
+        u = np.subtract(VP[t], lif.v_th, out=scratch)
         if spike_mode == "hard":
-            fprime = surrogate_grad(u, slope)
+            fprime = surrogate_grad(u, slope, out=u)
         else:
             _, fprime = smooth_spike(u, slope)
-            ds = ds + gv * (lif.v_r - VP[t])  # reset branch differentiated
-        gvp = ds * fprime + gv * (1.0 - S[t])
-        gi = gvp * av + carry_i
+            reset = np.subtract(lif.v_r, VP[t])  # the reset branch differentiated
+            reset *= gv
+            ds += reset
+        gvp = ds  # ds * fprime + gv * (1 - s_t)
+        gvp *= fprime
+        leak = np.subtract(1.0, S[t], out=scratch)
+        leak *= gv
+        gvp += leak
+        gi = np.multiply(gvp, av, out=gh)  # gvp * av + carry_i
+        gi += carry_i
         if qat is not None:
-            gi = gi * tape["i"][t]
-        carry_v = (1.0 - av) * gvp
-        carry_i = (1.0 - ai) * gi
-        gh_next = gi if qat is None else gi * tape["h"][t]
+            gi *= tape["i"][t]
+        spare, carry_v = carry_v, gvp
+        carry_v *= 1.0 - av
+        np.multiply(gi, 1.0 - ai, out=carry_i)
+        if qat is not None:
+            gi *= tape["h"][t]
+        gh_next = gi
 
     # gh_next is now step 0's, whose fc1 input is the fc0 output a0
-    ga0 = gh_next @ w1
+    ga0 = np.matmul(gh_next, w1, out=spare)
+    spike_counts = scratch
+    spike_counts.fill(0.0)
+    for s in S:
+        spike_counts += s
     grads = {
         "w_fc0": ga0.T @ windows,
         "b_fc0": ga0.sum(axis=0) + gh_rest @ w1,
         "w_fc1": gh_next.T @ a0 + np.outer(gh_rest, eff["b_fc0"]),
         "b_fc1": gh_next.sum(axis=0) + gh_rest,
         "w_fc2": g_w2,
-        "w_fc3": dz.T @ sum(S),
+        "w_fc3": dz.T @ spike_counts,
         "b_fc3": n_steps * dz.sum(axis=0),
     }
     if qat is not None:
-        grads = {key: g * wmasks[key] for key, g in grads.items()}
+        for key, g in grads.items():
+            g *= wmasks[key]
     return loss, grads
 
 
@@ -217,6 +251,7 @@ def train(channel_cfg: ChannelConfig, topology_cfg: TopologyConfig,
     )
     params = model.parameters()
     adam = AdamState.init(params)
+    workspace = Workspace()
     log = []
     total = train_cfg.epochs * train_cfg.batches_per_epoch
     history = topology_cfg.history
@@ -226,7 +261,7 @@ def train(channel_cfg: ChannelConfig, topology_cfg: TopologyConfig,
         classes = bits_to_classes(bits, m)
         _, y = simulate_link(bits, channel_cfg, train_cfg.train_snr_db, rng)
         windows, labels = teacher_forced_windows(y, classes, encoder, topology_cfg)
-        loss, grads = loss_and_grads(windows, labels, model, train_cfg)
+        loss, grads = loss_and_grads(windows, labels, model, train_cfg, workspace=workspace)
         if not math.isfinite(loss):
             raise TrainingDiverged(f"loss became non-finite at batch {batch_idx}")
         grad_norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))

@@ -57,8 +57,9 @@ def test_patches_install_and_restore(bench, name, tmp_path):
 
 
 def test_traced_training_counts_its_patch_points(bench, tmp_path):
-    # train.train looks up teacher_forced_windows and fake_quantize_with_mask
-    # in train's namespace, where train_desk_qat's patches count them
+    # train.train looks up teacher_forced_windows, loss_and_grads, adam_step
+    # and fake_quantize_with_mask in train's namespace, where train_desk_qat's
+    # patches count them: one window build, gradient and update per batch
     run, tracing, workloads = bench
     tracer = tracing.Tracer()
     cfg = train.TrainConfig(batches_per_epoch=2, batch_size=16, qat=QatConfig())
@@ -68,7 +69,8 @@ def test_traced_training_counts_its_patch_points(bench, tmp_path):
     finally:
         tracer.restore()
     spans = tracer.summary()
-    assert spans["train.teacher_forced_windows"]["calls"] == 2
+    for name in ("teacher_forced_windows", "loss_and_grads", "adam_step"):
+        assert spans[f"train.{name}"]["calls"] == 2, name
     assert spans["quant.fake_quantize_with_mask"]["calls"] > 0
 
 

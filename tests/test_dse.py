@@ -70,6 +70,46 @@ class TestPareto:
         with pytest.raises(ValueError, match="no BER at SNR 12"):
             pareto_front([t], 12.0)
 
+    @staticmethod
+    def failed_trial(**kw):
+        return dataclasses.replace(synthetic_trial(**kw), ber=None, status="failed",
+                                   error="refused")
+
+    def test_failed_trials_left_out(self):
+        # a failed trial has no BER: the front is over the ok trials, even
+        # where the failed one would have been cheaper
+        ok = synthetic_trial(hidden=5, mac=50, ber={17.0: 0.1})
+        failed = self.failed_trial(hidden=1, mac=10)
+        assert pareto_front([failed, ok, self.failed_trial(hidden=9, mac=90)], 17.0) == [ok]
+
+    def test_ok_trial_missing_the_snr_still_raises_beside_failed(self):
+        t = synthetic_trial(ber={17.0: 0.1})
+        with pytest.raises(ValueError, match="no BER at SNR 12"):
+            pareto_front([self.failed_trial(), t], 12.0)
+
+    @pytest.mark.parametrize("n_failed", [0, 2])
+    def test_no_successful_trial_rejected(self, n_failed):
+        trials = [self.failed_trial(hidden=k + 1) for k in range(n_failed)]
+        with pytest.raises(ValueError, match="at least one successful trial"):
+            pareto_front(trials, 17.0)
+
+    def test_search_results_with_a_failed_trial(self, tmp_path):
+        # the list search returns, resumed from its file, holds the failed trial
+        def runner(config, channel_cfg, scale, seed):
+            trial = stub_runner(config, channel_cfg, scale, seed)
+            if config["hidden"] == 8 and config["steps"] == 2:
+                return dataclasses.replace(trial, ber=None, status="failed", error="diverged")
+            return trial
+
+        path = tmp_path / "results.jsonl"
+        search(TestSearch.SPACE, CHANNEL, "grid", 4, seed=1, results_path=path,
+               trial_runner=runner)
+        resumed = search(TestSearch.SPACE, CHANNEL, "grid", 4, seed=1, results_path=path,
+                         trial_runner=runner)
+        ok = [t for t in resumed if t.status == "ok"]
+        assert len(ok) == 3
+        assert pareto_front(resumed, 17.0) == pareto_front(ok, 17.0)
+
     def test_agrees_with_brute_force_oracle(self):
         # O(n^2) domination check on 200 random trials
         rng = np.random.default_rng(42)

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snndfe.channel import ChannelConfig
-from snndfe.equalizer import EncoderConfig, EqualizerModel, TopologyConfig, forward
-from snndfe.lif import LifParams
-from snndfe.quant import QatConfig, fake_quantize, pow2_scale
+from snndfe.equalizer import EncoderConfig, EqualizerModel, TopologyConfig, Workspace, forward
+from snndfe.lif import LifParams, lif_step
+from snndfe.quant import (QatConfig, fake_quantize, fake_quantize_with_mask, pow2_scale,
+                          state_format)
 from snndfe.train import (
     AdamState,
     TrainConfig,
@@ -44,6 +45,125 @@ def random_batch(model, n, seed=1):
     return windows, labels
 
 
+# The training step as first written, one fresh array per operation: the
+# oracle the in-place forward, LIF step, quantizer and backward must equal
+# byte for byte.
+def reference_fake_quantize_with_mask(x, bits, scale=None):
+    x = np.asarray(x, dtype=float)
+    if scale is None:
+        scale = pow2_scale(float(np.max(np.abs(x))) if x.size else 0.0, bits)
+    ints = np.rint(x / scale)
+    lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+    mask = ((ints >= lo) & (ints <= hi)).astype(float)
+    return np.clip(ints, lo, hi) * scale, mask, scale
+
+
+def reference_lif_step(v, i, drive, params, quantize=None, smooth_slope=None):
+    i = (1.0 - params.alpha_i) * i + drive
+    if quantize is not None:
+        i = quantize(i, "i")
+    v_pre = v + params.alpha_v * ((params.v_leak - v) + i)
+    if smooth_slope is None:
+        fired = v_pre >= params.v_th
+        spikes = fired.astype(float)
+        v = np.where(fired, params.v_r, v_pre)
+    else:
+        spikes, _ = smooth_spike(v_pre - params.v_th, smooth_slope)
+        v = v_pre - spikes * (v_pre - params.v_r)
+    if quantize is not None:
+        v = quantize(v, "v")
+    return v, i, spikes, v_pre
+
+
+def reference_forward(windows, weights, config, lif, qat=None, smooth_slope=None):
+    w1, b1, w2 = weights["w_fc1"], weights["b_fc1"], weights["w_fc2"]
+    w3, b3 = weights["w_fc3"], weights["b_fc3"]
+    a0 = windows @ weights["w_fc0"].T + weights["b_fc0"]
+    a_rest = weights["b_fc0"] @ w1.T + b1
+    tape = {"a0": a0, "s": [], "v_pre": [], "h": [], "i": [], "v": []}
+    quantize = None
+    if qat is not None:
+        grid = state_format(qat.state_bits)
+
+        def quantize(x, name):
+            q, mask, _ = reference_fake_quantize_with_mask(x, grid.total_bits, grid.scale)
+            tape[name].append(mask)
+            return q
+
+    v = i = s = np.zeros((windows.shape[0], config.hidden))
+    logits = np.zeros((windows.shape[0], config.n_classes))
+    for t in range(config.steps):
+        h = a0 @ w1.T + b1 if t == 0 else a_rest + s @ w2.T
+        if quantize is not None:
+            h = quantize(h, "h")
+        v, i, s, v_pre = reference_lif_step(v, i, h, lif, quantize, smooth_slope)
+        logits += s @ w3.T + b3
+        tape["s"].append(s)
+        tape["v_pre"].append(v_pre)
+    return logits, tape
+
+
+def reference_loss_and_grads(windows, labels, model, config, spike_mode="hard"):
+    qat = config.qat
+    lif, slope = model.lif, config.surrogate_slope
+    av, ai = lif.alpha_v, lif.alpha_i
+    n_steps = model.config.steps
+    batch = windows.shape[0]
+    if qat is None:
+        eff, wmasks = model.parameters(), None
+    else:
+        eff, wmasks = {}, {}
+        for key, p in model.parameters().items():
+            eff[key], wmasks[key], _ = reference_fake_quantize_with_mask(p, qat.weight_bits)
+    w1, w2, w3 = eff["w_fc1"], eff["w_fc2"], eff["w_fc3"]
+    z, tape = reference_forward(windows, eff, model.config, lif, qat,
+                                slope if spike_mode == "smooth" else None)
+    S, VP, a0 = tape["s"], tape["v_pre"], tape["a0"]
+    z_shift = z - z.max(axis=1, keepdims=True)
+    log_norm = np.log(np.sum(np.exp(z_shift), axis=1))
+    loss = float(np.mean(log_norm - z_shift[np.arange(batch), labels]))
+    dz = np.exp(z_shift - log_norm[:, None])
+    dz[np.arange(batch), labels] -= 1.0
+    dz /= batch
+    dz_w3 = dz @ w3
+    carry_v = np.zeros_like(a0)
+    carry_i = np.zeros_like(a0)
+    gh_next = np.zeros_like(a0)
+    gh_rest = np.zeros(model.config.hidden)
+    g_w2 = np.zeros_like(w2)
+    for t in range(n_steps - 1, -1, -1):
+        gh_rest += gh_next.sum(axis=0)
+        g_w2 += gh_next.T @ S[t]
+        ds = dz_w3 + gh_next @ w2
+        gv = carry_v if qat is None else carry_v * tape["v"][t]
+        u = VP[t] - lif.v_th
+        if spike_mode == "hard":
+            fprime = 1.0 / (1.0 + slope * np.abs(u)) ** 2
+        else:
+            _, fprime = smooth_spike(u, slope)
+            ds = ds + gv * (lif.v_r - VP[t])
+        gvp = ds * fprime + gv * (1.0 - S[t])
+        gi = gvp * av + carry_i
+        if qat is not None:
+            gi = gi * tape["i"][t]
+        carry_v = (1.0 - av) * gvp
+        carry_i = (1.0 - ai) * gi
+        gh_next = gi if qat is None else gi * tape["h"][t]
+    ga0 = gh_next @ w1
+    grads = {
+        "w_fc0": ga0.T @ windows,
+        "b_fc0": ga0.sum(axis=0) + gh_rest @ w1,
+        "w_fc1": gh_next.T @ a0 + np.outer(gh_rest, eff["b_fc0"]),
+        "b_fc1": gh_next.sum(axis=0) + gh_rest,
+        "w_fc2": g_w2,
+        "w_fc3": dz.T @ sum(S),
+        "b_fc3": n_steps * dz.sum(axis=0),
+    }
+    if qat is not None:
+        grads = {key: g * wmasks[key] for key, g in grads.items()}
+    return loss, grads
+
+
 class TestSurrogate:
     def test_peak_at_zero(self):
         assert surrogate_grad(0.0) == 1.0
@@ -62,6 +182,114 @@ class TestSurrogate:
         u = np.linspace(-2, 2, 101)
         _, deriv = smooth_spike(u, 37.0)
         np.testing.assert_allclose(deriv, 0.5 * 37.0 * surrogate_grad(u, 37.0))
+
+    def test_bitwise_equals_formula_in_place_or_not(self):
+        rng = np.random.default_rng(16)
+        u = np.concatenate([rng.standard_normal(200) * 3.0, [0.0, -0.0, 1e-300, -1e150]])
+        expected = 1.0 / (1.0 + 100.0 * np.abs(u)) ** 2
+        kept = u.copy()
+        assert surrogate_grad(u).tobytes() == expected.tobytes()
+        assert u.tobytes() == kept.tobytes()
+        assert surrogate_grad(u, out=u) is u
+        assert u.tobytes() == expected.tobytes()
+        assert surrogate_grad(-2.5, 7.0) == 1.0 / (1.0 + 7.0 * 2.5) ** 2
+
+
+ORACLE_CASES = {
+    "hard": ("hard", None, LifParams(), 4),
+    "smooth": ("smooth", None, LifParams(), 4),
+    "v_leak": ("hard", None, LifParams(v_leak=0.3), 4),
+    "smooth_v_leak": ("smooth", None, LifParams(v_leak=0.3), 4),
+    "qat88": ("hard", QatConfig(8, 8), LifParams.shift_friendly(), 4),
+    "qat66": ("hard", QatConfig(6, 6), LifParams.shift_friendly(), 4),
+    "qat66_smooth": ("smooth", QatConfig(6, 6), LifParams.shift_friendly(), 4),
+    # a leak potential below the state grid saturates the voltage too
+    "qat66_v_saturates": ("hard", QatConfig(6, 6),
+                          LifParams(alpha_v=0.5, alpha_i=0.25, v_leak=-6.0), 4),
+    "steps1": ("hard", None, LifParams(), 1),
+    "steps1_qat": ("hard", QatConfig(8, 8), LifParams.shift_friendly(), 1),
+}
+
+
+def oracle_setup(qat, lif, steps, seed=17):
+    """A model that spikes and saturates enough for every branch to matter."""
+    model = tiny_model(n_tap=5, hidden=12, steps=steps, seed=seed, scale=4.0, lif=lif)
+    model.qat = qat
+    model.b_fc1[:] += 0.5
+    windows, labels = random_batch(model, 96, seed=seed + 1)
+    return model, windows, labels, TrainConfig(qat=qat)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_loss_and_grads_bitwise_equal_the_allocating_reference(case):
+    spike_mode, qat, lif, steps = ORACLE_CASES[case]
+    model, windows, labels, cfg = oracle_setup(qat, lif, steps)
+    ref_loss, ref_grads = reference_loss_and_grads(windows, labels, model, cfg, spike_mode)
+    # fresh arrays; then one Workspace sized first by a smaller batch, then reused
+    workspace = Workspace()
+    loss_and_grads(windows[:40], labels[:40], model, cfg, spike_mode, workspace)
+    for ws in (None, workspace, workspace):
+        loss, grads = loss_and_grads(windows, labels, model, cfg, spike_mode, ws)
+        assert loss == ref_loss
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            assert g.tobytes() == ref_grads[name].tobytes(), name
+    # the inference forward (no tape) gives the same logits too
+    eff = model.effective_weights()
+    logits, _ = forward(windows, eff, model.config, lif, qat)
+    ref_logits, _ = reference_forward(windows, eff, model.config, lif, qat)
+    assert logits.tobytes() == ref_logits.tobytes()
+    if qat is not None:  # which straight-through masks this case exercises
+        _, tape = forward(windows, eff, model.config, lif, qat, keep=True)
+        clamped = {name for name in "hiv" if not all(np.all(m) for m in tape[name])}
+        assert clamped == {"h", "i", "v"} if case == "qat66_v_saturates" else "h" in clamped
+
+
+@pytest.mark.parametrize("case", ["hard", "smooth", "qat88", "qat66_smooth"])
+def test_training_step_writes_no_input(case):
+    # forward and loss_and_grads work in place on arrays of their own only
+    spike_mode, qat, lif, steps = ORACLE_CASES[case]
+    model, windows, labels, cfg = oracle_setup(qat, lif, steps)
+    params = model.parameters()
+    weights = model.effective_weights()
+    before = {name: p.tobytes() for name, p in params.items()}
+    weights_before = {name: (id(w), w.tobytes()) for name, w in weights.items()}
+    windows_before = windows.tobytes()
+    smooth_slope = cfg.surrogate_slope if spike_mode == "smooth" else None
+    for workspace in (None, Workspace()):
+        for keep in (False, True):
+            forward(windows, weights, model.config, lif, qat, keep, smooth_slope, workspace)
+        loss_and_grads(windows, labels, model, cfg, spike_mode, workspace)
+    assert windows.tobytes() == windows_before
+    assert {name: (id(w), w.tobytes()) for name, w in weights.items()} == weights_before
+    assert {name: p.tobytes() for name, p in model.parameters().items()} == before
+
+
+@pytest.mark.parametrize("smooth_slope", [None, 30.0])
+def test_lif_step_into_its_own_state_equals_the_reference(smooth_slope):
+    rng = np.random.default_rng(19)
+    params = LifParams(alpha_v=0.3, alpha_i=0.4, v_leak=0.2, v_r=-0.1)
+    v, i, drive = (rng.standard_normal((5, 7)) for _ in range(3))
+    v[0, 0] = -0.0
+    expected = reference_lif_step(v, i, drive, params, smooth_slope=smooth_slope)
+    kept = [a.tobytes() for a in (v, i, drive)]
+    fresh = lif_step(v, i, drive, params, smooth_slope=smooth_slope)
+    assert [a.tobytes() for a in (v, i, drive)] == kept
+    out = (v, i, np.empty_like(v), np.empty_like(v))
+    in_place = lif_step(v, i, drive, params, smooth_slope=smooth_slope, out=out)
+    assert all(got is want for got, want in zip(in_place, out))
+    for ref, a, b in zip(expected, fresh, in_place):
+        assert a.tobytes() == ref.tobytes() and b.tobytes() == ref.tobytes()
+
+
+def test_workspace_keeps_an_array_per_key_shape_and_dtype():
+    workspace = Workspace()
+    a = workspace("a", (3, 4))
+    assert workspace("a", (3, 4)) is a and a.dtype == float
+    assert workspace("b", (3, 4)) is not a
+    b = workspace("a", (2, 4))
+    assert b.shape == (2, 4) and workspace("a", (2, 4)) is b
+    assert workspace("a", (2, 4), bool).dtype == bool
 
 
 class TestGradients:
@@ -110,12 +338,13 @@ class TestGradients:
         import snndfe.equalizer as equalizer_mod
         import snndfe.train as train_mod
 
-        def clamp_only(x, bits, scale=None):
+        def clamp_only(x, bits, scale=None, out=None):
             x = np.asarray(x, dtype=float)
             if scale is None:
                 scale = pow2_scale(float(np.max(np.abs(x))) if x.size else 0.0, bits)
             lo, hi = -(2 ** (bits - 1)) * scale, (2 ** (bits - 1) - 1) * scale
-            return np.clip(x, lo, hi), ((x >= lo) & (x <= hi)).astype(float), scale
+            mask = (x >= lo) & (x <= hi)
+            return np.clip(x, lo, hi, out=out), mask, scale
 
         monkeypatch.setattr(equalizer_mod, "fake_quantize_with_mask", clamp_only)
         monkeypatch.setattr(train_mod, "fake_quantize_with_mask", clamp_only)
@@ -271,22 +500,36 @@ class TestFakeQuantize:
         with pytest.raises(ValueError, match="power of two"):
             fake_quantize(np.ones(3), 8, 0.3)
 
+    def test_masked_scale_off_the_power_of_two_grid_rejected(self):
+        with pytest.raises(ValueError, match="power of two"):
+            fake_quantize_with_mask(np.ones(3), 8, 0.3)
+
 
 @settings(max_examples=200, deadline=None)
 @given(values=st.lists(st.floats(allow_nan=False), max_size=12),
        ties=st.lists(st.integers(-300, 300), max_size=6),
        exponent=st.integers(-1074, 1023), bits=st.integers(2, 32))
 def test_fake_quantize_bitwise_equals_reference(values, ties, exponent, bits):
-    # the reference formula, dividing by the step; ties are (2k+1)/2 steps, and
-    # the exponent reaches float64's smallest subnormal step, 2^-1074
+    # the reference formula, dividing by the step, for fake_quantize and the
+    # masked quantizer's values and mask, also in place; ties are (2k+1)/2
+    # steps, and the exponent reaches float64's smallest subnormal step, 2^-1074
     scale = math.ldexp(1.0, exponent)
     lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
     with np.errstate(over="ignore"):  # huge |x| over a tiny step overflows to inf
         tied = np.ldexp(2.0 * np.array(ties) + 1.0, exponent - 1)
         x = np.concatenate([values, [0.0, -0.0, 1e308, -1e308], tied])
-        expected = np.minimum(np.maximum(np.rint(x / scale), lo), hi) * scale
+        ints = np.rint(x / scale)
+        expected = np.minimum(np.maximum(ints, lo), hi) * scale
+        expected_mask = (ints >= lo) & (ints <= hi)
         got = fake_quantize(x, bits, scale)
+        masked, mask, step = fake_quantize_with_mask(x, bits, scale)
+        in_place = x.copy()
+        in_place_q, in_place_mask, _ = fake_quantize_with_mask(in_place, bits, scale, out=in_place)
     assert got.tobytes() == expected.tobytes()
+    assert masked.tobytes() == expected.tobytes() and step == scale
+    assert mask.dtype == bool and np.array_equal(mask, expected_mask)
+    assert in_place_q is in_place and in_place.tobytes() == expected.tobytes()
+    assert np.array_equal(in_place_mask, expected_mask)
 
 
 class TestTrainLoop:
@@ -349,7 +592,7 @@ class TestTrainLoop:
     def test_divergence_aborts_with_diagnostic(self, monkeypatch):
         import snndfe.train as train_mod
 
-        def nan_loss(windows, labels, model, cfg, spike_mode="hard"):
+        def nan_loss(windows, labels, model, cfg, spike_mode="hard", workspace=None):
             return float("nan"), {k: np.zeros_like(p) for k, p in model.parameters().items()}
 
         monkeypatch.setattr(train_mod, "loss_and_grads", nan_loss)
