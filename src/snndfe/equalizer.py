@@ -252,19 +252,17 @@ class EqualizerModel:
 
 
 class Workspace:
-    """Named arrays that forward and train.loss_and_grads build their results
-    in, kept from call to call: a training loop that passes one Workspace to
-    every step reuses the same memory, instead of the allocator handing it
-    back to the system and faulting it in again each step. The next call
-    with the same Workspace overwrites what a call returned in it (the tape)."""
+    """Named float arrays kept from call to call, so that a training loop
+    passing one to every step reuses its memory instead of faulting it in
+    again. A call overwrites what the last call returned in it (the tape)."""
 
     def __init__(self):
         self._arrays = {}
 
-    def __call__(self, key, shape: tuple, dtype=float) -> np.ndarray:
+    def __call__(self, key, shape: tuple) -> np.ndarray:
         arr = self._arrays.get(key)
-        if arr is None or arr.shape != shape or arr.dtype != dtype:
-            arr = self._arrays[key] = np.empty(shape, dtype)
+        if arr is None or arr.shape != shape:
+            arr = self._arrays[key] = np.empty(shape)
         return arr
 
 
@@ -281,10 +279,9 @@ def forward(windows, weights: dict, config: TopologyConfig, lif: LifParams,
     the backward pass reads, else None: the fc0 output "a0" and per-step lists
     of spikes "s" and pre-reset voltages "v_pre", and under QAT the bool
     straight-through masks of the drive, current and voltage ("h", "i", "v").
-    `smooth_slope` runs the sigmoid twin of the spike (see lif_step). Biases
-    are added, and the drive and state quantized and updated, in place on
-    arrays from `workspace` (else fresh ones); windows and weights are never
-    written.
+    `smooth_slope` runs the sigmoid twin of the spike (see lif_step). All of
+    it runs in place on arrays from `workspace` (else fresh ones), never on
+    the windows or weights.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 2 or windows.shape[1] != config.n_input:
@@ -319,11 +316,10 @@ def forward(windows, weights: dict, config: TopologyConfig, lif: LifParams,
         h += b1 if t == 0 else a_rest
         if quantize is not None:
             h = quantize(h, "h")
-        out = (v, i, new(("s", t), shape), new(("v_pre", t), shape))
-        v, i, s, v_pre = lif_step(v, i, h, lif, quantize, smooth_slope, out)
-        readout = s @ w3.T
-        readout += b3
-        logits += readout
+        k = t if keep else 0  # without a tape, each step overwrites the last one's
+        out = (v, i, new(("s", k), shape), new(("v_pre", k), shape))
+        v, i, s, v_pre = lif_step(v, i, h, lif, quantize, smooth_slope, out=out)
+        logits += s @ w3.T + b3
         if tape is not None:
             tape["s"].append(s)
             tape["v_pre"].append(v_pre)

@@ -60,7 +60,7 @@ def smooth_spike(u, slope: float = 100.0):
 
 
 def lif_step(v: np.ndarray, i: np.ndarray, drive: np.ndarray, params: LifParams,
-             quantize=None, smooth_slope: float | None = None, out=None):
+             quantize=None, smooth_slope: float | None = None, *, out):
     """Advance one step given the already-summed synaptic drive.
 
     Returns (v, i, spikes, v_pre) for arrays of any one shape. Update order:
@@ -70,16 +70,11 @@ def lif_step(v: np.ndarray, i: np.ndarray, drive: np.ndarray, params: LifParams,
     reset voltage ("v") onto the state grid (QAT), and may do so in place.
     `smooth_slope` swaps the Heaviside for its sigmoid twin and the reset for
     the differentiable v_pre - s*(v_pre - v_r), for finite-difference checks
-    of training.
-
-    Each result is built in place on one array: the matching one of `out`,
-    a sequence (v, i, spikes, v_pre) whose v and i may be the state inputs
-    themselves, else a fresh one. No other input is written.
+    of training. Each result is built in place on the matching array of
+    `out` = (v, i, spikes, v_pre), whose v and i may be the state itself.
     """
     if np.shape(drive) != np.shape(v):
         raise ValueError(f"drive shape {np.shape(drive)} != state shape {np.shape(v)}")
-    if out is None:
-        out = [np.empty(np.shape(v)) for _ in range(4)]
     v_out, i_out, s_out, vp_out = out
     i = np.multiply(i, 1.0 - params.alpha_i, out=i_out)  # (1 - alpha_i) * i + drive
     i += drive

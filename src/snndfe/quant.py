@@ -100,14 +100,13 @@ def fake_quantize(x: np.ndarray, bits: int, scale: float | None = None,
     nearest, ties to even. Idempotent by construction. The division is
     np.ldexp by the grid's fractional bits, bitwise equal to it for every
     power-of-two step down to 2^-1074 (a reciprocal multiply is not: 1/2^-1074
-    overflows), and the rounding and clamps work in place on that one array:
-    `out` when given (which may be x itself), else a fresh one.
+    overflows), and the rounding and clamps work in place on that one array,
+    `out` (which may be x itself) when given.
     """
     return _quantize(x, bits, scale, out, False)[0]
 
 
 def fake_quantize_with_mask(x: np.ndarray, bits: int, scale: float | None = None, out=None):
     """fake_quantize plus its straight-through mask: (q, mask, scale), the mask
-    a bool array, True where rint(value/step) lies inside the clamp range.
-    With `out` (which may be x itself) q is written there."""
+    a bool array, True where rint(value/step) lies inside the clamp range."""
     return _quantize(x, bits, scale, out, True)

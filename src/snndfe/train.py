@@ -80,7 +80,8 @@ def surrogate_grad(u, slope: float = 100.0, out=None):
     g *= slope
     g += 1.0
     g *= g
-    return np.reciprocal(g, out=g)
+    np.reciprocal(g, out=g)
+    return g if g.ndim else g[()]  # a scalar for a scalar u, as a ufunc gives
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
@@ -114,9 +115,8 @@ def loss_and_grads(windows: np.ndarray, labels: np.ndarray, model: EqualizerMode
     spike_mode "hard" is the production path: Heaviside forward, surrogate
     backward, stop-gradient through the reset. "smooth" swaps in the sigmoid
     twin in both passes (full reset gradient) for finite-difference checks.
-    The forward pass is equalizer.forward, the one inference runs. The
-    backward works in place, on arrays from `workspace` (see forward) or fresh
-    ones; model parameters and windows are never written.
+    The forward pass is equalizer.forward, the one inference runs; the
+    backward runs in place on arrays from `workspace` too (see forward).
     """
     labels = np.asarray(labels, dtype=np.int64)
     n_classes = model.config.n_classes

@@ -216,7 +216,8 @@ class TestFxpLifStep:
         i = (rng.integers(-20, 20, 16) * 32).astype(np.int64)
         drive = (rng.integers(-4, 4, 16) * 8).astype(np.int64)
         vi, ii, si = fxp_lif_step(v, i, drive, spec)
-        fv, fi, fs, _ = lif_step(v.astype(float), i.astype(float), drive.astype(float), params)
+        fv, fi, fs, _ = lif_step(v.astype(float), i.astype(float), drive.astype(float), params,
+                                 out=[np.empty(16) for _ in range(4)])
         np.testing.assert_array_equal(ii.astype(float), fi)
         np.testing.assert_array_equal(vi.astype(float), fv)
         np.testing.assert_array_equal(si.astype(float), fs)

@@ -5,9 +5,14 @@ from snndfe.equalizer import EncoderConfig, EqualizerModel, TopologyConfig, forw
 from snndfe.lif import LifParams, lif_step
 
 
+def fresh(shape):
+    """lif_step's out= arrays: (v, i, spikes, v_pre)."""
+    return [np.empty(shape) for _ in range(4)]
+
+
 def step(v, i, drive, params):
     v, i, spikes, _ = lif_step(np.array(v, dtype=float), np.array(i, dtype=float),
-                               np.array(drive, dtype=float), params)
+                               np.array(drive, dtype=float), params, out=fresh(np.shape(v)))
     return v, i, spikes
 
 
@@ -16,7 +21,7 @@ def run_neuron(drive, params, w_in):
     v, i = np.zeros(1), np.zeros(1)
     rows = []
     for x in drive:
-        v, i, spikes, v_pre = lif_step(v, i, np.array([w_in * x]), params)
+        v, i, spikes, v_pre = lif_step(v, i, np.array([w_in * x]), params, out=fresh(1))
         rows.append((spikes[0], v[0], v_pre[0]))
     return np.array(rows).T
 
@@ -88,7 +93,8 @@ def test_spikes_are_binary_and_reset_exact():
     params = LifParams()
     v, i = np.zeros((4, 6)), np.zeros((4, 6))
     for _ in range(12):
-        v, i, spikes, v_pre = lif_step(v, i, rng.standard_normal((4, 6)) * 3.0, params)
+        v, i, spikes, v_pre = lif_step(v, i, rng.standard_normal((4, 6)) * 3.0, params,
+                                       out=fresh((4, 6)))
         assert set(np.unique(spikes)).issubset({0.0, 1.0})
         fired = spikes > 0
         np.testing.assert_array_equal(v[fired], np.full(int(fired.sum()), params.v_r))
@@ -108,7 +114,7 @@ def test_unroll_without_recurrence_matches_independent_steps():
     for t in range(model.config.steps):
         fc0 = a0 if t == 0 else model.b_fc0
         v, i, spikes, _ = lif_step(v, i, np.broadcast_to(fc0 @ model.w_fc1.T + model.b_fc1,
-                                                         v.shape), model.lif)
+                                                         v.shape), model.lif, out=fresh(v.shape))
         np.testing.assert_array_equal(tape["s"][t], spikes)
         expected += spikes @ model.w_fc3.T + model.b_fc3
     np.testing.assert_array_equal(logits, expected)
@@ -148,7 +154,7 @@ def test_zero_steps_rejected():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        lif_step(np.zeros(3), np.zeros(3), np.zeros(4), LifParams())
+        lif_step(np.zeros(3), np.zeros(3), np.zeros(4), LifParams(), out=fresh(3))
 
 
 def test_burst_pattern_fires_once_per_burst():

@@ -192,7 +192,9 @@ class TestSurrogate:
         assert u.tobytes() == kept.tobytes()
         assert surrogate_grad(u, out=u) is u
         assert u.tobytes() == expected.tobytes()
-        assert surrogate_grad(-2.5, 7.0) == 1.0 / (1.0 + 7.0 * 2.5) ** 2
+        scalar = surrogate_grad(-2.5, 7.0)
+        assert isinstance(scalar, np.float64) and np.ndim(scalar) == 0
+        assert scalar == 1.0 / (1.0 + 7.0 * 2.5) ** 2
 
 
 ORACLE_CASES = {
@@ -273,7 +275,8 @@ def test_lif_step_into_its_own_state_equals_the_reference(smooth_slope):
     v[0, 0] = -0.0
     expected = reference_lif_step(v, i, drive, params, smooth_slope=smooth_slope)
     kept = [a.tobytes() for a in (v, i, drive)]
-    fresh = lif_step(v, i, drive, params, smooth_slope=smooth_slope)
+    fresh = lif_step(v, i, drive, params, smooth_slope=smooth_slope,
+                     out=[np.empty_like(v) for _ in range(4)])
     assert [a.tobytes() for a in (v, i, drive)] == kept
     out = (v, i, np.empty_like(v), np.empty_like(v))
     in_place = lif_step(v, i, drive, params, smooth_slope=smooth_slope, out=out)
@@ -282,14 +285,13 @@ def test_lif_step_into_its_own_state_equals_the_reference(smooth_slope):
         assert a.tobytes() == ref.tobytes() and b.tobytes() == ref.tobytes()
 
 
-def test_workspace_keeps_an_array_per_key_shape_and_dtype():
+def test_workspace_keeps_an_array_per_key_and_shape():
     workspace = Workspace()
     a = workspace("a", (3, 4))
     assert workspace("a", (3, 4)) is a and a.dtype == float
     assert workspace("b", (3, 4)) is not a
     b = workspace("a", (2, 4))
     assert b.shape == (2, 4) and workspace("a", (2, 4)) is b
-    assert workspace("a", (2, 4), bool).dtype == bool
 
 
 class TestGradients:
