@@ -4,14 +4,15 @@ Mirrors the hardware arithmetic decisions: power-of-two per-tensor scales,
 shift-based LIF decay (alpha = 2^-k), ternary inputs so multiplies reduce to
 add/subtract/skip, and saturating accumulators acc_bits wide (FxpFormats,
 default 32, at most 53) that a constructed FxpModel cannot saturate: it
-refuses tensors whose worst case does not fit them. That check keeps every
-shifted partial sum an integer below 2^53, so every product runs exactly on
-float64 BLAS with its alignment shift folded into the weights, and a clamp
-runs only where it can change a value (see fxp_forward). All rounding is
-pinned: decay shifts are arithmetic shifts (floor, also for negatives), the
-one drive requantization onto the state grid rounds half-up, and offline
-conversion rounds to nearest-even. Identical inputs give identical outputs
-on any platform.
+refuses tensors whose worst case does not fit them. The integers are held in
+float64 arrays: every state, drive and accumulator, and every shifted partial
+sum, is an integer of magnitude at most 2^53, which float64 holds exactly, so
+products run on float64 BLAS with their alignment shifts folded into the
+weights and a shift is a power-of-two scale (then a floor); nothing wraps. All
+rounding is pinned: decay shifts are arithmetic shifts (floor, also for
+negatives), the one drive requantization onto the state grid rounds half-up,
+and offline conversion rounds to nearest-even. Identical inputs give
+identical outputs on any platform.
 """
 
 from __future__ import annotations
@@ -40,15 +41,16 @@ class ConversionError(ValueError):
 class FxpFormats:
     """Bit widths of an integer model: weights/biases, LIF state, accumulators.
 
-    fxp_forward runs every product in float64 on weights scaled by the
-    product's alignment shift, exact while each shifted partial sum is an
-    integer below 2^53. acc_bits <= 53 keeps every product so: each shifted
-    partial sum is bounded by its accumulator's worst case, which FxpModel
-    holds to acc_max <= 2^52 - 1. weight_bits <= 32 keeps the unshifted
-    window and spike products below 2^53 for any row under 2^22 columns.
-    Narrowing acc_bits after construction keeps the products exact and makes
-    fxp_forward clamp the accumulators whose worst case no longer fits.
-    state_bits >= 4, as quant.state_format requires.
+    fxp_forward holds every integer in float64, exact up to magnitude 2^53.
+    acc_bits <= 53 keeps every product exact: each shifted partial sum is
+    bounded by its accumulator's worst case, which FxpModel holds to acc_max
+    <= 2^52 - 1. state_bits <= 53 keeps the LIF step exact: its sums, such as
+    i - (i >> k_i) + drive, stay within 2^53 on a state grid that wide.
+    weight_bits <= 32 keeps the unshifted window and spike products below
+    2^53 for any row under 2^22 columns. Narrowing acc_bits after
+    construction keeps the products exact and makes fxp_forward clamp the
+    accumulators whose worst case no longer fits. state_bits >= 4, as
+    quant.state_format requires.
     """
 
     weight_bits: int = 8
@@ -59,18 +61,10 @@ class FxpFormats:
         if not 2 <= self.weight_bits <= 32:
             raise ValueError("weight_bits must be in [2, 32] (float64-exact products)")
         state_format(self.state_bits)
+        if self.state_bits > 53:
+            raise ValueError("state_bits must be in [4, 53] (float64-exact LIF state)")
         if not 16 <= self.acc_bits <= 53:
             raise ValueError("acc_bits must be in [16, 53] (float64-exact products)")
-
-
-def _sat(x: np.ndarray, lo: int, hi: int, stats: dict | None,
-         key: str = "saturations") -> np.ndarray:
-    # the ufuncs directly: np.clip's Python wrapper rebuilds the int64 limits
-    # on every call, which cost the closed loop about half of fxp_forward
-    clipped = np.minimum(np.maximum(x, lo), hi)
-    if stats is not None:
-        stats[key] = stats.get(key, 0) + int(np.count_nonzero(clipped != x))
-    return clipped
 
 
 def _shift_exponent(alpha: float, name: str) -> int:
@@ -163,14 +157,13 @@ class FxpModel:
     `ints` and `fracs` hold exactly the EqualizerModel parameters, each an
     int64 array of its shape on the weight_bits grid with an int frac within
     +-_MAX_FRAC, and every worst-case accumulator (see
-    _worst_case_accumulators) fits formats.acc_bits, so the model neither
-    saturates an accumulator nor wraps an int64 alignment shift, and its
-    products are exact in float64 (see FxpFormats). Fields edited after
-    construction are not checked again, but fxp_forward reads them afresh
-    per stream (make_decider) or per call: a narrowed formats turns its
-    clamps on, and an edit that lets a partial sum reach 2^53 raises
-    ConversionError. The export carries everything a hardware implementation
-    needs to reproduce the arithmetic bit-for-bit.
+    _worst_case_accumulators) fits formats.acc_bits, so the model never
+    saturates an accumulator and its products are exact in float64 (see
+    FxpFormats). Fields edited after construction are not checked again, but
+    fxp_forward reads them afresh per stream (make_decider) or per call: a
+    narrowed formats turns its clamps on, and an edit that lets a partial sum
+    reach 2^53 raises ConversionError. The export carries everything a
+    hardware implementation needs to reproduce the arithmetic bit-for-bit.
     """
 
     config: TopologyConfig
@@ -274,35 +267,64 @@ def convert(model: EqualizerModel, formats: FxpFormats) -> FxpModel:
                     ints=ints, fracs=fracs, formats=formats)
 
 
+def _clamp(x: np.ndarray, lo: int, hi: int, stats: dict | None, key: str) -> np.ndarray:
+    """Clamp x into [lo, hi] in place; with `stats`, add the values it moves to stats[key]."""
+    if stats is not None:
+        stats[key] = stats.get(key, 0) + int(np.count_nonzero(x < lo) + np.count_nonzero(x > hi))
+    # the ufuncs directly: np.clip's Python wrapper costs more than the clamp
+    np.maximum(x, lo, out=x)
+    return np.minimum(x, hi, out=x)
+
+
 def fxp_lif_step(v: np.ndarray, i: np.ndarray, drive: np.ndarray, spec: FxpLifSpec,
                  stats: dict | None = None):
-    """One integer LIF step with shift decays.
+    """One integer LIF step with shift decays; returns (v', i', spikes).
 
     i' = i - (i >> k_i) + drive; v' = v - (v >> k_v) + (i' >> k_v); spike on
-    v' >= v_th_int, hard reset. Shifts are arithmetic (floor, also for
-    negatives). States clamp to the state format on the way out; those clips
-    are quantization semantics (mirrored by QAT), tracked under "state_clips",
-    not accumulator saturation.
+    v' >= v_th_int, hard reset to v_r_int. Shifts are arithmetic (floor, also
+    for negatives). States clamp to the state format on the way out; those
+    clips are quantization semantics (mirrored by QAT), tracked under
+    "state_clips", not accumulator saturation.
+
+    The integers are held in float64: x >> k is floor(x * 2^-k), exact as the
+    scale only moves the exponent (k <= 1074, as derive gives), and on a
+    state grid of at most 53 bits every sum is an integer of magnitude at most
+    2^53. v and i are updated in place when float64 arrays (fxp_forward's),
+    else copied; spikes is a float64 array of 0 and 1.
     """
-    i_new = _sat(i - (i >> spec.k_i) + drive,
-                 spec.state_min, spec.state_max, stats, key="state_clips")
-    v_pre = _sat(v - (v >> spec.k_v) + (i_new >> spec.k_v),
-                 spec.state_min, spec.state_max, stats, key="state_clips")
-    spikes = v_pre >= spec.v_th_int
-    v_new = np.where(spikes, spec.v_r_int, v_pre)
-    return v_new, i_new, spikes.astype(np.int64)
+    v, i = np.asarray(v, dtype=float), np.asarray(i, dtype=float)
+    shifted = np.empty_like(v)
+
+    def shr(x, k):  # x >> k
+        return np.floor(np.multiply(x, 2.0 ** -k, out=shifted), out=shifted)
+
+    i -= shr(i, spec.k_i)
+    i += drive
+    _clamp(i, spec.state_min, spec.state_max, stats, "state_clips")
+    v -= shr(v, spec.k_v)
+    v += shr(i, spec.k_v)
+    _clamp(v, spec.state_min, spec.state_max, stats, "state_clips")
+    fired = v >= spec.v_th_int
+    np.putmask(v, fired, spec.v_r_int)
+    return v, i, fired.astype(float)
 
 
-def _rshift_round_half_up(x: np.ndarray, shift: int) -> np.ndarray:
-    """Requantize down by 2^shift, rounding halves toward +inf."""
-    if shift <= 0:
-        return x << (-shift)
-    return (x + (1 << (shift - 1))) >> shift
+def _requantize(h: np.ndarray, shift: int, spec: FxpLifSpec, stats: dict | None) -> np.ndarray:
+    """The hidden drive h * 2^-shift onto the state grid in place, a right
+    shift rounding halves toward +inf, clamped to the state range
+    ("state_clips"). Exact for integers |h| <= 2^52, as every accumulator is:
+    the scale only moves the exponent, floor(x + 1/2) rounds as integers would
+    and keeps a left shift's integers. 2^-shift is 0.0 past 1074 bits, where
+    every such h rounds to 0; a left shift of 64 bits already moves every
+    nonzero h off the grid."""
+    h *= 2.0 ** -max(shift, -64)
+    h += 0.5
+    return _clamp(np.floor(h, out=h), spec.state_min, spec.state_max, stats, "state_clips")
 
 
 class _Resolved:
-    """fxp_forward's constants, from an FxpModel's current fields: the weights
-    as float64, transposed, with each product's alignment shift folded in; the
+    """fxp_forward's constants, from an FxpModel's current fields, all float64:
+    the weights transposed, with each product's alignment shift folded in; the
     aligned biases; the t >= 1 hidden drive before fc2 (h_rest); and whether
     each accumulator's worst case can saturate it under the current formats.
     ConversionError when an edit lets a partial sum reach 2^53 (float64 rounds).
@@ -319,19 +341,18 @@ class _Resolved:
         self.acc_min, self.acc_max = model.acc_min, model.acc_max
         self.drive_shift = f_h - model.state_fmt.frac_bits
 
-        def folded(name, shift):  # every alignment shift is >= 0
-            return np.ldexp(w[name].T.astype(float), shift)
+        def aligned(name, frac):  # every alignment shift is >= 0
+            return np.ldexp(w[name].astype(float), frac - f[name])
 
-        self.w0 = folded("w_fc0", f_a - f["w_fc0"])
-        self.w1 = folded("w_fc1", f_h - f["w_fc1"] - f_a)
-        self.w2 = folded("w_fc2", f_h - f["w_fc2"])
-        self.w3 = folded("w_fc3", f_z - f["w_fc3"])
-        # NB: << binds looser than + in Python; every shift is parenthesized
-        self.a_bias = w["b_fc0"] << (f_a - f["b_fc0"])
-        self.b1 = w["b_fc1"] << (f_h - f["b_fc1"])
+        self.w0 = aligned("w_fc0", f_a).T
+        self.w1 = aligned("w_fc1", f_h - f_a).T
+        self.w2 = aligned("w_fc2", f_h).T
+        self.w3 = aligned("w_fc3", f_z).T
+        self.a_bias = aligned("b_fc0", f_a)
+        self.b1 = aligned("b_fc1", f_h)
         # the fc1 drive of steps t >= 1 sees only the fc0 bias
-        self.h_rest = (self.a_bias.astype(float) @ self.w1).astype(np.int64) + self.b1
-        self.z_bias = w["b_fc3"] << (f_z - f["b_fc3"])
+        self.h_rest = self.a_bias @ self.w1 + self.b1
+        self.z_bias = aligned("b_fc3", f_z)
 
 
 def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarray:
@@ -344,12 +365,14 @@ def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarr
     `stats`, accumulator saturations and state clips are added to its
     "saturations" and "state_clips" counts.
 
-    Every product runs on float64 BLAS with its alignment shift folded into
-    the weights, exact since each shifted partial sum is an integer within its
-    accumulator's worst case, below 2^53 (see FxpFormats). An accumulator is
-    clamped only when that worst case exceeds the current acc_max, as no other
-    clamp can change a value. The constants are resolved from `model`'s
-    current fields per call; FxpModel.make_decider resolves them per stream.
+    Every value is an integer in a float64 array updated in place, exact as
+    each accumulator and shifted partial sum is within its worst case, below
+    2^53, and each state on a grid of at most 53 bits (see FxpFormats). The
+    products run on float64 BLAS with their alignment shifts folded into the
+    weights. An accumulator is clamped only when that worst case exceeds the
+    current acc_max, as no other clamp can change a value. The constants are
+    resolved from `model`'s current fields per call; FxpModel.make_decider
+    resolves them per stream.
     """
     c = model if isinstance(model, _Resolved) else _Resolved(model)
     cfg, spec = c.config, c.lif_spec
@@ -362,26 +385,27 @@ def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarr
         stats.setdefault("saturations", 0)
 
     def accumulate(x, name):
-        return _sat(x, c.acc_min, c.acc_max, stats) if c.clamps[name] else x
+        return _clamp(x, c.acc_min, c.acc_max, stats, "saturations") if c.clamps[name] else x
 
-    a_window = accumulate((enc @ c.w0).astype(np.int64) + c.a_bias, "fc0")
-    h_first = (a_window.astype(float) @ c.w1).astype(np.int64) + c.b1
-    shape = (enc.shape[0], cfg.hidden)
-    v = np.zeros(shape, dtype=np.int64)
-    i = np.zeros(shape, dtype=np.int64)
+    a_window = enc @ c.w0
+    a_window += c.a_bias
+    h = accumulate(a_window, "fc0") @ c.w1  # the first step's drive: no spikes yet
+    h += c.b1
+    v = np.zeros_like(h)
+    i = np.zeros_like(h)
     # an unclamped readout is linear in the spikes: one product of their counts
     clamp_z = c.clamps["logits"]
-    readout = np.zeros((enc.shape[0], cfg.n_classes if clamp_z else cfg.hidden), dtype=np.int64)
+    readout = np.zeros((enc.shape[0], cfg.n_classes) if clamp_z else h.shape)
     for t in range(cfg.steps):
-        # no spikes before the first step: its drive is h_first alone
-        h = accumulate(h_first if t == 0 else c.h_rest + (spikes @ c.w2).astype(np.int64),
-                       "hidden drive")
-        drive = _sat(_rshift_round_half_up(h, c.drive_shift),
-                     spec.state_min, spec.state_max, stats, key="state_clips")
+        if t:
+            np.matmul(spikes, c.w2, out=h)
+            h += c.h_rest
+        drive = _requantize(accumulate(h, "hidden drive"), c.drive_shift, spec, stats)
         v, i, spikes = fxp_lif_step(v, i, drive, spec, stats)
-        readout = (accumulate(readout + (spikes @ c.w3).astype(np.int64) + c.z_bias, "logits")
-                   if clamp_z else readout + spikes)
-    return readout if clamp_z else (readout @ c.w3).astype(np.int64) + cfg.steps * c.z_bias
+        readout += spikes @ c.w3 + c.z_bias if clamp_z else spikes
+        accumulate(readout, "logits")
+    logits = readout if clamp_z else readout @ c.w3 + cfg.steps * c.z_bias
+    return logits.astype(np.int64)
 
 
 _FXP_FIELDS = ("fracs", "state_bits", "state_frac_bits", "k_v", "k_i",

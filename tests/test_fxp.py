@@ -20,6 +20,7 @@ from snndfe.fxp import (
     FxpFormats,
     FxpLifSpec,
     FxpModel,
+    _requantize,
     convert,
     fxp_forward,
     fxp_lif_step,
@@ -98,6 +99,60 @@ def float_twin_forward(windows, fm):
         v = np.where(spikes > 0, v_r, v_pre)
         z = acc_clip(z + spikes @ deq["w_fc3"].T + deq["b_fc3"], f_z)
     return z
+
+
+def exact_clamp(x, lo, hi, stats, key):
+    stats[key] = stats.get(key, 0) + int(np.count_nonzero((x < lo) | (x > hi)))
+    return np.minimum(np.maximum(x, lo), hi)
+
+
+def exact_lif_step(v, i, drive, spec, stats):
+    """fxp_lif_step on object arrays of Python ints, whose shifts are exact at
+    any width (oracle): (v, i, spikes as bool)."""
+    lo, hi = spec.state_min, spec.state_max
+    i = exact_clamp(i - (i >> spec.k_i) + drive, lo, hi, stats, "state_clips")
+    v = exact_clamp(v - (v >> spec.k_v) + (i >> spec.k_v), lo, hi, stats, "state_clips")
+    spikes = v >= spec.v_th_int
+    return np.where(spikes, spec.v_r_int, v).astype(object), i, spikes
+
+
+def exact_requantize(h, shift, spec, stats):
+    """The hidden drive onto the state grid on Python ints (oracle): a right
+    shift rounding half up, or a left shift, then the state clamp."""
+    scaled = (h + (1 << (shift - 1))) >> shift if shift > 0 else h << -shift
+    return exact_clamp(scaled, spec.state_min, spec.state_max, stats, "state_clips")
+
+
+def exact_forward(windows, fm):
+    """The integer datapath on Python ints over a batch of windows (oracle):
+    (logits (B, n_classes) on the fc3 grid, {"saturations", "state_clips"})."""
+    ints, f = {k: v.astype(object) for k, v in fm.ints.items()}, fm.fracs
+    f_a = max(f["w_fc0"], f["b_fc0"])
+    f_h = max(f["w_fc1"] + f_a, f["w_fc2"], f["b_fc1"])
+    f_z = max(f["w_fc3"], f["b_fc3"])
+    spec, stats = fm.lif_spec, {"saturations": 0, "state_clips": 0}
+
+    def aligned(name, frac):
+        return ints[name] << (frac - f[name])
+
+    def acc(x):
+        return exact_clamp(x, fm.acc_min, fm.acc_max, stats, "saturations")
+
+    a_bias = aligned("b_fc0", f_a)
+    a_window = acc(np.asarray(windows).astype(np.int64).astype(object)
+                   @ aligned("w_fc0", f_a).T + a_bias)
+    v = np.zeros((len(windows), fm.config.hidden), dtype=np.int64).astype(object)
+    i, spikes = v.copy(), v.copy()
+    z = np.zeros((len(windows), fm.config.n_classes), dtype=np.int64).astype(object)
+    for t in range(fm.config.steps):
+        a_t = a_window if t == 0 else a_bias
+        h = acc(a_t @ aligned("w_fc1", f_h - f_a).T + aligned("b_fc1", f_h)
+                + spikes @ aligned("w_fc2", f_h).T)
+        drive = exact_requantize(h, f_h - fm.state_fmt.frac_bits, spec, stats)
+        v, i, fired = exact_lif_step(v, i, drive, spec, stats)
+        spikes = fired.astype(np.int64).astype(object)
+        z = acc(z + spikes @ aligned("w_fc3", f_z).T + aligned("b_fc3", f_z))
+    return z.astype(np.int64), stats
 
 
 class TestConvert:
@@ -221,6 +276,103 @@ class TestFxpLifStep:
         np.testing.assert_array_equal(ii.astype(float), fi)
         np.testing.assert_array_equal(vi.astype(float), fv)
         np.testing.assert_array_equal(si.astype(float), fs)
+
+
+@st.composite
+def lif_cases(draw):
+    bits = draw(st.integers(4, 53))
+    lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+    level = st.integers(lo, hi)
+    spec = FxpLifSpec(k_v=draw(st.integers(1, 60)), k_i=draw(st.integers(1, 60)),
+                      v_th_int=draw(level), v_r_int=draw(level), state_min=lo, state_max=hi)
+    n = draw(st.integers(1, 8))
+    return spec, [draw(st.lists(level, min_size=n, max_size=n)) for _ in range(3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=lif_cases())
+def test_lif_step_matches_python_ints(case):
+    # negative states (floor shifts), states up to 53 bits (sums up to 2^53)
+    # and k up to 60, past where a decay rewritten as ceil(x * (1 - 2^-k))
+    # would round
+    spec, (v, i, drive) = case
+    state = [np.array(x, dtype=float) for x in (v, i)]
+    stats, want_stats = {}, {}
+    got = fxp_lif_step(*state, np.array(drive, dtype=float), spec, stats)
+    assert got[0] is state[0] and got[1] is state[1]  # float64 state updates in place
+    want = exact_lif_step(*(np.array(x, dtype=object) for x in (v, i, drive)), spec, want_stats)
+    for g, w in zip(got, want):
+        assert list(map(int, g)) == list(map(int, w))
+    assert stats == want_stats
+
+
+def state_spec(bits):
+    return FxpLifSpec(k_v=3, k_i=2, v_th_int=0, v_r_int=0,
+                      state_min=-(2 ** (bits - 1)), state_max=2 ** (bits - 1) - 1)
+
+
+def check_requantize(h, shift, bits):
+    """_requantize against Python ints on accumulator values |h| <= 2^52."""
+    h = [max(-2 ** 52, min(2 ** 52, x)) for x in h]
+    stats, want_stats = {}, {}
+    got = _requantize(np.array(h, dtype=float), shift, state_spec(bits), stats)
+    want = exact_requantize(np.array(h, dtype=object), shift, state_spec(bits), want_stats)
+    assert list(map(int, got)) == list(map(int, want))
+    assert stats == want_stats
+
+
+@st.composite
+def drive_cases(draw):
+    shift = draw(st.integers(-1200, 1100))  # past -1023, 2.0 ** -shift overflows
+    half = 2 ** min(max(shift - 1, 0), 52)  # half a state step, where rounding ties
+    near_tie = st.builds(lambda k, d: k * half + d, st.integers(-9, 9), st.integers(-1, 1))
+    h = draw(st.lists(st.one_of(st.integers(-2 ** 52, 2 ** 52), near_tie), min_size=1, max_size=8))
+    return h, shift, draw(st.integers(4, 53))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=drive_cases())
+def test_requantize_matches_python_ints(case):
+    check_requantize(*case)
+
+
+@pytest.mark.parametrize("bits", [8, 53])
+@pytest.mark.parametrize("shift", [1, 52, 53, 54, 64, 78, -11, -48, -71])
+def test_requantize_at_shift_boundaries(shift, bits):
+    # int64 shifts raised OverflowError from 64 bits on and wrapped left
+    # shifts; 53 and 54 bits are where |h| <= 2^52 stops rounding to +-1
+    half = 2 ** min(max(shift - 1, 0), 52)
+    h = [sign * x for sign in (1, -1)
+         for x in (0, 1, half - 1, half, half + 1, 3 * half, 2 ** 52 - 1, 2 ** 52)]
+    check_requantize(h, shift, bits)
+
+
+DRIVE_SHIFTS = [(2.0 ** 11, 1), (2.0 ** -40, 52), (2.0 ** -41, 53), (2.0 ** -42, 54),
+                (2.0 ** -52, 64), (1e-20, 78), (2.0 ** 23, -11), (1e18, -48), (1e20, -55),
+                (1e25, -71)]
+
+
+@pytest.mark.parametrize("factor, shift", DRIVE_SHIFTS, ids=[str(s) for _, s in DRIVE_SHIFTS])
+def test_any_drive_shift_runs_exactly(factor, shift):
+    # scaling the hidden drive's tensors moves its alignment shift onto the
+    # state grid; an int64 engine raised OverflowError from 64 bits on and
+    # wrapped the left shifts (at -71 every value to 0, with no clip counted)
+    model = make_float_model(n_tap=5, hidden=6, steps=3, scale=1.0)
+    for name in ("w_fc1", "b_fc1", "w_fc2"):
+        getattr(model, name)[:] *= factor
+    fm = convert(model, FxpFormats(acc_bits=53))
+    f = fm.fracs
+    f_h = max(f["w_fc1"] + max(f["w_fc0"], f["b_fc0"]), f["w_fc2"], f["b_fc1"])
+    assert f_h - fm.state_fmt.frac_bits == shift
+    windows = random_windows(model, 100, seed=2)
+    stats = {}
+    logits = fxp_forward(windows, fm, stats)
+    want, want_stats = exact_forward(windows, fm)
+    np.testing.assert_array_equal(logits, want)
+    assert stats == want_stats
+    np.testing.assert_array_equal(logits * fc3_grid(fm), float_twin_forward(windows, fm))
+    y = np.random.default_rng(3).uniform(-0.1, 1.1, 60)
+    assert equalize_stream(y, fm, stats={}).shape == (60 - fm.config.history,)
 
 
 class TestFxpForward:
@@ -381,8 +533,12 @@ def test_matches_float_twin_property(seed, scale, bits, weight_bits, steps):
     except ConversionError:
         return  # the worst case does not fit the accumulator: nothing to run
     windows = random_windows(model, 8, seed=seed)
-    logits = fxp_forward(windows, fm)
+    stats = {}
+    logits = fxp_forward(windows, fm, stats)
     np.testing.assert_array_equal(logits * fc3_grid(fm), float_twin_forward(windows, fm))
+    want, want_stats = exact_forward(windows, fm)
+    np.testing.assert_array_equal(logits, want)
+    assert stats == want_stats
     # every model convert accepts survives its file
     file = io.BytesIO()
     save_fxp_model(file, fm)
@@ -522,6 +678,19 @@ class TestFxpStreamAndSerialization:
         save_fxp_model(path, convert(make_float_model(seed=18), FxpFormats()))
         edit_container(path, lambda header, arrays: header.update(weight_bits=33))
         with pytest.raises(ValueError, match="weight_bits"):
+            load_fxp_model(path)
+
+    def test_state_bits_over_the_cap_refused(self, tmp_path):
+        # 53 bits keep the LIF step's sums exact in float64; wider states
+        # converted, then overflowed in the engine
+        assert FxpFormats(state_bits=53).state_bits == 53
+        for bits in (54, 65):
+            with pytest.raises(ValueError, match="state_bits"):
+                FxpFormats(state_bits=bits)
+        path = tmp_path / "model_fxp.npz"
+        save_fxp_model(path, convert(make_float_model(seed=18), FxpFormats()))
+        edit_container(path, lambda header, arrays: header.update(state_bits=65))
+        with pytest.raises(ValueError, match="state_bits"):
             load_fxp_model(path)
 
     def test_acc_bits_over_the_cap_refused(self, tmp_path):
