@@ -287,16 +287,16 @@ def fxp_lif_step(v: np.ndarray, i: np.ndarray, drive: np.ndarray, spec: FxpLifSp
     "state_clips", not accumulator saturation.
 
     The integers are held in float64: x >> k is floor(x * 2^-k), exact as the
-    scale only moves the exponent (k <= 1074, as derive gives), and on a
-    state grid of at most 53 bits every sum is an integer of magnitude at most
-    2^53. v and i are updated in place when float64 arrays (fxp_forward's),
-    else copied; spikes is a float64 array of 0 and 1.
+    scale only moves the exponent, and on a state grid of at most 53 bits
+    every sum is an integer of magnitude at most 2^53. v and i are updated in
+    place when float64 arrays (fxp_forward's), else copied; spikes is a
+    float64 array of 0 and 1.
     """
     v, i = np.asarray(v, dtype=float), np.asarray(i, dtype=float)
     shifted = np.empty_like(v)
 
-    def shr(x, k):  # x >> k
-        return np.floor(np.multiply(x, 2.0 ** -k, out=shifted), out=shifted)
+    def shr(x, k):  # x >> k; 2^-k underflows past 1074 bits, where |x| <= 2^53 floors alike
+        return np.floor(np.multiply(x, 2.0 ** -min(k, 1074), out=shifted), out=shifted)
 
     i -= shr(i, spec.k_i)
     i += drive

@@ -283,7 +283,8 @@ def lif_cases(draw):
     bits = draw(st.integers(4, 53))
     lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
     level = st.integers(lo, hi)
-    spec = FxpLifSpec(k_v=draw(st.integers(1, 60)), k_i=draw(st.integers(1, 60)),
+    k = st.one_of(st.integers(1, 60), st.integers(1070, 1100))  # 2^-k underflows past 1074
+    spec = FxpLifSpec(k_v=draw(k), k_i=draw(k),
                       v_th_int=draw(level), v_r_int=draw(level), state_min=lo, state_max=hi)
     n = draw(st.integers(1, 8))
     return spec, [draw(st.lists(level, min_size=n, max_size=n)) for _ in range(3)]
@@ -293,8 +294,8 @@ def lif_cases(draw):
 @given(case=lif_cases())
 def test_lif_step_matches_python_ints(case):
     # negative states (floor shifts), states up to 53 bits (sums up to 2^53)
-    # and k up to 60, past where a decay rewritten as ceil(x * (1 - 2^-k))
-    # would round
+    # and k past 53, where a decay rewritten as ceil(x * (1 - 2^-k)) would
+    # round
     spec, (v, i, drive) = case
     state = [np.array(x, dtype=float) for x in (v, i)]
     stats, want_stats = {}, {}
@@ -339,8 +340,9 @@ def test_requantize_matches_python_ints(case):
 @pytest.mark.parametrize("bits", [8, 53])
 @pytest.mark.parametrize("shift", [1, 52, 53, 54, 64, 78, -11, -48, -71])
 def test_requantize_at_shift_boundaries(shift, bits):
-    # int64 shifts raised OverflowError from 64 bits on and wrapped left
-    # shifts; 53 and 54 bits are where |h| <= 2^52 stops rounding to +-1
+    # from 64 bits on a shift does not fit int64, and a left shift of the
+    # largest h by 11 bits would wrap it; at 53 and 54 bits |h| <= 2^52
+    # stops rounding to +-1
     half = 2 ** min(max(shift - 1, 0), 52)
     h = [sign * x for sign in (1, -1)
          for x in (0, 1, half - 1, half, half + 1, 3 * half, 2 ** 52 - 1, 2 ** 52)]
@@ -354,9 +356,9 @@ DRIVE_SHIFTS = [(2.0 ** 11, 1), (2.0 ** -40, 52), (2.0 ** -41, 53), (2.0 ** -42,
 
 @pytest.mark.parametrize("factor, shift", DRIVE_SHIFTS, ids=[str(s) for _, s in DRIVE_SHIFTS])
 def test_any_drive_shift_runs_exactly(factor, shift):
-    # scaling the hidden drive's tensors moves its alignment shift onto the
-    # state grid; an int64 engine raised OverflowError from 64 bits on and
-    # wrapped the left shifts (at -71 every value to 0, with no clip counted)
+    # scaling the hidden drive's tensors sets its shift onto the state grid:
+    # past 63 bits beyond int64 shifts, and left shifts that would wrap an
+    # int64 drive (at -71 bits to 0 everywhere, with no clip counted)
     model = make_float_model(n_tap=5, hidden=6, steps=3, scale=1.0)
     for name in ("w_fc1", "b_fc1", "w_fc2"):
         getattr(model, name)[:] *= factor
