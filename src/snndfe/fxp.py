@@ -44,13 +44,12 @@ class FxpFormats:
     fxp_forward holds every integer in float64, exact up to magnitude 2^53.
     acc_bits <= 53 keeps every product exact: each shifted partial sum is
     bounded by its accumulator's worst case, which FxpModel holds to acc_max
-    <= 2^52 - 1. state_bits <= 53 keeps the LIF step exact: its sums, such as
-    i - (i >> k_i) + drive, stay within 2^53 on a state grid that wide.
-    weight_bits <= 32 keeps the unshifted window and spike products below
-    2^53 for any row under 2^22 columns. Narrowing acc_bits after
-    construction keeps the products exact and makes fxp_forward clamp the
-    accumulators whose worst case no longer fits. state_bits >= 4, as
-    quant.state_format requires.
+    <= 2^52 - 1. 4 <= state_bits (quant.state_format) <= 53 keeps the LIF
+    sums, such as i - (i >> k_i) + drive, within 2^53. weight_bits <= 32
+    keeps the unshifted window and spike products below 2^53 for any row
+    under 2^22 columns. Narrowing acc_bits after construction keeps the
+    products exact and makes fxp_forward clamp the accumulators whose worst
+    case no longer fits.
     """
 
     weight_bits: int = 8
