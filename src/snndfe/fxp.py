@@ -266,7 +266,7 @@ def convert(model: EqualizerModel, formats: FxpFormats) -> FxpModel:
                     ints=ints, fracs=fracs, formats=formats)
 
 
-def _clamp(x: np.ndarray, lo: int, hi: int, stats: dict | None, key: str) -> np.ndarray:
+def _clamp(x: np.ndarray, lo: float, hi: float, stats: dict | None, key: str) -> np.ndarray:
     """Clamp x into [lo, hi] in place; with `stats`, add the values it moves to stats[key]."""
     if stats is not None:
         stats[key] = stats.get(key, 0) + int(np.count_nonzero(x < lo) + np.count_nonzero(x > hi))
@@ -281,9 +281,12 @@ def fxp_lif_step(v: np.ndarray, i: np.ndarray, drive: np.ndarray, spec: FxpLifSp
 
     i' = i - (i >> k_i) + drive; v' = v - (v >> k_v) + (i' >> k_v); spike on
     v' >= v_th_int, hard reset to v_r_int. Shifts are arithmetic (floor, also
-    for negatives). States clamp to the state format on the way out; those
-    clips are quantization semantics (mirrored by QAT), tracked under
-    "state_clips", not accumulator saturation.
+    for negatives). v, i, drive and v_r_int lie in the state format's range
+    [lo, hi], as fxp_forward's do; i' is clamped back into it, and v' needs no
+    clamp: x - (x >> k) and y >> k grow with x and y, so v' lies between
+    lo - (lo >> k) + (lo >> k) = lo and hi. State clips are quantization
+    semantics (mirrored by QAT), tracked under "state_clips", not
+    accumulator saturation.
 
     The integers are held in float64: x >> k is floor(x * 2^-k), exact as the
     scale only moves the exponent, and on a state grid of at most 53 bits
@@ -302,31 +305,38 @@ def fxp_lif_step(v: np.ndarray, i: np.ndarray, drive: np.ndarray, spec: FxpLifSp
     _clamp(i, spec.state_min, spec.state_max, stats, "state_clips")
     v -= shr(v, spec.k_v)
     v += shr(i, spec.k_v)
-    _clamp(v, spec.state_min, spec.state_max, stats, "state_clips")
     fired = v >= spec.v_th_int
     np.putmask(v, fired, spec.v_r_int)
     return v, i, fired.astype(float)
 
 
-def _requantize(h: np.ndarray, shift: int, spec: FxpLifSpec, stats: dict | None) -> np.ndarray:
-    """The hidden drive h * 2^-shift onto the state grid in place, a right
-    shift rounding halves toward +inf, clamped to the state range
-    ("state_clips"). Exact for integers |h| <= 2^52, as every accumulator is:
-    the scale only moves the exponent, floor(x + 1/2) rounds as integers would
-    and keeps a left shift's integers. 2^-shift is 0.0 past 1074 bits, where
-    every such h rounds to 0; a left shift of 64 bits already moves every
-    nonzero h off the grid."""
-    h *= 2.0 ** -max(shift, -64)
-    h += 0.5
-    return _clamp(np.floor(h, out=h), spec.state_min, spec.state_max, stats, "state_clips")
+def _folded_drive_shift(shift: int) -> int:
+    """The hidden drive's shift onto the state grid as fxp_forward folds it
+    into the drive's products. Past 60 bits every |h| <= 2^52 rounds to 0 as
+    it does at 60, and a left shift of 64 bits already moves every nonzero h
+    off a state grid of at most 53 bits."""
+    return min(max(shift, -64), 60)
+
+
+def _requantize(x: np.ndarray, spec: FxpLifSpec, stats: dict | None) -> np.ndarray:
+    """The hidden drive x = h * 2^-shift, already scaled onto the state grid,
+    rounded half up and clamped to the state range in place ("state_clips").
+    Exact for integers |h| <= 2^52, as every accumulator is: the scale only
+    moves the exponent, and floor(x + 1/2) rounds as integer arithmetic does
+    and keeps a left shift's integers."""
+    x += 0.5
+    return _clamp(np.floor(x, out=x), spec.state_min, spec.state_max, stats, "state_clips")
 
 
 class _Resolved:
     """fxp_forward's constants, from an FxpModel's current fields, all float64:
     the weights transposed, with each product's alignment shift folded in; the
-    aligned biases; the t >= 1 hidden drive before fc2 (h_rest); and whether
-    each accumulator's worst case can saturate it under the current formats.
-    ConversionError when an edit lets a partial sum reach 2^53 (float64 rounds).
+    aligned biases; the t >= 1 hidden drive before fc2 (h_rest); and each
+    accumulator's clamp bounds where its worst case can saturate it under the
+    current formats, else None. The hidden drive's shift onto the state grid
+    is folded into its products and bounds too (_folded_drive_shift).
+    ConversionError when an edit lets a partial sum reach 2^53 (float64
+    rounds).
     """
 
     def __init__(self, model: FxpModel):
@@ -335,20 +345,25 @@ class _Resolved:
         worst = _worst_case_accumulators(w, f, cfg.steps)
         if max(worst.values()) >= 2 ** 53:
             raise ConversionError("an edited tensor lets a partial sum reach 2^53")
-        self.clamps = {name: peak > model.acc_max for name, peak in worst.items()}
         self.config, self.lif_spec = cfg, model.lif_spec
-        self.acc_min, self.acc_max = model.acc_min, model.acc_max
-        self.drive_shift = f_h - model.state_fmt.frac_bits
+        shift = _folded_drive_shift(f_h - model.state_fmt.frac_bits)
+        # each clamp's bounds on the grid its accumulator's products land on
+        scale = {"fc0": 1, "hidden drive": 2.0 ** -shift, "logits": 1}
+        self.clamps = {name: (model.acc_min * scale[name], model.acc_max * scale[name])
+                       if peak > model.acc_max else None for name, peak in worst.items()}
 
-        def aligned(name, frac):  # every alignment shift is >= 0
+        def aligned(name, frac):  # exact: |int| * 2^(frac - fracs[name]) stays normal
             return np.ldexp(w[name].astype(float), frac - f[name])
 
-        self.w0 = aligned("w_fc0", f_a).T
-        self.w1 = aligned("w_fc1", f_h - f_a).T
-        self.w2 = aligned("w_fc2", f_h).T
-        self.w3 = aligned("w_fc3", f_z).T
+        def transposed(name, frac):  # row-major: BLAS multiplies it faster
+            return np.ascontiguousarray(aligned(name, frac).T)
+
+        self.w0 = transposed("w_fc0", f_a)
+        self.w1 = transposed("w_fc1", f_h - shift - f_a)
+        self.w2 = transposed("w_fc2", f_h - shift)
+        self.w3 = transposed("w_fc3", f_z)
         self.a_bias = aligned("b_fc0", f_a)
-        self.b1 = aligned("b_fc1", f_h)
+        self.b1 = aligned("b_fc1", f_h - shift)
         # the fc1 drive of steps t >= 1 sees only the fc0 bias
         self.h_rest = self.a_bias @ self.w1 + self.b1
         self.z_bias = aligned("b_fc3", f_z)
@@ -368,23 +383,25 @@ def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarr
     each accumulator and shifted partial sum is within its worst case, below
     2^53, and each state on a grid of at most 53 bits (see FxpFormats). The
     products run on float64 BLAS with their alignment shifts folded into the
-    weights. An accumulator is clamped only when that worst case exceeds the
-    current acc_max, as no other clamp can change a value. The constants are
-    resolved from `model`'s current fields per call; FxpModel.make_decider
-    resolves them per stream.
+    weights, and the hidden drive's shift onto the state grid into its own
+    (so no step scales the drive). An accumulator is
+    clamped only when that worst case exceeds the current acc_max, as no
+    other clamp can change a value. The constants are resolved from `model`'s
+    current fields per call; FxpModel.make_decider resolves them per stream.
     """
     c = model if isinstance(model, _Resolved) else _Resolved(model)
     cfg, spec = c.config, c.lif_spec
     enc = np.asarray(windows, dtype=float)
     if enc.ndim != 2 or enc.shape[1] != cfg.n_input:
         raise ValueError(f"windows have shape {enc.shape}, expected (B, {cfg.n_input})")
-    if (np.abs(enc) > 1).any() or (enc != np.trunc(enc)).any():
+    if not ((enc == 0) | (np.abs(enc) == 1)).all():
         raise ValueError("fxp_forward requires ternary {-1, 0, 1} windows")
     if stats is not None:  # counted even when no clamp runs
         stats.setdefault("saturations", 0)
 
     def accumulate(x, name):
-        return _clamp(x, c.acc_min, c.acc_max, stats, "saturations") if c.clamps[name] else x
+        bounds = c.clamps[name]
+        return x if bounds is None else _clamp(x, *bounds, stats, "saturations")
 
     a_window = enc @ c.w0
     a_window += c.a_bias
@@ -393,13 +410,13 @@ def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarr
     v = np.zeros_like(h)
     i = np.zeros_like(h)
     # an unclamped readout is linear in the spikes: one product of their counts
-    clamp_z = c.clamps["logits"]
+    clamp_z = c.clamps["logits"] is not None
     readout = np.zeros((enc.shape[0], cfg.n_classes) if clamp_z else h.shape)
     for t in range(cfg.steps):
         if t:
             np.matmul(spikes, c.w2, out=h)
             h += c.h_rest
-        drive = _requantize(accumulate(h, "hidden drive"), c.drive_shift, spec, stats)
+        drive = _requantize(accumulate(h, "hidden drive"), spec, stats)
         v, i, spikes = fxp_lif_step(v, i, drive, spec, stats)
         readout += spikes @ c.w3 + c.z_bias if clamp_z else spikes
         accumulate(readout, "logits")

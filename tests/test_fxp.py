@@ -20,6 +20,7 @@ from snndfe.fxp import (
     FxpFormats,
     FxpLifSpec,
     FxpModel,
+    _folded_drive_shift,
     _requantize,
     convert,
     fxp_forward,
@@ -108,7 +109,7 @@ def exact_clamp(x, lo, hi, stats, key):
 
 def exact_lif_step(v, i, drive, spec, stats):
     """fxp_lif_step on object arrays of Python ints, whose shifts are exact at
-    any width (oracle): (v, i, spikes as bool)."""
+    any width, with both states clamped (oracle): (v, i, spikes as bool)."""
     lo, hi = spec.state_min, spec.state_max
     i = exact_clamp(i - (i >> spec.k_i) + drive, lo, hi, stats, "state_clips")
     v = exact_clamp(v - (v >> spec.k_v) + (i >> spec.k_v), lo, hi, stats, "state_clips")
@@ -316,7 +317,9 @@ def check_requantize(h, shift, bits):
     """_requantize against Python ints on accumulator values |h| <= 2^52."""
     h = [max(-2 ** 52, min(2 ** 52, x)) for x in h]
     stats, want_stats = {}, {}
-    got = _requantize(np.array(h, dtype=float), shift, state_spec(bits), stats)
+    # scaled as fxp_forward's products arrive, exactly
+    scaled = np.ldexp(np.array(h, dtype=float), -_folded_drive_shift(shift))
+    got = _requantize(scaled, state_spec(bits), stats)
     want = exact_requantize(np.array(h, dtype=object), shift, state_spec(bits), want_stats)
     assert list(map(int, got)) == list(map(int, want))
     assert stats == want_stats
