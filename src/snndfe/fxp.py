@@ -383,11 +383,11 @@ def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarr
     each accumulator and shifted partial sum is within its worst case, below
     2^53, and each state on a grid of at most 53 bits (see FxpFormats). The
     products run on float64 BLAS with their alignment shifts folded into the
-    weights, and the hidden drive's shift onto the state grid into its own
-    (so no step scales the drive). An accumulator is
-    clamped only when that worst case exceeds the current acc_max, as no
-    other clamp can change a value. The constants are resolved from `model`'s
-    current fields per call; FxpModel.make_decider resolves them per stream.
+    weights, and the hidden drive's shift onto the state grid into its own,
+    so no step scales the drive. An accumulator is clamped only when that
+    worst case exceeds the current acc_max, as no other clamp can change a
+    value. The constants are resolved from `model`'s current fields per call;
+    FxpModel.make_decider resolves them per stream.
     """
     c = model if isinstance(model, _Resolved) else _Resolved(model)
     cfg, spec = c.config, c.lif_spec
