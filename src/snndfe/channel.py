@@ -100,13 +100,6 @@ def gray_map(bits) -> np.ndarray:
     return np.array(PAM4_LEVELS)[bits_to_classes(bits, BITS_PER_SYMBOL)]
 
 
-def gray_demap(symbols) -> np.ndarray:
-    """Recover the bit sequence from (possibly noisy) amplitudes by nearest level."""
-    symbols = np.asarray(symbols, dtype=float)
-    classes = np.argmin(np.abs(symbols[:, None] - np.array(PAM4_LEVELS)), axis=1)
-    return classes_to_bits(classes, BITS_PER_SYMBOL)
-
-
 @functools.cache
 def rrc_taps(rolloff: float, span_symbols: int, sps: int) -> np.ndarray:
     """Root-raised-cosine taps, unit energy, exactly symmetric about the center.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -61,6 +62,8 @@ class DseSpace:
 
 @dataclass
 class TrialResult:
+    """One trial and its line in a results file, which holds every field."""
+
     n_tap: int
     hidden: int
     steps: int
@@ -72,30 +75,25 @@ class TrialResult:
     status: str = "ok"
     error: str | None = None
 
+    # A configuration's identity, read from a trial or from a configuration
+    # dict; vars(trial) would give every loaded trial a __dict__ to keep.
+    _key_fields = ("n_tap", "hidden", "steps", "bits")
+    _trial_key = operator.attrgetter(*_key_fields)
+    _config_key = operator.itemgetter(*_key_fields)
+
     def config_key(self) -> tuple:
-        return (self.n_tap, self.hidden, self.steps, self.bits)
+        return self._trial_key(self)
 
     def to_json(self) -> str:
-        record = {
-            "n_tap": self.n_tap, "hidden": self.hidden, "steps": self.steps,
-            "bits": self.bits, "mac": self.mac,
-            "ber": None if self.ber is None else {str(k): v for k, v in self.ber.items()},
-            "seed": self.seed, "wall_time_s": round(self.wall_time_s, 3),
-            "status": self.status, "error": self.error,
-        }
-        return json.dumps(record)
+        # json writes the float BER keys as "17.0"
+        return json.dumps({**vars(self), "wall_time_s": round(self.wall_time_s, 3)})
 
     @classmethod
     def from_json(cls, line: str) -> "TrialResult":
         rec = json.loads(line)
-        ber = rec["ber"]
-        return cls(
-            n_tap=rec["n_tap"], hidden=rec["hidden"], steps=rec["steps"],
-            bits=rec["bits"], mac=rec["mac"],
-            ber=None if ber is None else {float(k): v for k, v in ber.items()},
-            seed=rec["seed"], wall_time_s=rec["wall_time_s"],
-            status=rec["status"], error=rec.get("error"),
-        )
+        if rec.get("ber") is not None:
+            rec["ber"] = {float(k): v for k, v in rec["ber"].items()}
+        return cls(**rec)
 
 
 def trial_seed(master_seed: int, config: dict) -> int:
@@ -121,45 +119,42 @@ def run_trial(config: dict, channel_cfg: ChannelConfig, scale: TrialScale,
         qat=None if bits is None else QatConfig(weight_bits=bits, state_bits=bits),
         seed=seed,
     )
-    mac = topo.macs_per_symbol()
     start = time.perf_counter()
+    ber, status, error = None, "ok", None
     try:
         model, _ = train(channel_cfg, topo, train_cfg)
         if bits is not None:
             model = convert(model, FxpFormats(weight_bits=bits, state_bits=bits))
         curve = evaluate_ber(model, channel_cfg, scale.snrs_db,
                              scale.eval_symbols, seed=seed)
+        ber = {float(p.snr_db): p.ber for p in curve.points}
     except (TrainingDiverged, ConversionError) as exc:
-        return TrialResult(
-            n_tap=topo.n_tap, hidden=topo.hidden, steps=topo.steps, bits=bits,
-            mac=mac, ber=None, seed=seed,
-            wall_time_s=time.perf_counter() - start,
-            status="failed", error=str(exc),
-        )
-    ber = {float(p.snr_db): p.ber for p in curve.points}
+        status, error = "failed", str(exc)
     return TrialResult(
         n_tap=topo.n_tap, hidden=topo.hidden, steps=topo.steps, bits=bits,
-        mac=mac, ber=ber, seed=seed,
-        wall_time_s=time.perf_counter() - start,
+        mac=topo.macs_per_symbol(), ber=ber, seed=seed,
+        wall_time_s=time.perf_counter() - start, status=status, error=error,
     )
 
 
 def load_results(path) -> list:
+    """The file's trials, [] if it is missing; ValueError names a line that is not one."""
     trials = []
     try:
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    trials.append(TrialResult.from_json(line))
+            for lineno, line in enumerate(fh, 1):
+                if line.strip():
+                    try:
+                        trials.append(TrialResult.from_json(line))
+                    except (ValueError, TypeError, AttributeError) as exc:
+                        raise ValueError(f"{path}:{lineno}: not a trial record: {exc}") from exc
     except FileNotFoundError:
         pass
     return trials
 
 
 def search(space: DseSpace, channel_cfg: ChannelConfig, strategy: str, budget: int,
-           seed: int, results_path=None, trial_runner=run_trial,
-           progress=None) -> list:
+           seed: int, results_path=None, trial_runner=run_trial) -> list:
     """Run `budget` trials; returns all results including resumed ones.
 
     Grid takes the lexicographic prefix of the space; random samples without
@@ -183,7 +178,7 @@ def search(space: DseSpace, channel_cfg: ChannelConfig, strategy: str, budget: i
     done_keys = {t.config_key() for t in done}
     results = list(done)
     for config in chosen:
-        key = (config["n_tap"], config["hidden"], config["steps"], config["bits"])
+        key = TrialResult._config_key(config)
         if key in done_keys:
             continue
         trial = trial_runner(config, channel_cfg, space.scale,
@@ -193,8 +188,6 @@ def search(space: DseSpace, channel_cfg: ChannelConfig, strategy: str, budget: i
         if results_path:
             with open(results_path, "a") as fh:
                 fh.write(trial.to_json() + "\n")
-        if progress is not None:
-            progress(trial)
     return results
 
 

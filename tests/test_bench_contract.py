@@ -154,3 +154,17 @@ def test_traced_run_sees_the_engine(bench, name, counter, tmp_path, monkeypatch,
     assert calls > 0 and decisions > 0
     # one integer forward per decider call; QAT-float quantizes every step
     assert calls == decisions if name == "ber_int" else calls >= steps * decisions
+
+
+def test_traced_dse_sweep_runs(bench, tmp_path, monkeypatch, capsys):
+    # dse_sweep builds TrialResults by keyword and resumes dse.search from its file
+    run, _, _ = bench
+    monkeypatch.setattr(run, "OUT_DIR", tmp_path)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main() prepends src/ and perfbench/
+    args = ["--workload", "dse_sweep", "--seed", "0", "--seconds", "0", "--trace", "1"]
+    assert run.main(args) == 0
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert result["correct"]
+    assert result["metrics"]["dse.trials"]["value"] == 3200
+    for span in ("dse.search.s", "dse.load_results.s", "dse.pareto_front.s"):
+        assert span in result["metrics"]

@@ -14,7 +14,6 @@ from snndfe.channel import (
     bits_to_classes,
     chromatic_dispersion,
     classes_to_bits,
-    gray_demap,
     gray_map,
     rrc_taps,
     simulate_link,
@@ -50,8 +49,7 @@ class TestGrayMapping:
             for word in range(4 ** k):
                 classes = [(word >> (2 * i)) & 3 for i in range(k)]
                 bits = classes_to_bits(classes, 2)
-                symbols = gray_map(bits)
-                np.testing.assert_array_equal(gray_demap(symbols), bits)
+                np.testing.assert_array_equal(gray_map(bits), np.array(PAM4_LEVELS)[classes])
                 np.testing.assert_array_equal(bits_to_classes(bits, 2), classes)
 
 

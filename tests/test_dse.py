@@ -18,7 +18,7 @@ from snndfe.dse import (
     search,
     trial_seed,
 )
-from snndfe.equalizer import EncoderConfig, EqualizerModel
+from snndfe.equalizer import EncoderConfig, EqualizerModel, TopologyConfig
 from snndfe.lif import LifParams
 from snndfe.train import TrainConfig, TrainingDiverged
 
@@ -217,6 +217,13 @@ class TestSearch:
             res = search(space, CHANNEL, "grid", 2, seed=4, results_path=path)
             assert all(t.status == "failed" and t.ber is None for t in res)
             assert all(error in t.error for t in res)
+            assert [(t.n_tap, t.hidden, t.steps, t.bits, t.mac, t.seed, t.wall_time_s > 0)
+                    for t in res] == [
+                (c["n_tap"], c["hidden"], c["steps"], c["bits"],
+                 TopologyConfig(n_tap=c["n_tap"], hidden=c["hidden"],
+                                steps=c["steps"]).macs_per_symbol(),
+                 trial_seed(4, c), True)
+                for c in space.enumerate()[:2]]
             stored = load_results(path)
             assert len(stored) == 2
 
@@ -231,6 +238,53 @@ class TestSearch:
         assert 0.0 <= trial.ber[17.0] <= 0.75
         again = run_trial(cfg, CHANNEL, scale, seed=11)
         assert again.ber == trial.ber
+
+
+class TestResultsFile:
+    # the line format a results file has always had; a sweep resumes from it
+    OK = TrialResult(n_tap=17, hidden=72, steps=5, bits=None, mac=123,
+                     ber={12.0: 0.25, 17.0: 1.5e-3}, seed=42, wall_time_s=1.23456)
+    FAILED = TrialResult(n_tap=5, hidden=6, steps=3, bits=8, mac=99, ber=None, seed=7,
+                         wall_time_s=0.0004, status="failed",
+                         error="accumulators exceed 32 bits")
+    OK_LINE = ('{"n_tap": 17, "hidden": 72, "steps": 5, "bits": null, "mac": 123, '
+               '"ber": {"12.0": 0.25, "17.0": 0.0015}, "seed": 42, "wall_time_s": 1.235, '
+               '"status": "ok", "error": null}')
+    FAILED_LINE = ('{"n_tap": 5, "hidden": 6, "steps": 3, "bits": 8, "mac": 99, '
+                   '"ber": null, "seed": 7, "wall_time_s": 0.0, "status": "failed", '
+                   '"error": "accumulators exceed 32 bits"}')
+
+    def test_lines_pinned(self):
+        assert self.OK.to_json() == self.OK_LINE
+        assert self.FAILED.to_json() == self.FAILED_LINE
+
+    @pytest.mark.parametrize("trial", [OK, FAILED])
+    def test_round_trip(self, trial):
+        # wall time is kept to the millisecond
+        trial = dataclasses.replace(trial, wall_time_s=round(trial.wall_time_s, 3))
+        assert TrialResult.from_json(trial.to_json()) == trial
+
+    def test_line_without_error_loads(self):
+        # files written before failed trials kept their error
+        old = TrialResult.from_json(self.OK_LINE.replace(', "error": null', ""))
+        assert old.error is None and old == TrialResult.from_json(self.OK_LINE)
+
+    def test_line_without_status_takes_the_default(self):
+        bare = TrialResult.from_json(self.OK_LINE.replace(', "status": "ok", "error": null', ""))
+        assert bare == TrialResult.from_json(self.OK_LINE)
+
+    @pytest.mark.parametrize("bad", [
+        '{"n_tap": 17,',  # not JSON
+        '[17, 72, 5]',  # not an object
+        '{"n_tap": 17, "hidden": 72, "steps": 5, "bits": null, "ber": null, '
+        '"seed": 1, "wall_time_s": 0.0}',  # no mac
+        OK_LINE.replace('"error": null', '"error": null, "loss": 0.3'),  # unknown field
+    ])
+    def test_unreadable_line_named(self, tmp_path, bad):
+        path = tmp_path / "results.jsonl"
+        path.write_text(self.OK_LINE + "\n\n" + bad + "\n")
+        with pytest.raises(ValueError, match="results.jsonl:3: not a trial record"):
+            load_results(path)
 
 
 SMALL_SPACE = DseSpace(n_taps=(3, 5), hidden=(1, 2, 3), steps=(1, 2))
