@@ -9,6 +9,7 @@ derive from hash(master seed, config), making results schedule-independent.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import operator
@@ -158,8 +159,10 @@ def search(space: DseSpace, channel_cfg: ChannelConfig, strategy: str, budget: i
     """Run `budget` trials; returns all results including resumed ones.
 
     Grid takes the lexicographic prefix of the space; random samples without
-    replacement. With a results_path, completed configurations are skipped and
-    new results are appended as they finish.
+    replacement. With a results_path, completed configurations are skipped;
+    the file is opened once, in append mode, and each new record is written
+    and flushed as its trial finishes, so a resume (or a trial runner reading
+    the file) sees every finished trial and a crash loses only the running one.
     """
     configs = space.enumerate()
     if budget < 1:
@@ -174,20 +177,20 @@ def search(space: DseSpace, channel_cfg: ChannelConfig, strategy: str, budget: i
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    done = load_results(results_path) if results_path else []
-    done_keys = {t.config_key() for t in done}
-    results = list(done)
-    for config in chosen:
-        key = TrialResult._config_key(config)
-        if key in done_keys:
-            continue
-        trial = trial_runner(config, channel_cfg, space.scale,
-                             trial_seed(seed, config))
-        results.append(trial)
-        done_keys.add(key)
-        if results_path:
-            with open(results_path, "a") as fh:
+    results = load_results(results_path) if results_path else []
+    done_keys = {t.config_key() for t in results}
+    with open(results_path, "a") if results_path else contextlib.nullcontext() as fh:
+        for config in chosen:
+            key = TrialResult._config_key(config)
+            if key in done_keys:
+                continue
+            trial = trial_runner(config, channel_cfg, space.scale,
+                                 trial_seed(seed, config))
+            results.append(trial)
+            done_keys.add(key)
+            if fh is not None:
                 fh.write(trial.to_json() + "\n")
+                fh.flush()  # a resume, or a crash in the next trial, finds it
     return results
 
 

@@ -238,23 +238,31 @@ class EqualizerModel:
 
     def make_decider(self):
         """Bind a batched decision closure, decide(windows (B, n_input), stats=None)
-        -> classes (B,): the argmax of forward's logits, ties to the lowest class
-        (weights resolved once). `stats` is the integer engine's clip counter
-        and is ignored here."""
-        eff = self.effective_weights()
-        cfg, lif, qat = self.config, self.lif, self.qat
+        -> classes (B,): the argmax of forward's logits, ties to the lowest class.
+
+        The effective weights are prepared once per decider (one per stream),
+        copied column-major so that the transposes forward multiplies by are
+        row-major. BLAS may then sum a float logit in another order and move
+        its last bits; QAT-float terms are short dyadic numbers, summed
+        exactly in any order while every sum fits 53 bits. Calls reuse one
+        Workspace. `stats` is the integer engine's clip counter; the float
+        and QAT-float deciders ignore it."""
+        eff = {k: np.asfortranarray(v) for k, v in self.effective_weights().items()}
+        cfg, lif, qat, workspace = self.config, self.lif, self.qat, Workspace()
 
         def decide(windows: np.ndarray, stats=None) -> np.ndarray:
-            logits, _ = forward(windows, eff, cfg, lif, qat)
+            logits, _ = forward(windows, eff, cfg, lif, qat, workspace=workspace)
             return np.argmax(logits, axis=1)
 
         return decide
 
 
 class Workspace:
-    """Named float arrays kept from call to call, so that a training loop
-    passing one to every step reuses its memory instead of faulting it in
-    again. A call overwrites what the last call returned in it (the tape)."""
+    """Named float arrays kept from call to call, so that a training loop or a
+    decider (make_decider) passing one to every forward reuses its memory
+    instead of faulting it in again. An array is kept per key and replaced
+    when a call asks for another shape. A call overwrites what the last call
+    returned in it (the tape); forward's logits are never in it."""
 
     def __init__(self):
         self._arrays = {}

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import pathlib
 import tempfile
 
 import numpy as np
@@ -189,6 +190,41 @@ class TestSearch:
         stored = load_results(path)
         assert {t.config_key() for t in stored} == {t.config_key() for t in resumed}
 
+    @pytest.mark.parametrize("finished", [0, 1, 3])
+    def test_interrupted_search_keeps_every_finished_trial(self, tmp_path, finished):
+        # each record is on disk before the next trial starts: a runner that
+        # reads the file sees every earlier one, a crash loses only the trial
+        # that was running, and a resume completes the uninterrupted search
+        whole = tmp_path / "whole.jsonl"
+        expected = search(self.SPACE, CHANNEL, "grid", 4, seed=3, results_path=whole,
+                          trial_runner=stub_runner)
+        path = tmp_path / "results.jsonl"
+        seen = []
+
+        def crashing_runner(config, channel_cfg, scale, seed):
+            seen.append(load_results(path))
+            if len(seen) > finished:
+                raise RuntimeError("trial crashed")
+            return stub_runner(config, channel_cfg, scale, seed)
+
+        with pytest.raises(RuntimeError, match="trial crashed"):
+            search(self.SPACE, CHANNEL, "grid", 4, seed=3, results_path=path,
+                   trial_runner=crashing_runner)
+        assert seen == [expected[:k] for k in range(finished + 1)]
+        assert path.read_text().splitlines() == whole.read_text().splitlines()[:finished]
+
+        ran = []
+
+        def counting_runner(config, channel_cfg, scale, seed):
+            ran.append(config)
+            return stub_runner(config, channel_cfg, scale, seed)
+
+        resumed = search(self.SPACE, CHANNEL, "grid", 4, seed=3, results_path=path,
+                         trial_runner=counting_runner)
+        assert ran == self.SPACE.enumerate()[finished:]
+        assert resumed == expected
+        assert path.read_bytes() == whole.read_bytes()
+
     def test_trial_seeds_schedule_independent(self):
         cfg = {"n_tap": 17, "hidden": 8, "steps": 2, "bits": None}
         assert trial_seed(9, cfg) == trial_seed(9, dict(reversed(list(cfg.items()))))
@@ -305,8 +341,10 @@ def test_resume_is_idempotent(strategy, budget, seed):
         path = os.path.join(tmp, "results.jsonl")
         first = search(SMALL_SPACE, CHANNEL, strategy, budget, seed, results_path=path,
                        trial_runner=stub_runner)
+        written = pathlib.Path(path).read_bytes()
         second = search(SMALL_SPACE, CHANNEL, strategy, budget, seed, results_path=path,
                         trial_runner=counting_runner)
+        assert pathlib.Path(path).read_bytes() == written  # a full resume writes nothing
     assert calls == []
     assert len(first) == budget
     assert {t.config_key() for t in second} == {t.config_key() for t in first}

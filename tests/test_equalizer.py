@@ -431,6 +431,48 @@ def test_equalize_stream_equals_sequential_loop(engine, mode, n_tap, hidden, ste
     assert stats == expected_stats
 
 
+def stream_windows(model, n_windows, seed):
+    """Windows of n_windows symbols of a random stream, random classes fed back."""
+    rng = np.random.default_rng(seed)
+    y = rng.uniform(-0.1, 1.1, model.config.history + n_windows)
+    classes = rng.integers(0, model.config.n_classes, y.size)
+    return teacher_forced_windows(y, classes, model.encoder, model.config)[0]
+
+
+def test_qat_logits_do_not_depend_on_the_weight_layout():
+    # the decider keeps its weights column-major, so that the transposes
+    # forward multiplies by are row-major; under QAT 8/8 every term is dyadic
+    # with few bits, every sum is exact, and the logits equal the stored
+    # layout's bit for bit at every batch size
+    model = closed_loop_model("qat", 17, 72, 5, seed=3, scale=3.0)
+    cfg, windows = model.config, stream_windows(model, 70, seed=4)
+    stored = model.effective_weights()
+    col = {name: np.asfortranarray(w) for name, w in stored.items()}
+    assert all(w.T.flags.c_contiguous for w in col.values())
+    decide = model.make_decider()
+    for rows in range(1, 71):
+        logits, _ = forward(windows[:rows], stored, cfg, model.lif, model.qat)
+        got, _ = forward(windows[:rows], col, cfg, model.lif, model.qat)
+        np.testing.assert_array_equal(got, logits)
+        np.testing.assert_array_equal(decide(windows[:rows]), np.argmax(logits, axis=1))
+    assert len(np.unique(logits)) > 4  # the model spikes
+
+
+@pytest.mark.parametrize("engine", ["float", "qat"])
+def test_decider_calls_leave_earlier_results_alone(engine):
+    # the decider reuses one workspace from call to call; what a call
+    # returned stays as it was through later calls, of any batch size
+    model = closed_loop_model(engine, 9, 24, 3, seed=6, scale=5.0)
+    windows, decide = stream_windows(model, 60, seed=6), model.make_decider()
+    first = decide(windows[:40])
+    kept = first.copy()
+    other = decide(windows[40:])
+    np.testing.assert_array_equal(decide(windows[:40]), kept)
+    np.testing.assert_array_equal(decide(windows[40:]), other)
+    np.testing.assert_array_equal(first, kept)
+    assert len(set(kept.tolist())) > 1
+
+
 def genie_decisions(y, classes, model, stats):
     """The decisions evaluate_ber(mode="genie") counts errors of, on the frame (classes, y)."""
     decided = []
