@@ -28,7 +28,8 @@ from .train import TrainConfig, TrainingDiverged, train
 
 @dataclass(frozen=True)
 class TrialScale:
-    """Per-trial training/evaluation budget, uniform across configurations."""
+    """Per-trial training/evaluation budget, uniform across configurations;
+    ValueError for no SNR points or a setting TrainConfig refuses."""
 
     train_symbols: int = 60_000
     eval_symbols: int = 20_000
@@ -37,10 +38,16 @@ class TrialScale:
     learning_rate: float = 1e-3
     train_snr_db: float = 17.0
 
+    def __post_init__(self):
+        if not self.snrs_db:
+            raise ValueError("TrialScale.snrs_db must be nonempty")
+        TrainConfig(learning_rate=self.learning_rate, batch_size=self.batch_size)
+
 
 @dataclass(frozen=True)
 class DseSpace:
-    """Candidate grid; `bits` entries of None evaluate the float model."""
+    """Candidate grid; `bits` entries of None evaluate the float model.
+    ValueError for an empty range or a value run_trial's configurations refuse."""
 
     n_taps: tuple = tuple(range(3, 42, 2))
     hidden: tuple = tuple(range(1, 81))
@@ -51,6 +58,14 @@ class DseSpace:
     def __post_init__(self):
         if not (self.n_taps and self.hidden and self.steps and self.bits):
             raise ValueError("DseSpace ranges must be nonempty")
+        for axis, values in (("n_tap", self.n_taps), ("hidden", self.hidden),
+                             ("steps", self.steps)):
+            for value in values:
+                TopologyConfig(**{axis: value})
+        for b in self.bits:
+            if b is not None:
+                QatConfig(weight_bits=b, state_bits=b)
+                FxpFormats(weight_bits=b, state_bits=b)
 
     def enumerate(self) -> list:
         """Lexicographic (n_tap, hidden, steps, bits) order."""

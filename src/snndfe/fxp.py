@@ -2,9 +2,9 @@
 
 Mirrors the hardware arithmetic decisions: power-of-two per-tensor scales,
 shift-based LIF decay (alpha = 2^-k), ternary inputs so multiplies reduce to
-add/subtract/skip, and saturating accumulators acc_bits wide (FxpFormats,
-default 32, at most 53) that a constructed FxpModel cannot saturate: it
-refuses tensors whose worst case does not fit them. The integers are held in
+add/subtract/skip, and accumulators acc_bits wide (FxpFormats, default 32, at
+most 53) that never saturate: a model whose worst case does not fit them is
+refused, also after an edit (_check_model). The integers are held in
 float64 arrays: every state, drive and accumulator, and every shifted partial
 sum, is an integer of magnitude at most 2^53, which float64 holds exactly, so
 products run on float64 BLAS with their alignment shifts folded into the
@@ -44,12 +44,10 @@ class FxpFormats:
     fxp_forward holds every integer in float64, exact up to magnitude 2^53.
     acc_bits <= 53 keeps every product exact: each shifted partial sum is
     bounded by its accumulator's worst case, which FxpModel holds to acc_max
-    <= 2^52 - 1. 4 <= state_bits (quant.state_format) <= 53 keeps the LIF
-    sums, such as i - (i >> k_i) + drive, within 2^53. weight_bits <= 32
-    keeps the unshifted window and spike products below 2^53 for any row
-    under 2^22 columns. Narrowing acc_bits after construction keeps the
-    products exact and makes fxp_forward clamp the accumulators whose worst
-    case no longer fits.
+    <= 2^52 - 1, also after its formats are narrowed. 4 <= state_bits
+    (quant.state_format) <= 53 keeps the LIF sums, such as i - (i >> k_i) +
+    drive, within 2^53. weight_bits <= 32 keeps the unshifted window and
+    spike products below 2^53 for any row under 2^22 columns.
     """
 
     weight_bits: int = 8
@@ -144,24 +142,55 @@ def _worst_case_accumulators(ints: dict, fracs: dict, steps: int) -> dict:
 _MAX_FRAC = 1074 + 31
 
 
+def _check_model(model: FxpModel) -> FxpLifSpec:
+    """The model's integer LIF constants; ConversionError (a ValueError) unless
+    `model.lif` passes FxpLifSpec.derive, `ints` and `fracs` hold exactly the
+    EqualizerModel parameters, each an int64 array of its shape on the
+    weight_bits grid with an int frac within +-_MAX_FRAC, and every worst-case
+    accumulator fits acc_bits (the ranges first: they keep its int64 sums exact)."""
+    spec = FxpLifSpec.derive(model.lif, model.state_fmt)  # refuses constants it cannot run
+    shapes = model.config.param_shapes()
+    for label, table in (("ints", model.ints), ("fracs", model.fracs)):
+        if not isinstance(table, dict) or table.keys() != shapes.keys():
+            got = list(table) if isinstance(table, dict) else type(table).__name__
+            raise ConversionError(f"{label} must hold exactly {list(shapes)}, got {got}")
+    qmax, overflowed = 2 ** (model.formats.weight_bits - 1) - 1, []
+    for name, shape in shapes.items():
+        arr, frac = model.ints[name], model.fracs[name]
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.int64
+                and arr.shape == shape and isinstance(frac, int)):
+            raise ConversionError(
+                f"{name} must be an int64 array of shape {shape} with an int frac, got "
+                f"{getattr(arr, 'dtype', type(arr))} {np.shape(arr)}, frac {frac!r}")
+        if abs(frac) > _MAX_FRAC:
+            raise ConversionError(f"fracs[{name!r}] = {frac} is outside "
+                                  f"[-{_MAX_FRAC}, {_MAX_FRAC}]")
+        if arr.min(initial=0) < -qmax - 1 or arr.max(initial=0) > qmax:
+            overflowed.append(name)
+    if overflowed:
+        raise ConversionError(f"tensors exceed the representable range: {overflowed}")
+    worst = _worst_case_accumulators(model.ints, model.fracs, model.config.steps)
+    too_wide = [f"{name} 2^{math.log2(peak):.1f}" for name, peak in worst.items()
+                if peak > model.acc_max]
+    if too_wide:
+        raise ConversionError(f"worst-case accumulators exceed {model.formats.acc_bits} "
+                              f"bits: {', '.join(too_wide)}")
+    return spec
+
+
 @dataclass
 class FxpModel:
-    """Integer twin of an EqualizerModel, checked once on construction.
+    """Integer twin of an EqualizerModel, checked on construction and on every
+    resolve (_check_model).
 
     Weight tensors are int64 arrays on per-tensor power-of-two grids
     (value = ints[name] * 2^-fracs[name]) within formats.weight_bits; the LIF
     state lives on the state grid (state_fmt), and `lif_spec` derives the
-    integer LIF constants from the current `lif` on it. Construction raises
-    ConversionError (a ValueError) unless `lif` passes FxpLifSpec.derive,
-    `ints` and `fracs` hold exactly the EqualizerModel parameters, each an
-    int64 array of its shape on the weight_bits grid with an int frac within
-    +-_MAX_FRAC, and every worst-case accumulator (see
-    _worst_case_accumulators) fits formats.acc_bits, so the model never
-    saturates an accumulator and its products are exact in float64 (see
-    FxpFormats). Fields edited after construction are not checked again, but
-    fxp_forward reads them afresh per stream (make_decider) or per call: a
-    narrowed formats turns its clamps on, and an edit that lets a partial sum
-    reach 2^53 raises ConversionError. The export carries everything a
+    integer LIF constants from the current `lif` on it. fxp_forward checks the
+    current fields again when it resolves them, per stream (make_decider) or
+    per call, so an edited model is refused as its construction would be. A
+    model that passes never saturates an accumulator, and its products are
+    exact in float64 (see FxpFormats). The export carries everything a
     hardware implementation needs to reproduce the arithmetic bit-for-bit.
     """
 
@@ -173,33 +202,7 @@ class FxpModel:
     formats: FxpFormats
 
     def __post_init__(self):
-        FxpLifSpec.derive(self.lif, self.state_fmt)  # refuses constants it cannot run
-        shapes = self.config.param_shapes()
-        for label, table in (("ints", self.ints), ("fracs", self.fracs)):
-            if not isinstance(table, dict) or table.keys() != shapes.keys():
-                got = list(table) if isinstance(table, dict) else type(table).__name__
-                raise ConversionError(f"{label} must hold exactly {list(shapes)}, got {got}")
-        qmax, overflowed = 2 ** (self.formats.weight_bits - 1) - 1, []
-        for name, shape in shapes.items():
-            arr, frac = self.ints[name], self.fracs[name]
-            if not (isinstance(arr, np.ndarray) and arr.dtype == np.int64
-                    and arr.shape == shape and isinstance(frac, int)):
-                raise ConversionError(
-                    f"{name} must be an int64 array of shape {shape} with an int frac, got "
-                    f"{getattr(arr, 'dtype', type(arr))} {np.shape(arr)}, frac {frac!r}")
-            if abs(frac) > _MAX_FRAC:
-                raise ConversionError(f"fracs[{name!r}] = {frac} is outside "
-                                      f"[-{_MAX_FRAC}, {_MAX_FRAC}]")
-            if arr.min(initial=0) < -qmax - 1 or arr.max(initial=0) > qmax:
-                overflowed.append(name)
-        if overflowed:
-            raise ConversionError(f"tensors exceed the representable range: {overflowed}")
-        worst = _worst_case_accumulators(self.ints, self.fracs, self.config.steps)
-        too_wide = [f"{name} 2^{math.log2(peak):.1f}" for name, peak in worst.items()
-                    if peak > self.acc_max]
-        if too_wide:
-            raise ConversionError(f"worst-case accumulators exceed {self.formats.acc_bits} "
-                                  f"bits: {', '.join(too_wide)}")
+        _check_model(self)
 
     @property
     def lif_spec(self) -> FxpLifSpec:
@@ -210,18 +213,15 @@ class FxpModel:
         return state_format(self.formats.state_bits)
 
     @property
-    def acc_min(self) -> int:
-        return -(2 ** (self.formats.acc_bits - 1))
-
-    @property
     def acc_max(self) -> int:
         return 2 ** (self.formats.acc_bits - 1) - 1
 
     def make_decider(self):
         """Bind a batched decision closure, decide(windows (B, n_input), stats=None)
         -> classes (B,): the argmax of fxp_forward's logits, ties to the lowest
-        class; `stats` counts clips as fxp_forward does."""
-        resolved = _Resolved(self)  # once per stream; fxp_forward would per call
+        class; `stats` counts state clips as fxp_forward does. The model is
+        checked and resolved here, once per stream, where fxp_forward would per call."""
+        resolved = _Resolved(self)
 
         def decide(windows: np.ndarray, stats=None) -> np.ndarray:
             return np.argmax(fxp_forward(windows, resolved, stats), axis=1)
@@ -266,10 +266,12 @@ def convert(model: EqualizerModel, formats: FxpFormats) -> FxpModel:
                     ints=ints, fracs=fracs, formats=formats)
 
 
-def _clamp(x: np.ndarray, lo: float, hi: float, stats: dict | None, key: str) -> np.ndarray:
-    """Clamp x into [lo, hi] in place; with `stats`, add the values it moves to stats[key]."""
+def _clamp(x: np.ndarray, lo: float, hi: float, stats: dict | None) -> np.ndarray:
+    """Clamp the LIF state x into [lo, hi] in place; with `stats`, add the
+    values it moves to stats["state_clips"]."""
     if stats is not None:
-        stats[key] = stats.get(key, 0) + int(np.count_nonzero(x < lo) + np.count_nonzero(x > hi))
+        moved = np.count_nonzero(x < lo) + np.count_nonzero(x > hi)
+        stats["state_clips"] = stats.get("state_clips", 0) + int(moved)
     # the ufuncs directly: np.clip's Python wrapper costs more than the clamp
     np.maximum(x, lo, out=x)
     return np.minimum(x, hi, out=x)
@@ -285,8 +287,7 @@ def fxp_lif_step(v: np.ndarray, i: np.ndarray, drive: np.ndarray, spec: FxpLifSp
     [lo, hi], as fxp_forward's do; i' is clamped back into it, and v' needs no
     clamp: x - (x >> k) and y >> k grow with x and y, so v' lies between
     lo - (lo >> k) + (lo >> k) = lo and hi. State clips are quantization
-    semantics (mirrored by QAT), tracked under "state_clips", not
-    accumulator saturation.
+    semantics (mirrored by QAT), counted under "state_clips".
 
     The integers are held in float64: x >> k is floor(x * 2^-k), exact as the
     scale only moves the exponent, and on a state grid of at most 53 bits
@@ -302,7 +303,7 @@ def fxp_lif_step(v: np.ndarray, i: np.ndarray, drive: np.ndarray, spec: FxpLifSp
 
     i -= shr(i, spec.k_i)
     i += drive
-    _clamp(i, spec.state_min, spec.state_max, stats, "state_clips")
+    _clamp(i, spec.state_min, spec.state_max, stats)
     v -= shr(v, spec.k_v)
     v += shr(i, spec.k_v)
     fired = v >= spec.v_th_int
@@ -325,32 +326,23 @@ def _requantize(x: np.ndarray, spec: FxpLifSpec, stats: dict | None) -> np.ndarr
     moves the exponent, and floor(x + 1/2) rounds as integer arithmetic does
     and keeps a left shift's integers."""
     x += 0.5
-    return _clamp(np.floor(x, out=x), spec.state_min, spec.state_max, stats, "state_clips")
+    return _clamp(np.floor(x, out=x), spec.state_min, spec.state_max, stats)
 
 
 class _Resolved:
     """fxp_forward's constants, from an FxpModel's current fields, all float64:
     the weights transposed, with each product's alignment shift folded in; the
-    aligned biases; the t >= 1 hidden drive before fc2 (h_rest); and each
-    accumulator's clamp bounds where its worst case can saturate it under the
-    current formats, else None. The hidden drive's shift onto the state grid
-    is folded into its products and bounds too (_folded_drive_shift).
-    ConversionError when an edit lets a partial sum reach 2^53 (float64
-    rounds).
+    aligned biases; and the t >= 1 hidden drive before fc2 (h_rest). The
+    hidden drive's shift onto the state grid is folded into its products too
+    (_folded_drive_shift). The fields are checked first (_check_model): an
+    edited model that construction would refuse raises its ConversionError.
     """
 
     def __init__(self, model: FxpModel):
-        w, f, cfg = model.ints, model.fracs, model.config
+        self.lif_spec = _check_model(model)
+        w, f, self.config = model.ints, model.fracs, model.config
         f_a, f_h, f_z = _accumulator_fracs(f)
-        worst = _worst_case_accumulators(w, f, cfg.steps)
-        if max(worst.values()) >= 2 ** 53:
-            raise ConversionError("an edited tensor lets a partial sum reach 2^53")
-        self.config, self.lif_spec = cfg, model.lif_spec
         shift = _folded_drive_shift(f_h - model.state_fmt.frac_bits)
-        # each clamp's bounds on the grid its accumulator's products land on
-        scale = {"fc0": 1, "hidden drive": 2.0 ** -shift, "logits": 1}
-        self.clamps = {name: (model.acc_min * scale[name], model.acc_max * scale[name])
-                       if peak > model.acc_max else None for name, peak in worst.items()}
 
         def aligned(name, frac):  # exact: |int| * 2^(frac - fracs[name]) stays normal
             return np.ldexp(w[name].astype(float), frac - f[name])
@@ -376,18 +368,18 @@ def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarr
     step only; the hidden drive is requantized onto the state grid (round
     half-up) before entering the current equation; fc3 readouts accumulate over
     steps. Returns the int64 logits (B, n_classes) on the fc3 grid. With
-    `stats`, accumulator saturations and state clips are added to its
-    "saturations" and "state_clips" counts.
+    `stats`, the LIF state clips are added to its "state_clips" count.
 
     Every value is an integer in a float64 array updated in place, exact as
-    each accumulator and shifted partial sum is within its worst case, below
-    2^53, and each state on a grid of at most 53 bits (see FxpFormats). The
-    products run on float64 BLAS with their alignment shifts folded into the
-    weights, and the hidden drive's shift onto the state grid into its own,
-    so no step scales the drive. An accumulator is clamped only when that
-    worst case exceeds the current acc_max, as no other clamp can change a
-    value. The constants are resolved from `model`'s current fields per call;
-    FxpModel.make_decider resolves them per stream.
+    each accumulator and shifted partial sum is within its worst case, which
+    fits acc_bits (so nothing saturates) and lies below 2^53, and each state
+    on a grid of at most 53 bits (see FxpFormats). The products run on
+    float64 BLAS with their alignment shifts folded into the weights, and the
+    hidden drive's shift onto the state grid into its own, so no step scales
+    the drive. The readout is linear in the spikes: one product of their
+    counts. The model is checked and its constants resolved from its current
+    fields per call (ConversionError as at construction);
+    FxpModel.make_decider does both once per stream.
     """
     c = model if isinstance(model, _Resolved) else _Resolved(model)
     cfg, spec = c.config, c.lif_spec
@@ -396,32 +388,21 @@ def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarr
         raise ValueError(f"windows have shape {enc.shape}, expected (B, {cfg.n_input})")
     if not ((enc == 0) | (np.abs(enc) == 1)).all():
         raise ValueError("fxp_forward requires ternary {-1, 0, 1} windows")
-    if stats is not None:  # counted even when no clamp runs
-        stats.setdefault("saturations", 0)
-
-    def accumulate(x, name):
-        bounds = c.clamps[name]
-        return x if bounds is None else _clamp(x, *bounds, stats, "saturations")
-
     a_window = enc @ c.w0
     a_window += c.a_bias
-    h = accumulate(a_window, "fc0") @ c.w1  # the first step's drive: no spikes yet
+    h = a_window @ c.w1  # the first step's drive: no spikes yet
     h += c.b1
     v = np.zeros_like(h)
     i = np.zeros_like(h)
-    # an unclamped readout is linear in the spikes: one product of their counts
-    clamp_z = c.clamps["logits"] is not None
-    readout = np.zeros((enc.shape[0], cfg.n_classes) if clamp_z else h.shape)
+    counts = np.zeros_like(h)
     for t in range(cfg.steps):
         if t:
             np.matmul(spikes, c.w2, out=h)
             h += c.h_rest
-        drive = _requantize(accumulate(h, "hidden drive"), spec, stats)
+        drive = _requantize(h, spec, stats)
         v, i, spikes = fxp_lif_step(v, i, drive, spec, stats)
-        readout += spikes @ c.w3 + c.z_bias if clamp_z else spikes
-        accumulate(readout, "logits")
-    logits = readout if clamp_z else readout @ c.w3 + cfg.steps * c.z_bias
-    return logits.astype(np.int64)
+        counts += spikes
+    return (counts @ c.w3 + cfg.steps * c.z_bias).astype(np.int64)
 
 
 _FXP_FIELDS = ("fracs", "state_bits", "state_frac_bits", "k_v", "k_i",

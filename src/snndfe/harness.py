@@ -134,10 +134,11 @@ def evaluate_baseline_ber(channel_cfg: ChannelConfig, m: int, snrs_db,
                           pilot_symbols: int = 4096) -> BerCurve:
     """BER of the unequalized hard-decision receiver on the same eval frames.
 
-    Uses the same derived eval streams as evaluate_ber so comparisons are
-    paired, and the same warm-up exclusion window. m must be
-    channel.BITS_PER_SYMBOL and 0 <= warmup < symbols_per_snr, or ConfigError
-    is raised.
+    Uses the same derived eval streams as evaluate_ber, so comparisons are
+    paired, and skips the first `warmup` symbols (default 0): callers pass
+    warmup=model.config.history to count the bits evaluate_ber counts. m must
+    be channel.BITS_PER_SYMBOL and 0 <= warmup < symbols_per_snr, or
+    ConfigError is raised.
     """
     check_pam4(m)
     if not 0 <= warmup < symbols_per_snr:

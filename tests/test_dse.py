@@ -367,3 +367,31 @@ class TestSpaceParsing:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             DseSpace(n_taps=())
+
+    @pytest.mark.parametrize("settings, match", [
+        ({"n_taps": (3, 4)}, "n_tap must be odd"),
+        ({"hidden": (8, 0)}, "hidden"),
+        ({"steps": (0,)}, "steps"),
+        ({"bits": (None, 3)}, "state_bits"),
+        ({"bits": (8, 33)}, "weight_bits"),
+    ], ids=["even_n_tap", "hidden_0", "steps_0", "bits_3", "bits_33"])
+    def test_axis_values_checked_at_construction(self, settings, match):
+        # a value a trial's configurations refuse fails before any trial runs,
+        # where it used to raise mid-sweep (at the first n_tap 4, say)
+        with pytest.raises(ValueError, match=match):
+            DseSpace(**settings)
+
+    @pytest.mark.parametrize("settings, match", [
+        ({"batch_size": 0}, "batch_size"),
+        ({"snrs_db": ()}, "snrs_db"),
+        ({"learning_rate": -1e-3}, "learning_rate"),
+    ], ids=["batch_size_0", "no_snrs", "negative_learning_rate"])
+    def test_trial_scale_checked_at_construction(self, settings, match):
+        # batch_size 0 divided by zero in run_trial; no SNR point trained the
+        # model, recorded ber == {} and failed only in pareto_front
+        with pytest.raises(ValueError, match=match):
+            TrialScale(**settings)
+
+    def test_defaults_and_fxp_widths_accepted(self):
+        assert len(DseSpace().enumerate()) == 20 * 80 * 10
+        assert DseSpace(bits=(None, 4, 8, 32)).scale == TrialScale()

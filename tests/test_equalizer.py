@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from unittest import mock
 
@@ -385,7 +384,7 @@ class TestEqualizeStream:
 
 def closed_loop_model(engine, n_tap, hidden, steps, seed, scale):
     """A random model run by one engine: "float", "qat" (QAT-float 8/8) or "int"
-    (its integer twin), "int16" with the accumulators narrowed to 16 bits."""
+    (its integer twin)."""
     cfg = TopologyConfig(n_tap=n_tap, hidden=hidden, steps=steps)
     float_engine = engine == "float"
     model = EqualizerModel.initialize(
@@ -394,15 +393,13 @@ def closed_loop_model(engine, n_tap, hidden, steps, seed, scale):
         qat=None if float_engine else QatConfig(8, 8))
     for name in model.PARAM_NAMES:
         getattr(model, name)[:] *= scale
-    if engine.startswith("int"):
+    if engine == "int":
         model = convert(model, FxpFormats())
-    if engine == "int16":
-        model.formats = dataclasses.replace(model.formats, acc_bits=16)
     return model
 
 
 @settings(max_examples=60, deadline=None)
-@given(engine=st.sampled_from(["float", "qat", "int", "int16"]),
+@given(engine=st.sampled_from(["float", "qat", "int"]),
        mode=st.sampled_from(["feedback", "genie"]),
        n_tap=st.sampled_from([1, 3, 5, 9]), hidden=st.integers(1, 12),
        steps=st.integers(1, 4), scale=st.floats(0.5, 8.0),

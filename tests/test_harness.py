@@ -33,6 +33,13 @@ def test_evaluate_baseline_ber_rejects_warmup_outside_the_frame(warmup):
 def test_evaluate_baseline_ber_counts_after_the_warmup():
     point, = evaluate_baseline_ber(ChannelConfig(), 2, (17.0,), 100, seed=1, warmup=99).points
     assert point.bits_counted == 2 and 0 <= point.bit_errors <= 2
+    # with the model's history as warm-up, it counts the bits evaluate_ber counts
+    model = EqualizerModel.initialize(TopologyConfig(n_tap=7, hidden=4, steps=1), LifParams(),
+                                      EncoderConfig(0.0, 1.0), np.random.default_rng(0))
+    snn, = evaluate_ber(model, ChannelConfig(), (17.0,), 100, seed=1).points
+    base, = evaluate_baseline_ber(ChannelConfig(), 2, (17.0,), 100, seed=1,
+                                  warmup=model.config.history).points
+    assert base.bits_counted == snn.bits_counted == 2 * (100 - 3)
 
 
 def test_evaluate_ber_rejects_an_unknown_mode():
