@@ -21,7 +21,7 @@ import numpy as np
 from .channel import ChannelConfig
 from .equalizer import TopologyConfig
 from .fxp import ConversionError, FxpFormats, convert
-from .harness import derive_seed, evaluate_ber
+from .harness import check_eval_symbols, derive_seed, evaluate_ber
 from .quant import QatConfig
 from .train import TrainConfig, TrainingDiverged, train
 
@@ -46,8 +46,9 @@ class TrialScale:
 
 @dataclass(frozen=True)
 class DseSpace:
-    """Candidate grid; `bits` entries of None evaluate the float model.
-    ValueError for an empty range or a value run_trial's configurations refuse."""
+    """Candidate grid; `bits` entries of None evaluate the float model. ValueError
+    for an empty range, a value run_trial's configurations refuse, or an
+    eval_symbols evaluate_ber refuses at the largest n_tap."""
 
     n_taps: tuple = tuple(range(3, 42, 2))
     hidden: tuple = tuple(range(1, 81))
@@ -62,6 +63,7 @@ class DseSpace:
                              ("steps", self.steps)):
             for value in values:
                 TopologyConfig(**{axis: value})
+        check_eval_symbols(self.scale.eval_symbols, TopologyConfig(n_tap=max(self.n_taps)).history)
         for b in self.bits:
             if b is not None:
                 QatConfig(weight_bits=b, state_bits=b)

@@ -103,8 +103,11 @@ class EncoderConfig:
             raise ValueError(f"encoder ends must be finite, got [{self.rx_min}, {self.rx_max}]")
 
     def bin_indices(self, samples) -> np.ndarray:
-        """Uniform 8-level quantizer, clamping out-of-range values to the edge bins."""
+        """Uniform 8-level quantizer, clamping out-of-range values (+-inf too)
+        to the edge bins; ValueError for a NaN sample."""
         samples = np.asarray(samples, dtype=float)
+        if np.isnan(samples).any():
+            raise ValueError("received samples must not be NaN")
         lo, hi = float(self.rx_min), float(self.rx_max)
         span = hi - lo
         if span <= 0:

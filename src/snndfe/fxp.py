@@ -2,16 +2,17 @@
 
 Mirrors the hardware arithmetic decisions: power-of-two per-tensor scales,
 shift-based LIF decay (alpha = 2^-k), ternary inputs so multiplies reduce to
-add/subtract/skip, and accumulators acc_bits wide (FxpFormats, default 32, at
-most 53) that never saturate: a model whose worst case does not fit them is
-refused, also after an edit (_check_model). The integers are held in
-float64 arrays: every state, drive and accumulator, and every shifted partial
-sum, is an integer of magnitude at most 2^53, which float64 holds exactly, so
-products run on float64 BLAS with their alignment shifts folded into the
-weights and a shift is a power-of-two scale (then a floor); nothing wraps. All
-rounding is pinned: decay shifts are arithmetic shifts (floor, also for
-negatives), the one drive requantization onto the state grid rounds half-up,
-and offline conversion rounds to nearest-even. Identical inputs give
+add/subtract/skip, weights and LIF states of at most 16 bits with binary
+points within a 32-bit word, and accumulators acc_bits wide (FxpFormats,
+default 32, at most 53) that never saturate: a model whose worst case does
+not fit them is refused, also after an edit (_check_model). The integers are
+held in float64 arrays: every state, drive and accumulator, and every shifted
+partial sum, is an integer of magnitude at most 2^53, which float64 holds
+exactly, so products run on float64 BLAS with their alignment shifts folded
+into the weights and a shift is a power-of-two scale (then a floor); nothing
+wraps. All rounding is pinned: decay shifts are arithmetic shifts (floor,
+also for negatives), the one drive requantization onto the state grid rounds
+half-up, and offline conversion rounds to nearest-even. Identical inputs give
 identical outputs on any platform.
 """
 
@@ -27,7 +28,7 @@ from .equalizer import (
     EncoderConfig, EqualizerModel, TopologyConfig, load_container, save_container,
 )
 from .lif import LifParams
-from .quant import FxpFormat, pow2_scale, state_format
+from .quant import FxpFormat, pow2_exponent, state_format
 
 FXP_FORMAT = "snndfe-fxp-model"
 FXP_VERSION = 1
@@ -41,13 +42,12 @@ class ConversionError(ValueError):
 class FxpFormats:
     """Bit widths of an integer model: weights/biases, LIF state, accumulators.
 
-    fxp_forward holds every integer in float64, exact up to magnitude 2^53.
-    acc_bits <= 53 keeps every product exact: each shifted partial sum is
-    bounded by its accumulator's worst case, which FxpModel holds to acc_max
-    <= 2^52 - 1, also after its formats are narrowed. 4 <= state_bits
-    (quant.state_format) <= 53 keeps the LIF sums, such as i - (i >> k_i) +
-    drive, within 2^53. weight_bits <= 32 keeps the unshifted window and
-    spike products below 2^53 for any row under 2^22 columns.
+    Weights of 2 to 16 bits and LIF states of 4 (quant.state_format) to 16
+    bits, the widths of an FPGA datapath. fxp_forward holds every integer in
+    float64, exact up to magnitude 2^53, and acc_bits <= 53 keeps every
+    product exact: each shifted partial sum is bounded by its accumulator's
+    worst case, which FxpModel holds to acc_max <= 2^52 - 1, also after its
+    formats are narrowed.
     """
 
     weight_bits: int = 8
@@ -55,13 +55,10 @@ class FxpFormats:
     acc_bits: int = 32
 
     def __post_init__(self):
-        if not 2 <= self.weight_bits <= 32:
-            raise ValueError("weight_bits must be in [2, 32] (float64-exact products)")
-        state_format(self.state_bits)
-        if self.state_bits > 53:
-            raise ValueError("state_bits must be in [4, 53] (float64-exact LIF state)")
-        if not 16 <= self.acc_bits <= 53:
-            raise ValueError("acc_bits must be in [16, 53] (float64-exact products)")
+        for name, lo, hi in (("weight_bits", 2, 16), ("state_bits", 4, 16),
+                             ("acc_bits", 16, 53)):
+            if not lo <= getattr(self, name) <= hi:
+                raise ValueError(f"{name} must be in [{lo}, {hi}], got {getattr(self, name)}")
 
 
 def _shift_exponent(alpha: float, name: str) -> int:
@@ -136,10 +133,11 @@ def _worst_case_accumulators(ints: dict, fracs: dict, steps: int) -> dict:
     return {"fc0": fc0, "hidden drive": hidden, "logits": logits}
 
 
-# Widest |frac| FxpModel accepts. convert's grid steps are float64 powers of
-# two, 2^-1074 to 2^1023, so it writes |frac| <= 1074; a 32-bit weight's 31
-# bits leave room past that. A wider frac is refused before any shift by it.
-_MAX_FRAC = 1074 + 31
+# Widest |frac| FxpModel accepts: every binary point lies within a 32-bit
+# word. With a state grid of at most 13 fractional bits, the hidden drive's
+# shift onto it lies in [-45, 63], and every exponent _Resolved folds into its
+# float64 weights within +-80, so each folded weight is exact.
+_MAX_FRAC = 32
 
 
 def _check_model(model: FxpModel) -> FxpLifSpec:
@@ -163,8 +161,8 @@ def _check_model(model: FxpModel) -> FxpLifSpec:
                 f"{name} must be an int64 array of shape {shape} with an int frac, got "
                 f"{getattr(arr, 'dtype', type(arr))} {np.shape(arr)}, frac {frac!r}")
         if abs(frac) > _MAX_FRAC:
-            raise ConversionError(f"fracs[{name!r}] = {frac} is outside "
-                                  f"[-{_MAX_FRAC}, {_MAX_FRAC}]")
+            raise ConversionError(
+                f"fracs[{name!r}] = {frac} is outside [-{_MAX_FRAC}, {_MAX_FRAC}]")
         if arr.min(initial=0) < -qmax - 1 or arr.max(initial=0) > qmax:
             overflowed.append(name)
     if overflowed:
@@ -229,18 +227,6 @@ class FxpModel:
         return decide
 
 
-def _fit_frac(arr: np.ndarray, bits: int, name: str) -> int:
-    """Fractional bits of the finest power-of-two grid that holds max|arr|;
-    ConversionError naming `name` when that grid's step overflows float64."""
-    max_abs = float(np.max(np.abs(arr))) if arr.size else 0.0
-    try:
-        scale = pow2_scale(max_abs, bits)
-    except OverflowError:
-        raise ConversionError(f"{name}: max |value| {max_abs} needs a grid step beyond "
-                              f"float64's range at {bits} bits") from None
-    return -int(round(math.log2(scale)))
-
-
 def convert(model: EqualizerModel, formats: FxpFormats) -> FxpModel:
     """Round the float model to nearest-even onto per-tensor power-of-two grids.
 
@@ -248,7 +234,8 @@ def convert(model: EqualizerModel, formats: FxpFormats) -> FxpModel:
     with matching bit widths converts exactly (zero error); a warning is issued
     when the QAT setup does not match. Each fitted grid holds its tensor;
     FxpModel's checks raise ConversionError for LIF constants the integer
-    engine cannot run and for a worst-case accumulator wider than acc_bits.
+    engine cannot run, for a grid outside +-_MAX_FRAC fractional bits and for
+    a worst-case accumulator wider than acc_bits.
     """
     if model.qat is None:
         warnings.warn("converting a model that was not QAT-trained", stacklevel=2)
@@ -259,8 +246,9 @@ def convert(model: EqualizerModel, formats: FxpFormats) -> FxpModel:
         )
     ints, fracs = {}, {}
     for name, arr in model.parameters().items():
-        fracs[name] = _fit_frac(arr, formats.weight_bits, name)
-        # ldexp is exact, where 2.0 ** frac overflows for a frac above 1023
+        max_abs = float(np.max(np.abs(arr))) if arr.size else 0.0
+        fracs[name] = -pow2_exponent(max_abs, formats.weight_bits)  # the QAT grid
+        # ldexp: exact, and finite also for a frac _check_model goes on to refuse
         ints[name] = np.rint(np.ldexp(arr, fracs[name])).astype(np.int64)
     return FxpModel(config=model.config, encoder=model.encoder, lif=model.lif,
                     ints=ints, fracs=fracs, formats=formats)
@@ -290,15 +278,15 @@ def fxp_lif_step(v: np.ndarray, i: np.ndarray, drive: np.ndarray, spec: FxpLifSp
     semantics (mirrored by QAT), counted under "state_clips".
 
     The integers are held in float64: x >> k is floor(x * 2^-k), exact as the
-    scale only moves the exponent, and on a state grid of at most 53 bits
-    every sum is an integer of magnitude at most 2^53. v and i are updated in
+    scale only moves the exponent, and on a state grid of at most 16 bits
+    every sum is an integer of magnitude at most 2^16. v and i are updated in
     place when float64 arrays (fxp_forward's), else copied; spikes is a
     float64 array of 0 and 1.
     """
     v, i = np.asarray(v, dtype=float), np.asarray(i, dtype=float)
     shifted = np.empty_like(v)
 
-    def shr(x, k):  # x >> k; 2^-k underflows past 1074 bits, where |x| <= 2^53 floors alike
+    def shr(x, k):  # x >> k; 2^-k underflows past 1074 bits, where |x| < 2^16 floors alike
         return np.floor(np.multiply(x, 2.0 ** -min(k, 1074), out=shifted), out=shifted)
 
     i -= shr(i, spec.k_i)
@@ -311,20 +299,13 @@ def fxp_lif_step(v: np.ndarray, i: np.ndarray, drive: np.ndarray, spec: FxpLifSp
     return v, i, fired.astype(float)
 
 
-def _folded_drive_shift(shift: int) -> int:
-    """The hidden drive's shift onto the state grid as fxp_forward folds it
-    into the drive's products. Past 60 bits every |h| <= 2^52 rounds to 0 as
-    it does at 60, and a left shift of 64 bits already moves every nonzero h
-    off a state grid of at most 53 bits."""
-    return min(max(shift, -64), 60)
-
-
 def _requantize(x: np.ndarray, spec: FxpLifSpec, stats: dict | None) -> np.ndarray:
     """The hidden drive x = h * 2^-shift, already scaled onto the state grid,
     rounded half up and clamped to the state range in place ("state_clips").
-    Exact for integers |h| <= 2^52, as every accumulator is: the scale only
-    moves the exponent, and floor(x + 1/2) rounds as integer arithmetic does
-    and keeps a left shift's integers."""
+    Exact for integers |h| <= 2^52, as every accumulator is, and shifts in
+    [-45, 63], as every model's is (_MAX_FRAC): the scale only moves the
+    exponent, and floor(x + 1/2) rounds as integer arithmetic does and keeps
+    a left shift's integers."""
     x += 0.5
     return _clamp(np.floor(x, out=x), spec.state_min, spec.state_max, stats)
 
@@ -333,16 +314,16 @@ class _Resolved:
     """fxp_forward's constants, from an FxpModel's current fields, all float64:
     the weights transposed, with each product's alignment shift folded in; the
     aligned biases; and the t >= 1 hidden drive before fc2 (h_rest). The
-    hidden drive's shift onto the state grid is folded into its products too
-    (_folded_drive_shift). The fields are checked first (_check_model): an
-    edited model that construction would refuse raises its ConversionError.
+    hidden drive's shift onto the state grid is folded into its products too.
+    The fields are checked first (_check_model): an edited model that
+    construction would refuse raises its ConversionError.
     """
 
     def __init__(self, model: FxpModel):
         self.lif_spec = _check_model(model)
         w, f, self.config = model.ints, model.fracs, model.config
         f_a, f_h, f_z = _accumulator_fracs(f)
-        shift = _folded_drive_shift(f_h - model.state_fmt.frac_bits)
+        shift = f_h - model.state_fmt.frac_bits
 
         def aligned(name, frac):  # exact: |int| * 2^(frac - fracs[name]) stays normal
             return np.ldexp(w[name].astype(float), frac - f[name])
@@ -373,7 +354,7 @@ def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarr
     Every value is an integer in a float64 array updated in place, exact as
     each accumulator and shifted partial sum is within its worst case, which
     fits acc_bits (so nothing saturates) and lies below 2^53, and each state
-    on a grid of at most 53 bits (see FxpFormats). The products run on
+    on a grid of at most 16 bits (see FxpFormats). The products run on
     float64 BLAS with their alignment shifts folded into the weights, and the
     hidden drive's shift onto the state grid into its own, so no step scales
     the drive. The readout is linear in the spikes: one product of their

@@ -65,6 +65,13 @@ def check_pam4(m: int) -> None:
                           f"(channel.BITS_PER_SYMBOL = {BITS_PER_SYMBOL})")
 
 
+def check_eval_symbols(symbols_per_snr: int, history: int) -> None:
+    """Raise ConfigError unless a frame counts two symbols past its `history` warm-up."""
+    if symbols_per_snr < history + 2:
+        raise ConfigError(f"symbols_per_snr={symbols_per_snr} too small for the model's "
+                          f"history {history}")
+
+
 def _eval_frame(channel_cfg: ChannelConfig, snr_db, symbols: int, seed: int):
     """(classes, received stream) of the eval frame at one SNR, derived from
     (seed, snr_db) alone, so every receiver sees the same frame."""
@@ -91,8 +98,7 @@ def evaluate_ber(model, channel_cfg: ChannelConfig, snrs_db, symbols_per_snr: in
     m = cfg.bits_per_symbol
     check_pam4(m)
     history = cfg.history
-    if symbols_per_snr < history + 2:
-        raise ConfigError("symbols_per_snr too small for the model's history")
+    check_eval_symbols(symbols_per_snr, history)
     points = []
     for snr_db in snrs_db:
         classes, y = _eval_frame(channel_cfg, snr_db, symbols_per_snr, seed)

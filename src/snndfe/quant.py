@@ -58,13 +58,18 @@ class QatConfig:
         state_format(self.state_bits)
 
 
-def pow2_scale(max_abs: float, bits: int) -> float:
-    """Smallest power-of-two step with max_abs <= (2^(bits-1)-1) * step."""
+def pow2_exponent(max_abs: float, bits: int) -> int:
+    """e of the smallest power-of-two step 2^e with max_abs <= (2^(bits-1)-1) * 2^e."""
     qmax = 2 ** (bits - 1) - 1
     if max_abs <= 0 or not math.isfinite(max_abs):
-        return 2.0 ** (1 - bits)
+        return 1 - bits
     mantissa, exponent = math.frexp(max_abs / qmax)  # value = mantissa * 2^exponent
-    return 2.0 ** (exponent - 1) if mantissa == 0.5 else 2.0 ** exponent
+    return exponent - 1 if mantissa == 0.5 else exponent
+
+
+def pow2_scale(max_abs: float, bits: int) -> float:
+    """Smallest power-of-two step with max_abs <= (2^(bits-1)-1) * step."""
+    return 2.0 ** pow2_exponent(max_abs, bits)
 
 
 def _quantize(x, bits: int, scale: float | None, out, masked: bool):

@@ -241,7 +241,7 @@ class TestSearch:
             model = EqualizerModel.initialize(topo, LifParams.shift_friendly(),
                                               EncoderConfig(0.0, 1.0),
                                               np.random.default_rng(0), qat=train_cfg.qat)
-            model.b_fc0[:] = 1e-12  # pins the fc0 grid far past a 32-bit accumulator
+            model.b_fc0[:] = 2.0 ** -24  # pins the fc0 grid past a 32-bit accumulator
             return model, []
 
         cases = [(exploding_train, self.SPACE, "non-finite"),
@@ -374,10 +374,15 @@ class TestSpaceParsing:
         ({"steps": (0,)}, "steps"),
         ({"bits": (None, 3)}, "state_bits"),
         ({"bits": (8, 33)}, "weight_bits"),
-    ], ids=["even_n_tap", "hidden_0", "steps_0", "bits_3", "bits_33"])
+        ({"bits": (16, 17)}, "weight_bits must be in \\[2, 16\\], got 17"),
+        ({"n_taps": (3, 41), "scale": TrialScale(eval_symbols=21)},
+         "symbols_per_snr=21 too small for the model's history 20"),
+    ], ids=["even_n_tap", "hidden_0", "steps_0", "bits_3", "bits_33", "bits_17",
+            "eval_shorter_than_history"])
     def test_axis_values_checked_at_construction(self, settings, match):
         # a value a trial's configurations refuse fails before any trial runs,
-        # where it used to raise mid-sweep (at the first n_tap 4, say)
+        # where it used to raise mid-sweep (at the first n_tap 4, say, or at
+        # the first n_tap 41 evaluated on 21 symbols)
         with pytest.raises(ValueError, match=match):
             DseSpace(**settings)
 
@@ -394,4 +399,6 @@ class TestSpaceParsing:
 
     def test_defaults_and_fxp_widths_accepted(self):
         assert len(DseSpace().enumerate()) == 20 * 80 * 10
-        assert DseSpace(bits=(None, 4, 8, 32)).scale == TrialScale()
+        assert DseSpace(bits=(None, 4, 8, 16)).scale == TrialScale()
+        # evaluate_ber counts two symbols past n_tap 41's history of 20
+        assert DseSpace(n_taps=(3, 41), scale=TrialScale(eval_symbols=22)).n_taps == (3, 41)

@@ -139,6 +139,18 @@ class TestEncodeWindow:
         encoder = EncoderConfig(-1e308, 1e308)
         np.testing.assert_array_equal(encoder.bin_indices([0.0, 5e307, 1e308]), [4, 6, 7])
 
+    def test_nan_sample_rejected_and_infinities_clamp(self):
+        # a NaN sample was binned to 0 with only a cast warning, so the closed
+        # loop decided it silently
+        encoder = EncoderConfig(0.0, 1.0)
+        with pytest.raises(ValueError, match="NaN"):
+            encoder.bin_indices([0.5, np.nan])
+        y = np.random.default_rng(3).uniform(0.0, 1.0, 40)
+        y[30] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            equalize_stream(y, make_model(encoder=encoder))
+        np.testing.assert_array_equal(encoder.bin_indices([-np.inf, np.inf]), [0, 7])
+
     @settings(max_examples=100, deadline=None)
     @given(ends=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                          min_size=2, max_size=2, unique=True),

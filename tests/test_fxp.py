@@ -20,7 +20,6 @@ from snndfe.fxp import (
     FxpFormats,
     FxpLifSpec,
     FxpModel,
-    _folded_drive_shift,
     _requantize,
     convert,
     fxp_forward,
@@ -198,11 +197,11 @@ class TestConvert:
             convert(model, FxpFormats(weight_bits=8, state_bits=8))
 
     def test_rejects_alignment_overflow(self):
-        # a tiny fc0 bias pins its grid at 46 fractional bits, so w_fc0 @ x
-        # would be shifted left by 43 bits into a 32-bit accumulator
+        # a tiny fc0 bias pins its grid at 30 fractional bits, so w_fc0 @ x
+        # would be shifted left by 23 bits into a 32-bit accumulator
         model = make_float_model(seed=3)
-        model.b_fc0[:] = 1e-12
-        with pytest.raises(ConversionError, match="fc0"):
+        model.b_fc0[:] = 2.0 ** -24
+        with pytest.raises(ConversionError, match="accumulators exceed 32 bits: fc0"):
             convert(model, FxpFormats())
 
     def test_rejects_accumulator_narrower_than_worst_case(self):
@@ -212,13 +211,15 @@ class TestConvert:
 
     def test_grid_beyond_float64_is_a_conversion_error(self):
         # at 2 bits, max |w| = 1.7e308 needs a step of 2^1024; at 8 bits,
-        # max |w| = 1e-310 fits a step of 2^-1036, whose inverse overflows
-        for max_abs, bits, match in [(1.7e308, 2, "w_fc0"), (1e-310, 8, "accumulators")]:
+        # max |w| = 1e-310 fits a step of 2^-1036, whose inverse overflows.
+        # Both fracs lie far outside the engine's
+        for max_abs, bits, frac in [(1.7e308, 2, -1024), (1e-310, 8, 1036)]:
             model = make_float_model()
             model.qat = QatConfig(weight_bits=bits, state_bits=8)
             model.w_fc0[:] = 0.0
             model.w_fc0[0, 0] = max_abs
-            with pytest.raises(ConversionError, match=match):
+            with pytest.raises(ConversionError,
+                               match=f"'w_fc0'\\] = {frac} is outside \\[-32, 32\\]"):
                 convert(model, FxpFormats(weight_bits=bits))
 
     def test_rejects_reset_off_the_state_grid(self):
@@ -285,10 +286,12 @@ class TestFxpLifStep:
 
 @st.composite
 def lif_cases(draw):
-    bits = draw(st.integers(4, 53))
+    bits = draw(st.integers(4, 16))
     lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
     level = st.integers(lo, hi)
-    k = st.one_of(st.integers(1, 60), st.integers(1070, 1100))  # 2^-k underflows past 1074
+    # LifParams' decays give k <= 1074; past that, only in a hand-built spec,
+    # 2^-k underflows
+    k = st.one_of(st.integers(1, 60), st.integers(1070, 1100))
     spec = FxpLifSpec(k_v=draw(k), k_i=draw(k),
                       v_th_int=draw(level), v_r_int=draw(level), state_min=lo, state_max=hi)
     n = draw(st.integers(1, 8))
@@ -298,9 +301,8 @@ def lif_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=lif_cases())
 def test_lif_step_matches_python_ints(case):
-    # negative states (floor shifts), states up to 53 bits (sums up to 2^53)
-    # and k past 53, where a decay rewritten as ceil(x * (1 - 2^-k)) would
-    # round
+    # negative states (floor shifts), states up to 16 bits, and k past 53,
+    # where a decay rewritten as ceil(x * (1 - 2^-k)) would round
     spec, (v, i, drive) = case
     state = [np.array(x, dtype=float) for x in (v, i)]
     stats, want_stats = {}, {}
@@ -317,12 +319,19 @@ def state_spec(bits):
                       state_min=-(2 ** (bits - 1)), state_max=2 ** (bits - 1) - 1)
 
 
+def drive_shift(fm):
+    """The hidden drive's shift onto the state grid."""
+    f = fm.fracs
+    f_h = max(f["w_fc1"] + max(f["w_fc0"], f["b_fc0"]), f["w_fc2"], f["b_fc1"])
+    return f_h - fm.state_fmt.frac_bits
+
+
 def check_requantize(h, shift, bits):
     """_requantize against Python ints on accumulator values |h| <= 2^52."""
     h = [max(-2 ** 52, min(2 ** 52, x)) for x in h]
     stats, want_stats = {}, {}
     # scaled as fxp_forward's products arrive, exactly
-    scaled = np.ldexp(np.array(h, dtype=float), -_folded_drive_shift(shift))
+    scaled = np.ldexp(np.array(h, dtype=float), -shift)
     got = _requantize(scaled, state_spec(bits), stats)
     want = exact_requantize(np.array(h, dtype=object), shift, state_spec(bits), want_stats)
     assert list(map(int, got)) == list(map(int, want))
@@ -331,11 +340,11 @@ def check_requantize(h, shift, bits):
 
 @st.composite
 def drive_cases(draw):
-    shift = draw(st.integers(-1200, 1100))  # past -1023, 2.0 ** -shift overflows
+    shift = draw(st.integers(-45, 63))  # every shift the engine's fracs allow
     half = 2 ** min(max(shift - 1, 0), 52)  # half a state step, where rounding ties
     near_tie = st.builds(lambda k, d: k * half + d, st.integers(-9, 9), st.integers(-1, 1))
     h = draw(st.lists(st.one_of(st.integers(-2 ** 52, 2 ** 52), near_tie), min_size=1, max_size=8))
-    return h, shift, draw(st.integers(4, 53))
+    return h, shift, draw(st.integers(4, 16))
 
 
 @settings(max_examples=300, deadline=None)
@@ -344,11 +353,12 @@ def test_requantize_matches_python_ints(case):
     check_requantize(*case)
 
 
-@pytest.mark.parametrize("bits", [8, 53])
-@pytest.mark.parametrize("shift", [1, 52, 53, 54, 64, 78, -11, -48, -71])
+@pytest.mark.parametrize("bits", [4, 8, 16, 53])
+@pytest.mark.parametrize("shift", [1, 52, 53, 54, 63, 64, 78, -11, -45, -48, -71])
 def test_requantize_at_shift_boundaries(shift, bits):
-    # from 64 bits on a shift does not fit int64, and a left shift of the
-    # largest h by 11 bits would wrap it; at 53 and 54 bits |h| <= 2^52
+    # -45 and 63 bound the engine's shifts, and 4 and 16 its state widths; the
+    # shifts past them and the 53-bit range hold too. A left shift of the
+    # largest h by 11 bits would wrap an int64; at 53 and 54 bits |h| <= 2^52
     # stops rounding to +-1
     half = 2 ** min(max(shift - 1, 0), 52)
     h = [sign * x for sign in (1, -1)
@@ -356,23 +366,27 @@ def test_requantize_at_shift_boundaries(shift, bits):
     check_requantize(h, shift, bits)
 
 
-DRIVE_SHIFTS = [(2.0 ** 11, 1), (2.0 ** -40, 52), (2.0 ** -41, 53), (2.0 ** -42, 54),
-                (2.0 ** -52, 64), (1e-20, 78), (2.0 ** 23, -11), (1e18, -48), (1e20, -55),
-                (1e25, -71)]
+# (fc0 factor, drive factor, state bits, shift): -45 and 63 are the extreme
+# shifts, reached with every frac involved at -32 or +32
+DRIVE_SHIFTS = [(1, 2.0 ** 11, 8, 1), (2.0 ** -20, 2.0 ** -20, 8, 52),
+                (2.0 ** -20, 2.0 ** -21, 8, 53), (2.0 ** -20, 2.0 ** -22, 8, 54),
+                (2.0 ** -23, 2.0 ** -24, 4, 63), (1, 2.0 ** 23, 8, -11),
+                (2.0 ** 9, 2.0 ** 40, 16, -45)]
 
 
-@pytest.mark.parametrize("factor, shift", DRIVE_SHIFTS, ids=[str(s) for _, s in DRIVE_SHIFTS])
-def test_any_drive_shift_runs_exactly(factor, shift):
-    # scaling the hidden drive's tensors sets its shift onto the state grid:
-    # past 63 bits beyond int64 shifts, and left shifts that would wrap an
-    # int64 drive (at -71 bits to 0 everywhere, with no clip counted)
+@pytest.mark.parametrize("fc0_factor, factor, state_bits, shift", DRIVE_SHIFTS,
+                         ids=[str(case[-1]) for case in DRIVE_SHIFTS])
+def test_any_drive_shift_runs_exactly(fc0_factor, factor, state_bits, shift):
+    # scaling fc0's and the hidden drive's tensors sets the drive's shift onto
+    # the state grid: right shifts that round every drive to 0 from 54 bits
+    # on, and left shifts that would wrap an int64 drive
     model = make_float_model(n_tap=5, hidden=6, steps=3, scale=1.0)
-    for name in ("w_fc1", "b_fc1", "w_fc2"):
-        getattr(model, name)[:] *= factor
-    fm = convert(model, FxpFormats(acc_bits=53))
-    f = fm.fracs
-    f_h = max(f["w_fc1"] + max(f["w_fc0"], f["b_fc0"]), f["w_fc2"], f["b_fc1"])
-    assert f_h - fm.state_fmt.frac_bits == shift
+    model.qat = QatConfig(weight_bits=8, state_bits=state_bits)
+    for name, scale in (("w_fc0", fc0_factor), ("b_fc0", fc0_factor), ("w_fc1", factor),
+                        ("b_fc1", factor), ("w_fc2", factor)):
+        getattr(model, name)[:] *= scale
+    fm = convert(model, FxpFormats(state_bits=state_bits, acc_bits=53))
+    assert drive_shift(fm) == shift
     windows = random_windows(model, 100, seed=2)
     stats = {}
     logits = fxp_forward(windows, fm, stats)
@@ -382,6 +396,60 @@ def test_any_drive_shift_runs_exactly(factor, shift):
     np.testing.assert_array_equal(logits * fc3_grid(fm), float_twin_forward(windows, fm))
     y = np.random.default_rng(3).uniform(-0.1, 1.1, 60)
     assert equalize_stream(y, fm, stats={}).shape == (60 - fm.config.history,)
+
+
+def hand_built(fracs, state_bits, seed):
+    """A model with random ints over the whole 16-bit weight range on the grids `fracs`."""
+    cfg, rng = TopologyConfig(n_tap=3, hidden=4, steps=4), np.random.default_rng(seed)
+    ints = {name: rng.integers(-2 ** 15 + 1, 2 ** 15, shape)
+            for name, shape in cfg.param_shapes().items()}
+    return FxpModel(config=cfg, encoder=EncoderConfig(0.0, 1.0), lif=LifParams.shift_friendly(),
+                    ints=ints, fracs=fracs, formats=FxpFormats(16, state_bits, acc_bits=53))
+
+
+# Grids at the frac bounds: +32 everywhere, and -32 wherever fc1's worst
+# case still fits 53 bits; MID drives the states into their clamps
+PLUS = dict.fromkeys(EqualizerModel.PARAM_NAMES, 32)
+MINUS = {"w_fc0": 0, "b_fc0": 0,
+         **dict.fromkeys(("w_fc1", "b_fc1", "w_fc2", "w_fc3", "b_fc3"), -32)}
+MID = {"w_fc0": 15, "b_fc0": 15, "w_fc1": 13, "b_fc1": 14, "w_fc2": 14, "w_fc3": 12, "b_fc3": 12}
+CORNERS = [("fracs+32-state4", PLUS, 4, 63), ("fracs+32-state16", PLUS, 16, 51),
+           ("fracs-32-state4", MINUS, 4, -33), ("fracs-32-state16", MINUS, 16, -45),
+           ("state4", MID, 4, 27), ("state16", MID, 16, 15)]
+
+
+@pytest.mark.parametrize("fracs, state_bits, shift", [c[1:] for c in CORNERS],
+                         ids=[c[0] for c in CORNERS])
+def test_domain_corners_match_python_ints(fracs, state_bits, shift):
+    # 16-bit weights at the frac bounds and the state widths' ends, where the
+    # drive's shift onto the state grid reaches its extremes, -45 and 63
+    fm = hand_built(fracs, state_bits, seed=abs(shift))
+    assert drive_shift(fm) == shift
+    windows = random_windows(fm, 64, seed=43)
+    stats = {}
+    logits = fxp_forward(windows, fm, stats)
+    want, want_stats = exact_forward(windows, fm)
+    np.testing.assert_array_equal(logits, want)
+    assert stats == want_stats
+    np.testing.assert_array_equal(logits * fc3_grid(fm), float_twin_forward(windows, fm))
+
+
+@pytest.mark.parametrize("frac", [33, -33])
+def test_frac_past_the_bound_refused(tmp_path, frac):
+    # a corner model at +-32 constructs and survives its file; one step
+    # further is refused by FxpModel and by the loader
+    corner = PLUS if frac > 0 else MINUS
+    fm = hand_built(corner, 16, seed=5)
+    path = tmp_path / "model_fxp.npz"
+    save_fxp_model(path, fm)
+    assert load_fxp_model(path).fracs == corner
+    message = f"fracs\\['w_fc3'\\] = {frac} is outside \\[-32, 32\\]"
+    with pytest.raises(ConversionError, match=message):
+        FxpModel(config=fm.config, encoder=fm.encoder, lif=fm.lif, ints=fm.ints,
+                 fracs={**corner, "w_fc3": frac}, formats=fm.formats)
+    edit_container(path, lambda header, arrays: header["fracs"].update(w_fc3=frac))
+    with pytest.raises(ValueError, match=message):
+        load_fxp_model(path)
 
 
 class TestFxpForward:
@@ -451,14 +519,15 @@ class TestFxpForward:
             float_twin_forward(windows, fm)
 
     def test_fc1_product_exact_at_the_accumulator_cap(self):
-        # fc0 rows of all-maximal 32-bit weights give |a_window| up to 20 * (2^31-1)
-        # on all-+1 and all-(-1) windows, and fc1 rows (c, -c) put its worst case at
-        # 0.95 * 2^52: the largest the 53-bit cap allows. Rows 0 and 1 of fc0 differ
-        # by delta, so the hidden drive c * delta is on the state grid's scale, and a
-        # product that rounds a_window (float32 would, to multiples of 2^12) changes
-        # the spikes.
+        # fc0 rows of all-maximal 16-bit weights give |a_window| up to 20 * (2^15-1)
+        # on all-+1 and all-(-1) windows, and fc1 rows (c, -c), shifted left by 17
+        # bits onto the hidden drive's grid, put its worst case at 0.95 * 2^52: the
+        # largest the 53-bit cap allows. Rows 0 and 1 of fc0 differ by delta, so the
+        # hidden drive c * delta is on the state grid's scale, and a product rounded
+        # to float32's 24 bits (to multiples of 2^28 here, a state step is 2^27)
+        # moves the drive by a state step.
         cfg = TopologyConfig(n_tap=3, hidden=4, steps=4)
-        q, c, delta = 2 ** 31 - 1, 50_000, 1_200
+        q, c, delta = 2 ** 15 - 1, 25_000, 2
         w_fc0 = np.full((cfg.hidden, cfg.n_input), q, dtype=np.int64)
         w_fc0[1, 0] -= delta
         w_fc0[3, 1] -= delta // 2
@@ -467,47 +536,53 @@ class TestFxpForward:
         w_fc1[[0, 1, 2], [1, 3, 0]] = -c
         rng = np.random.default_rng(31)
         ints = {"w_fc0": w_fc0, "b_fc0": np.zeros(cfg.hidden, dtype=np.int64), "w_fc1": w_fc1,
-                "b_fc1": np.full(cfg.hidden, 2 ** 25),  # a drive of 1.0 a step
+                "b_fc1": np.ones(cfg.hidden, dtype=np.int64),  # a drive of 1.0 a step
                 "w_fc2": rng.integers(-99, 100, (cfg.hidden, cfg.hidden)),
                 "w_fc3": rng.integers(-99, 100, (cfg.n_classes, cfg.hidden)),
                 "b_fc3": rng.integers(-99, 100, cfg.n_classes)}
-        # fc1 products on the 2^-25 grid, 20 bits finer than the state grid's 2^-5
-        fracs = {"w_fc0": 16, "b_fc0": 16, "w_fc1": 9, "b_fc1": 25, "w_fc2": 25,
+        # the hidden drive on the 2^-32 grid, 27 bits finer than the state grid's
+        # 2^-5; fc1 products arrive on the 2^-15 grid
+        fracs = {"w_fc0": 16, "b_fc0": 16, "w_fc1": -1, "b_fc1": 0, "w_fc2": 32,
                  "w_fc3": 0, "b_fc3": 0}
         fm = FxpModel(config=cfg, encoder=EncoderConfig(0.0, 1.0),
                       lif=LifParams.shift_friendly(), ints=ints, fracs=fracs,
-                      formats=FxpFormats(weight_bits=32, acc_bits=53))
-        fc1_worst = 2 * c * cfg.n_input * q
+                      formats=FxpFormats(weight_bits=16, acc_bits=53))
+        fc1_worst = 2 * c * cfg.n_input * q << 17
         assert 2 ** 51 <= fc1_worst < 2 ** 52
         received = 8 * (cfg.history + 1)
         windows = np.zeros((6, cfg.n_input), dtype=np.int64)
         windows[0], windows[1] = 1, -1
         windows[2, :received], windows[3, :received] = 1, -1
         windows[4:] = random_windows(fm, 2, seed=32)
-        logits = fxp_forward(windows, fm)
+        stats = {}
+        logits = fxp_forward(windows, fm, stats)
         np.testing.assert_array_equal(logits * fc3_grid(fm), float_twin_forward(windows, fm))
+        want, want_stats = exact_forward(windows, fm)
+        np.testing.assert_array_equal(logits, want)
+        assert stats == want_stats
         assert len(set(map(tuple, logits))) > 1  # the drive reaches the readout
 
-    def test_large_alignment_shifts_exact_at_32_bits(self):
-        # fc2 products shift left by 40 bits and fc3 products by 45 (folded into
+    def test_large_alignment_shifts_exact_at_16_bits(self):
+        # fc2 products shift left by 32 bits and fc3 products by 45 (folded into
         # the float64 weights), with the logits' worst case just under 2^52
         cfg = TopologyConfig(n_tap=3, hidden=4, steps=4)
         rng = np.random.default_rng(41)
-        ints = {"w_fc0": rng.integers(-2 ** 30, 2 ** 30, (cfg.hidden, cfg.n_input)),
-                "b_fc0": rng.integers(-2 ** 29, 2 ** 29, cfg.hidden),
+        ints = {"w_fc0": rng.integers(-2 ** 14, 2 ** 14, (cfg.hidden, cfg.n_input)),
+                "b_fc0": rng.integers(-2 ** 13, 2 ** 13, cfg.hidden),
                 "w_fc1": rng.integers(-2 ** 12, 2 ** 12, (cfg.hidden, cfg.hidden)),
-                "b_fc1": rng.integers(-2 ** 31, 2 ** 31, cfg.hidden),
+                "b_fc1": rng.integers(-2 ** 15, 2 ** 15, cfg.hidden),
                 "w_fc2": rng.integers(-2, 3, (cfg.hidden, cfg.hidden)),
                 "w_fc3": rng.integers(-7, 8, (cfg.n_classes, cfg.hidden)),
-                "b_fc3": rng.integers(-2 ** 31, 2 ** 31, cfg.n_classes)}
-        fracs = {"w_fc0": 30, "b_fc0": 30, "w_fc1": 10, "b_fc1": 40, "w_fc2": 0,
-                 "w_fc3": 0, "b_fc3": 45}
+                "b_fc3": rng.integers(-2 ** 15, 2 ** 15, cfg.n_classes)}
+        fracs = {"w_fc0": 14, "b_fc0": 14, "w_fc1": 10, "b_fc1": 32, "w_fc2": 0,
+                 "w_fc3": -13, "b_fc3": 32}
         fm = FxpModel(config=cfg, encoder=EncoderConfig(0.0, 1.0),
                       lif=LifParams.shift_friendly(), ints=ints, fracs=fracs,
-                      formats=FxpFormats(weight_bits=32, acc_bits=53))
+                      formats=FxpFormats(weight_bits=16, acc_bits=53))
         windows = random_windows(fm, 64, seed=42)
         logits = fxp_forward(windows, fm)
         np.testing.assert_array_equal(logits * fc3_grid(fm), float_twin_forward(windows, fm))
+        np.testing.assert_array_equal(logits, exact_forward(windows, fm)[0])
         assert len(set(map(tuple, logits))) > 1  # the spikes reach the readout
 
     def test_wide_accumulator_never_saturates_here(self):
@@ -524,18 +599,14 @@ class TestFxpForward:
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.05, 8.0),
-       bits=st.integers(4, 10), weight_bits=st.integers(4, 32), steps=st.integers(1, 6))
+       bits=st.integers(4, 16), weight_bits=st.integers(4, 16), steps=st.integers(1, 6))
 def test_matches_float_twin_property(seed, scale, bits, weight_bits, steps):
-    # weight widths up to FxpFormats' cap; a 53-bit accumulator keeps every
-    # value of the twin exact in float64. convert() refuses widths above about
-    # 24 here, where the fc1 product's worst case exceeds the accumulator.
+    # widths up to FxpFormats' caps; a 53-bit accumulator holds every worst
+    # case here, so convert() accepts each model
     model = make_float_model(n_tap=3, hidden=5, steps=steps, seed=seed % 1000, scale=scale,
                              qat_bits=bits)
     model.qat = QatConfig(weight_bits=weight_bits, state_bits=bits)
-    try:
-        fm = convert(model, FxpFormats(weight_bits=weight_bits, state_bits=bits, acc_bits=53))
-    except ConversionError:
-        return  # the worst case does not fit the accumulator: nothing to run
+    fm = convert(model, FxpFormats(weight_bits=weight_bits, state_bits=bits, acc_bits=53))
     windows = random_windows(model, 8, seed=seed)
     stats = {}
     logits = fxp_forward(windows, fm, stats)
@@ -693,28 +764,25 @@ class TestFxpStreamAndSerialization:
             fm.lif_spec.k_v, fm.lif_spec.k_i, fm.lif_spec.v_th_int)
         assert loaded.lif == fm.lif and loaded.config == fm.config
 
-    def test_weight_bits_over_the_cap_refused(self, tmp_path):
-        # 32 bits keep fxp_forward's float64 products exact; a wider file is refused
-        with pytest.raises(ValueError, match="weight_bits"):
-            FxpFormats(weight_bits=33)
+    @staticmethod
+    def check_16_bit_cap(tmp_path, field):
+        """An FPGA datapath's weights and LIF states are at most 16 bits wide:
+        a 16-bit model survives its file, a 17-bit format or file is refused."""
         path = tmp_path / "model_fxp.npz"
-        save_fxp_model(path, convert(make_float_model(seed=18), FxpFormats()))
-        edit_container(path, lambda header, arrays: header.update(weight_bits=33))
-        with pytest.raises(ValueError, match="weight_bits"):
+        save_fxp_model(path, hand_built(MID, 16, seed=6))
+        assert getattr(load_fxp_model(path).formats, field) == 16
+        message = f"{field} must be in \\[[24], 16\\], got 17"
+        with pytest.raises(ValueError, match=message):
+            FxpFormats(**{field: 17})
+        edit_container(path, lambda header, arrays: header.update({field: 17}))
+        with pytest.raises(ValueError, match=message):
             load_fxp_model(path)
 
+    def test_weight_bits_over_the_cap_refused(self, tmp_path):
+        self.check_16_bit_cap(tmp_path, "weight_bits")
+
     def test_state_bits_over_the_cap_refused(self, tmp_path):
-        # 53 bits keep the LIF step's sums exact in float64; wider states
-        # converted, then overflowed in the engine
-        assert FxpFormats(state_bits=53).state_bits == 53
-        for bits in (54, 65):
-            with pytest.raises(ValueError, match="state_bits"):
-                FxpFormats(state_bits=bits)
-        path = tmp_path / "model_fxp.npz"
-        save_fxp_model(path, convert(make_float_model(seed=18), FxpFormats()))
-        edit_container(path, lambda header, arrays: header.update(state_bits=65))
-        with pytest.raises(ValueError, match="state_bits"):
-            load_fxp_model(path)
+        self.check_16_bit_cap(tmp_path, "state_bits")
 
     def test_acc_bits_over_the_cap_refused(self, tmp_path):
         # 53 bits keep the fc1 product exact in float64; a wider file is refused
@@ -732,7 +800,7 @@ class TestFxpStreamAndSerialization:
         (lambda h, a: h.update(state_frac_bits=2), "state_frac_bits"),
         (lambda h, a: a.update(w_fc1=a["w_fc1"] * 2 ** 20), "w_fc1"),
         (lambda h, a: a.update(w_fc0=a["w_fc0"] * 2 ** 40), "w_fc0"),
-        (lambda h, a: h["fracs"].update(w_fc0=h["fracs"]["w_fc0"] + 40), "accumulators.*fc0"),
+        (lambda h, a: h["fracs"].update(b_fc0=h["fracs"]["b_fc0"] + 24), "accumulators.*fc0"),
         (lambda h, a: h["fracs"].pop("b_fc3"), "fracs"),
         (lambda h, a: a.update(b_fc0=a["b_fc0"][:1]), "b_fc0"),
         (lambda h, a: (h["lif"].update(v_r=-10.0), h.update(v_r_int=-320)), "v_r"),
