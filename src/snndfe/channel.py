@@ -22,6 +22,7 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 # PAM-4 amplitudes, ascending; level k carries the Gray label of class k
 PAM4_LEVELS = (0.0, 1.0, math.sqrt(2.0), math.sqrt(3.0))
 BITS_PER_SYMBOL = 2
+N_CLASSES = 2 ** BITS_PER_SYMBOL
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,10 @@ import numpy as np
 
 from .channel import ChannelConfig
 from .equalizer import TopologyConfig
-from .fxp import ConversionError, FxpFormats, convert
+from .fxp import ConversionError, FxpFormats, FxpLifSpec, convert
 from .harness import check_eval_symbols, derive_seed, evaluate_ber
-from .quant import QatConfig
+from .lif import LifParams
+from .quant import QatConfig, state_format
 from .train import TrainConfig, TrainingDiverged, train
 
 
@@ -47,7 +48,8 @@ class TrialScale:
 @dataclass(frozen=True)
 class DseSpace:
     """Candidate grid; `bits` entries of None evaluate the float model. ValueError
-    for an empty range, a value run_trial's configurations refuse, or an
+    for an empty range, a value run_trial's configurations refuse (a bit width
+    whose state grid QAT's shift-friendly LIF never fires on included), or an
     eval_symbols evaluate_ber refuses at the largest n_tap."""
 
     n_taps: tuple = tuple(range(3, 42, 2))
@@ -68,6 +70,7 @@ class DseSpace:
             if b is not None:
                 QatConfig(weight_bits=b, state_bits=b)
                 FxpFormats(weight_bits=b, state_bits=b)
+                FxpLifSpec.derive(LifParams.shift_friendly(), state_format(b))
 
     def enumerate(self) -> list:
         """Lexicographic (n_tap, hidden, steps, bits) order."""

@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .channel import BITS_PER_SYMBOL, N_CLASSES
 from .lif import LifParams, lif_step
 from .quant import QatConfig, fake_quantize, fake_quantize_with_mask, state_format
 
@@ -35,26 +36,24 @@ MODEL_VERSION = 1
 _PASS_ROWS = 64
 
 
-def input_size(n_tap: int, m: int) -> int:
-    """Input width for a given tap count: 8*(floor(n/2)+1) + 2^m*floor(n/2)."""
+def input_size(n_tap: int) -> int:
+    """Input width for a given tap count: 8*(floor(n/2)+1) + 4*floor(n/2)."""
     if n_tap < 1 or n_tap % 2 == 0:
         raise ValueError("n_tap must be odd and >= 1")
-    if m < 1:
-        raise ValueError("m must be >= 1")
     half = n_tap // 2
-    return RX_LEVELS * (half + 1) + (2 ** m) * half
+    return RX_LEVELS * (half + 1) + N_CLASSES * half
 
 
-def mac_count(n_hidden: int, n_input: int, n_steps: int, m: int = 2) -> int:
+def mac_count(n_hidden: int, n_input: int, n_steps: int) -> int:
     """Multiply-accumulate operations per equalized symbol."""
-    if min(n_hidden, n_input, n_steps, m) < 1:
+    if min(n_hidden, n_input, n_steps) < 1:
         raise ValueError("all arguments must be >= 1")
-    return n_hidden * (n_input + 2 * n_hidden + 2 ** m) * n_steps
+    return n_hidden * (n_input + 2 * n_hidden + N_CLASSES) * n_steps
 
 
 @dataclass(frozen=True)
 class TopologyConfig:
-    """Equalizer dimensions: tap count, modulation order, hidden width, time steps."""
+    """Equalizer dimensions: tap count, modulation order (PAM-4), hidden width, time steps."""
 
     n_tap: int = 17
     bits_per_symbol: int = 2
@@ -62,7 +61,10 @@ class TopologyConfig:
     steps: int = 10
 
     def __post_init__(self):
-        input_size(self.n_tap, self.bits_per_symbol)  # validates n_tap/m
+        if self.bits_per_symbol != BITS_PER_SYMBOL:
+            raise ValueError(f"bits_per_symbol={self.bits_per_symbol}, but the link is PAM-4 "
+                             f"(channel.BITS_PER_SYMBOL = {BITS_PER_SYMBOL})")
+        input_size(self.n_tap)  # validates n_tap
         if not 1 <= self.hidden <= 1024:
             raise ValueError("hidden must be in [1, 1024]")
         if self.steps < 1:
@@ -70,11 +72,11 @@ class TopologyConfig:
 
     @property
     def n_classes(self) -> int:
-        return 2 ** self.bits_per_symbol
+        return N_CLASSES
 
     @property
     def n_input(self) -> int:
-        return input_size(self.n_tap, self.bits_per_symbol)
+        return input_size(self.n_tap)
 
     @property
     def history(self) -> int:
@@ -82,7 +84,7 @@ class TopologyConfig:
         return self.n_tap // 2
 
     def macs_per_symbol(self) -> int:
-        return mac_count(self.hidden, self.n_input, self.steps, self.bits_per_symbol)
+        return mac_count(self.hidden, self.n_input, self.steps)
 
     def param_shapes(self) -> dict:
         """Shape of each model parameter, in EqualizerModel.PARAM_NAMES order."""
@@ -121,31 +123,31 @@ class EncoderConfig:
 
 
 @functools.cache
-def _block_starts(history: int, m: int) -> np.ndarray:
+def _block_starts(history: int) -> np.ndarray:
     """First column of each one-hot block of a window (layout: one_hot_windows)."""
     base = history * RX_LEVELS
     starts = np.concatenate([RX_LEVELS * np.arange(history),
-                             base + 2 ** m * np.arange(history + 1)])
+                             base + N_CLASSES * np.arange(history + 1)])
     starts.flags.writeable = False  # shared by every caller through the cache
     return starts
 
 
-def one_hot_windows(bins: np.ndarray, decisions: np.ndarray, m: int) -> np.ndarray:
+def one_hot_windows(bins: np.ndarray, decisions: np.ndarray) -> np.ndarray:
     """One-hot windows from received bins (B, history+1) and decisions (B, history).
 
     Layout: `history` past-received blocks of 8 (oldest first), `history`
-    decision blocks of 2^m (oldest first), then the current-received block of
+    decision blocks of 4 (oldest first), then the current-received block of
     8. Exactly one entry per block is nonzero.
     """
     batch, history = decisions.shape
     columns = np.concatenate([bins[:, :history], decisions, bins[:, history:]], axis=1)
-    columns += _block_starts(history, m)
-    out = np.zeros((batch, input_size(2 * history + 1, m)))
+    columns += _block_starts(history)
+    out = np.zeros((batch, input_size(2 * history + 1)))
     out[np.arange(batch)[:, None], columns] = 1.0
     return out
 
 
-def encode_window(received, decisions, encoder: EncoderConfig, m: int = 2) -> np.ndarray:
+def encode_window(received, decisions, encoder: EncoderConfig) -> np.ndarray:
     """One-hot encode a window of history+1 received samples and history decisions
     (layout: one_hot_windows); the per-window reference for the windows that
     _window_builder builds from one binning."""
@@ -153,7 +155,7 @@ def encode_window(received, decisions, encoder: EncoderConfig, m: int = 2) -> np
     decisions = np.asarray(decisions, dtype=np.int64)
     if received.size != decisions.size + 1:
         raise ValueError("received window must hold history+1 samples")
-    return one_hot_windows(encoder.bin_indices(received)[None], decisions[None], m)[0]
+    return one_hot_windows(encoder.bin_indices(received)[None], decisions[None])[0]
 
 
 def _window_builder(bins: np.ndarray, fed: np.ndarray, config: TopologyConfig):
@@ -170,7 +172,7 @@ def _window_builder(bins: np.ndarray, fed: np.ndarray, config: TopologyConfig):
 
     def windows(lo, hi):
         rows = slice(lo - history, hi - history)
-        return one_hot_windows(received[rows], fed_back[rows], config.bits_per_symbol)
+        return one_hot_windows(received[rows], fed_back[rows])
 
     return windows
 
@@ -179,7 +181,7 @@ def teacher_forced_windows(y, classes, encoder: EncoderConfig, config: TopologyC
     """(windows, labels) of symbols history..N-1 with the true classes fed back,
     warm-up included: the windows of a closed loop that decides every symbol
     right (teacher forcing; the genie receiver). ValueError for a stream
-    shorter than history+1, or classes not aligned with y or outside [0, 2^m).
+    shorter than history+1, or classes not aligned with y or outside [0, N_CLASSES).
     """
     y = np.asarray(y, dtype=float)
     classes = np.asarray(classes, dtype=np.int64)

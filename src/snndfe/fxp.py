@@ -5,8 +5,9 @@ shift-based LIF decay (alpha = 2^-k), ternary inputs so multiplies reduce to
 add/subtract/skip, weights and LIF states of at most 16 bits with binary
 points within a 32-bit word, and accumulators acc_bits wide (FxpFormats,
 default 32, at most 53) that never saturate: a model whose worst case does
-not fit them is refused, also after an edit (_check_model). The integers are
-held in float64 arrays: every state, drive and accumulator, and every shifted
+not fit them is refused. An FxpModel, like the datapath, is fixed once built
+and checked once, at construction (_check_model). The integers are held in
+float64 arrays: every state, drive and accumulator, and every shifted
 partial sum, is an integer of magnitude at most 2^53, which float64 holds
 exactly, so products run on float64 BLAS with their alignment shifts folded
 into the weights and a shift is a power-of-two scale (then a floor); nothing
@@ -20,7 +21,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -46,8 +49,7 @@ class FxpFormats:
     bits, the widths of an FPGA datapath. fxp_forward holds every integer in
     float64, exact up to magnitude 2^53, and acc_bits <= 53 keeps every
     product exact: each shifted partial sum is bounded by its accumulator's
-    worst case, which FxpModel holds to acc_max <= 2^52 - 1, also after its
-    formats are narrowed.
+    worst case, which FxpModel's construction holds to acc_max <= 2^52 - 1.
     """
 
     weight_bits: int = 8
@@ -85,8 +87,9 @@ class FxpLifSpec:
     @classmethod
     def derive(cls, lif: LifParams, fmt: FxpFormat) -> "FxpLifSpec":
         """The integer constants of `lif` on the state grid `fmt`; ConversionError
-        unless v_leak = 0, both decays are powers of two and v_th and v_r fit
-        the grid."""
+        unless v_leak = 0, both decays are powers of two, v_th and v_r fit the
+        grid and v_th is within reach: from 0, under the largest current, the
+        voltage rises to (state_max >> k_v) << k_v and no higher."""
         if lif.v_leak != 0.0:
             raise ConversionError("integer engine assumes v_leak = 0")
         k_v = _shift_exponent(lif.alpha_v, "alpha_v")
@@ -97,6 +100,10 @@ class FxpLifSpec:
             if not (math.isfinite(scaled) and fmt.min_int <= round(scaled) <= fmt.max_int):
                 raise ConversionError(f"{name}={getattr(lif, name)} does not fit the state format")
             levels[name] = round(scaled)
+        reach = (fmt.max_int >> k_v) << k_v
+        if levels["v_th"] > reach:
+            raise ConversionError(f"v_th={lif.v_th} is {levels['v_th']} on the state grid, above "
+                                  f"the voltage's reach {reach}: no neuron would fire")
         return cls(k_v, k_i, levels["v_th"], levels["v_r"], fmt.min_int, fmt.max_int)
 
 
@@ -142,15 +149,15 @@ _MAX_FRAC = 32
 
 def _check_model(model: FxpModel) -> FxpLifSpec:
     """The model's integer LIF constants; ConversionError (a ValueError) unless
-    `model.lif` passes FxpLifSpec.derive, `ints` and `fracs` hold exactly the
-    EqualizerModel parameters, each an int64 array of its shape on the
-    weight_bits grid with an int frac within +-_MAX_FRAC, and every worst-case
-    accumulator fits acc_bits (the ranges first: they keep its int64 sums exact)."""
+    `model.lif` passes FxpLifSpec.derive, the Mappings `ints` and `fracs` hold
+    exactly the EqualizerModel parameters, each an int64 array of its shape on
+    the weight_bits grid with an int frac within +-_MAX_FRAC, and every
+    worst-case accumulator fits acc_bits (ranges first: they keep its int64 sums exact)."""
     spec = FxpLifSpec.derive(model.lif, model.state_fmt)  # refuses constants it cannot run
     shapes = model.config.param_shapes()
     for label, table in (("ints", model.ints), ("fracs", model.fracs)):
-        if not isinstance(table, dict) or table.keys() != shapes.keys():
-            got = list(table) if isinstance(table, dict) else type(table).__name__
+        if not isinstance(table, Mapping) or table.keys() != shapes.keys():
+            got = list(table) if isinstance(table, Mapping) else type(table).__name__
             raise ConversionError(f"{label} must hold exactly {list(shapes)}, got {got}")
     qmax, overflowed = 2 ** (model.formats.weight_bits - 1) - 1, []
     for name, shape in shapes.items():
@@ -176,35 +183,40 @@ def _check_model(model: FxpModel) -> FxpLifSpec:
     return spec
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)  # == and hash by identity: generated ones compare arrays
 class FxpModel:
-    """Integer twin of an EqualizerModel, checked on construction and on every
-    resolve (_check_model).
+    """Integer twin of an EqualizerModel, immutable and checked once, at
+    construction (_check_model).
 
     Weight tensors are int64 arrays on per-tensor power-of-two grids
     (value = ints[name] * 2^-fracs[name]) within formats.weight_bits; the LIF
-    state lives on the state grid (state_fmt), and `lif_spec` derives the
-    integer LIF constants from the current `lif` on it. fxp_forward checks the
-    current fields again when it resolves them, per stream (make_decider) or
-    per call, so an edited model is refused as its construction would be. A
-    model that passes never saturates an accumulator, and its products are
-    exact in float64 (see FxpFormats). The export carries everything a
-    hardware implementation needs to reproduce the arithmetic bit-for-bit.
+    state lives on the state grid (state_fmt). Construction keeps read-only
+    copies, so `ints` and `fracs` are read-only mappings and the caller's
+    arrays stay theirs, and derives the integer LIF constants (`lif_spec`)
+    and fxp_forward's constants once. A model that passes never saturates an
+    accumulator, and its products are exact in float64 (see FxpFormats). The
+    export carries everything a hardware implementation needs to reproduce
+    the arithmetic bit-for-bit.
     """
 
     config: TopologyConfig
     encoder: EncoderConfig
     lif: LifParams
-    ints: dict
-    fracs: dict
+    ints: Mapping
+    fracs: Mapping
     formats: FxpFormats
+    lif_spec: FxpLifSpec = field(init=False, repr=False)
+    _resolved: _Resolved = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_model(self)
-
-    @property
-    def lif_spec(self) -> FxpLifSpec:
-        return FxpLifSpec.derive(self.lif, self.state_fmt)
+        spec = _check_model(self)
+        ints = {name: arr.copy() for name, arr in self.ints.items()}
+        for arr in ints.values():
+            arr.flags.writeable = False
+        object.__setattr__(self, "ints", MappingProxyType(ints))
+        object.__setattr__(self, "fracs", MappingProxyType(dict(self.fracs)))
+        object.__setattr__(self, "lif_spec", spec)
+        object.__setattr__(self, "_resolved", _Resolved(self))
 
     @property
     def state_fmt(self) -> FxpFormat:
@@ -217,12 +229,10 @@ class FxpModel:
     def make_decider(self):
         """Bind a batched decision closure, decide(windows (B, n_input), stats=None)
         -> classes (B,): the argmax of fxp_forward's logits, ties to the lowest
-        class; `stats` counts state clips as fxp_forward does. The model is
-        checked and resolved here, once per stream, where fxp_forward would per call."""
-        resolved = _Resolved(self)
+        class; `stats` counts state clips as fxp_forward does."""
 
         def decide(windows: np.ndarray, stats=None) -> np.ndarray:
-            return np.argmax(fxp_forward(windows, resolved, stats), axis=1)
+            return np.argmax(fxp_forward(windows, self, stats), axis=1)
 
         return decide
 
@@ -311,17 +321,14 @@ def _requantize(x: np.ndarray, spec: FxpLifSpec, stats: dict | None) -> np.ndarr
 
 
 class _Resolved:
-    """fxp_forward's constants, from an FxpModel's current fields, all float64:
-    the weights transposed, with each product's alignment shift folded in; the
-    aligned biases; and the t >= 1 hidden drive before fc2 (h_rest). The
-    hidden drive's shift onto the state grid is folded into its products too.
-    The fields are checked first (_check_model): an edited model that
-    construction would refuse raises its ConversionError.
+    """fxp_forward's constants, all float64: the weights transposed, with each
+    product's alignment shift folded in; the aligned biases; and the t >= 1
+    hidden drive before fc2 (h_rest). The hidden drive's shift onto the
+    state grid is folded into its products too.
     """
 
     def __init__(self, model: FxpModel):
-        self.lif_spec = _check_model(model)
-        w, f, self.config = model.ints, model.fracs, model.config
+        w, f = model.ints, model.fracs
         f_a, f_h, f_z = _accumulator_fracs(f)
         shift = f_h - model.state_fmt.frac_bits
 
@@ -358,12 +365,9 @@ def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarr
     float64 BLAS with their alignment shifts folded into the weights, and the
     hidden drive's shift onto the state grid into its own, so no step scales
     the drive. The readout is linear in the spikes: one product of their
-    counts. The model is checked and its constants resolved from its current
-    fields per call (ConversionError as at construction);
-    FxpModel.make_decider does both once per stream.
+    counts, with the constants the model folded at construction.
     """
-    c = model if isinstance(model, _Resolved) else _Resolved(model)
-    cfg, spec = c.config, c.lif_spec
+    c, cfg, spec = model._resolved, model.config, model.lif_spec
     enc = np.asarray(windows, dtype=float)
     if enc.ndim != 2 or enc.shape[1] != cfg.n_input:
         raise ValueError(f"windows have shape {enc.shape}, expected (B, {cfg.n_input})")
@@ -402,7 +406,7 @@ def save_fxp_model(path, model: FxpModel) -> None:
     """Integer model container: json header plus raw int64 tensors. The header
     carries the derived constants (k_v, v_th_int, ...) for hardware readers."""
     save_container(path, FXP_FORMAT, FXP_VERSION, model, model.ints,
-                   fracs=model.fracs, **_header_constants(model))
+                   fracs=dict(model.fracs), **_header_constants(model))
 
 
 def load_fxp_model(path) -> FxpModel:

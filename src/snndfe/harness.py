@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (BITS_PER_SYMBOL, ChannelConfig, bits_to_classes, classes_to_bits,
-                      simulate_link)
+from .channel import (BITS_PER_SYMBOL, N_CLASSES, ChannelConfig, bits_to_classes,
+                      classes_to_bits, simulate_link)
 from .equalizer import equalize_stream, teacher_forced_windows
 
 
@@ -58,13 +58,6 @@ def count_bit_errors(true_classes, decided_classes, m: int) -> int:
     return int(np.sum(true_bits != decided_bits))
 
 
-def check_pam4(m: int) -> None:
-    """Raise ConfigError unless m bits per symbol is the link's PAM-4."""
-    if m != BITS_PER_SYMBOL:
-        raise ConfigError(f"bits_per_symbol={m}, but the link is PAM-4 "
-                          f"(channel.BITS_PER_SYMBOL = {BITS_PER_SYMBOL})")
-
-
 def check_eval_symbols(symbols_per_snr: int, history: int) -> None:
     """Raise ConfigError unless a frame counts two symbols past its `history` warm-up."""
     if symbols_per_snr < history + 2:
@@ -89,14 +82,11 @@ def evaluate_ber(model, channel_cfg: ChannelConfig, snrs_db, symbols_per_snr: in
 
     The comparison window excludes the warm-up symbols (the model's history
     length). Deterministic: every SNR point uses its own derived seed. An
-    unknown mode or a model whose bits_per_symbol is not
-    channel.BITS_PER_SYMBOL raises ConfigError.
+    unknown mode raises ConfigError.
     """
     if mode not in ("feedback", "genie"):
         raise ConfigError(f"unknown mode {mode!r}")
     cfg = model.config
-    m = cfg.bits_per_symbol
-    check_pam4(m)
     history = cfg.history
     check_eval_symbols(symbols_per_snr, history)
     points = []
@@ -107,8 +97,8 @@ def evaluate_ber(model, channel_cfg: ChannelConfig, snrs_db, symbols_per_snr: in
             decided = model.make_decider()(windows, stats)
         else:
             decided = equalize_stream(y, model, stats=stats)
-        errors = count_bit_errors(classes[history:], decided, m)
-        points.append(BerPoint(snr_db, errors, m * (symbols_per_snr - history)))
+        errors = count_bit_errors(classes[history:], decided, BITS_PER_SYMBOL)
+        points.append(BerPoint(snr_db, errors, BITS_PER_SYMBOL * (symbols_per_snr - history)))
     return BerCurve(points)
 
 
@@ -146,18 +136,19 @@ def evaluate_baseline_ber(channel_cfg: ChannelConfig, m: int, snrs_db,
     be channel.BITS_PER_SYMBOL and 0 <= warmup < symbols_per_snr, or
     ConfigError is raised.
     """
-    check_pam4(m)
+    if m != BITS_PER_SYMBOL:
+        raise ConfigError(f"bits_per_symbol={m}, but the link is PAM-4 "
+                          f"(channel.BITS_PER_SYMBOL = {BITS_PER_SYMBOL})")
     if not 0 <= warmup < symbols_per_snr:
         raise ConfigError(f"warmup must be in [0, symbols_per_snr = {symbols_per_snr}), "
                           f"got {warmup}")
-    n_classes = 2 ** m
     points = []
     for snr_db in snrs_db:
         pilot_rng = derive_rng(seed, f"pilot:snr={snr_db}")
         pilot_bits = pilot_rng.integers(0, 2, m * pilot_symbols)
         pilot_classes = bits_to_classes(pilot_bits, m)
         _, pilot_y = simulate_link(pilot_bits, channel_cfg, snr_db, pilot_rng)
-        centroids = fit_centroids(pilot_y, pilot_classes, n_classes)
+        centroids = fit_centroids(pilot_y, pilot_classes, N_CLASSES)
 
         classes, y = _eval_frame(channel_cfg, snr_db, symbols_per_snr, seed)
         decided = baseline_hard_decision(y, centroids)

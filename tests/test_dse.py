@@ -39,7 +39,7 @@ def stub_runner(config, channel_cfg, scale, seed):
     """Deterministic fake trial: BER is a decreasing function of cost."""
     from snndfe.equalizer import input_size, mac_count
 
-    mac = mac_count(config["hidden"], input_size(config["n_tap"], 2), config["steps"])
+    mac = mac_count(config["hidden"], input_size(config["n_tap"]), config["steps"])
     rng = np.random.default_rng(seed)
     ber = {float(s): float(1.0 / (mac ** 0.5) * (1 + 0.1 * rng.random()) / (1 + s))
            for s in scale.snrs_db}
@@ -360,7 +360,7 @@ def test_train_config_defaults_are_the_trial_budget():
 def input_size_of(cfg):
     from snndfe.equalizer import input_size
 
-    return input_size(cfg["n_tap"], 2)
+    return input_size(cfg["n_tap"])
 
 
 class TestSpaceParsing:
@@ -375,14 +375,16 @@ class TestSpaceParsing:
         ({"bits": (None, 3)}, "state_bits"),
         ({"bits": (8, 33)}, "weight_bits"),
         ({"bits": (16, 17)}, "weight_bits must be in \\[2, 16\\], got 17"),
+        ({"bits": (8, 4)}, "v_th=1.0 is 2 on the state grid, above the voltage's reach 0"),
         ({"n_taps": (3, 41), "scale": TrialScale(eval_symbols=21)},
          "symbols_per_snr=21 too small for the model's history 20"),
     ], ids=["even_n_tap", "hidden_0", "steps_0", "bits_3", "bits_33", "bits_17",
-            "eval_shorter_than_history"])
+            "bits_4_never_fires", "eval_shorter_than_history"])
     def test_axis_values_checked_at_construction(self, settings, match):
         # a value a trial's configurations refuse fails before any trial runs,
         # where it used to raise mid-sweep (at the first n_tap 4, say, or at
-        # the first n_tap 41 evaluated on 21 symbols)
+        # the first n_tap 41 evaluated on 21 symbols); at 4 bits the QAT-trained
+        # shift-friendly LIF never fires, so every 4-bit trial would be degenerate
         with pytest.raises(ValueError, match=match):
             DseSpace(**settings)
 
@@ -399,6 +401,6 @@ class TestSpaceParsing:
 
     def test_defaults_and_fxp_widths_accepted(self):
         assert len(DseSpace().enumerate()) == 20 * 80 * 10
-        assert DseSpace(bits=(None, 4, 8, 16)).scale == TrialScale()
+        assert DseSpace(bits=(None, 5, 8, 16)).scale == TrialScale()
         # evaluate_ber counts two symbols past n_tap 41's history of 20
         assert DseSpace(n_taps=(3, 41), scale=TrialScale(eval_symbols=22)).n_taps == (3, 41)

@@ -69,14 +69,14 @@ def sequential_equalize(y, model, mode="feedback", true_classes=None, fill_class
     symbol, each decision fed back before the next window is built, the
     warm-up standing as `fill_class` (reference for equalize_stream's batched
     passes). Genie mode feeds back `true_classes`, warm-up included."""
-    history, m = model.config.history, model.config.bits_per_symbol
+    history = model.config.history
     fed = np.full(len(y), fill_class, dtype=np.int64)
     if mode == "genie":
         fed[:] = true_classes
     decide, bins = model.make_decider(), model.encoder.bin_indices(y)
     out = np.zeros(len(y) - history, dtype=np.int64)
     for k in range(history, len(y)):
-        window = one_hot_windows(bins[None, k - history : k + 1], fed[None, k - history : k], m)
+        window = one_hot_windows(bins[None, k - history : k + 1], fed[None, k - history : k])
         out[k - history] = decide(window, stats)[0]
         if mode == "feedback":
             fed[k] = out[k - history]
@@ -85,36 +85,36 @@ def sequential_equalize(y, model, mode="feedback", true_classes=None, fill_class
 
 class TestSizing:
     def test_input_size_paper_values(self):
-        assert input_size(41, 2) == 248
-        assert input_size(17, 2) == 104
-        assert input_size(1, 2) == 8
+        assert input_size(41) == 248
+        assert input_size(17) == 104
+        assert input_size(1) == 8
 
     def test_even_tap_count_rejected(self):
         with pytest.raises(ValueError):
-            input_size(16, 2)
+            input_size(16)
 
     def test_mac_count_paper_values(self):
-        assert mac_count(80, 248, 10, 2) == 329600
-        assert mac_count(72, 104, 5, 2) == 90720
-        assert mac_count(56, 104, 5, 2) == 61600
+        assert mac_count(80, 248, 10) == 329600
+        assert mac_count(72, 104, 5) == 90720
+        assert mac_count(56, 104, 5) == 61600
 
     def test_mac_count_monotone(self):
         base = mac_count(24, 104, 5)
         assert mac_count(25, 104, 5) > base
-        assert mac_count(24, input_size(19, 2), 5) > base
+        assert mac_count(24, input_size(19), 5) > base
         assert mac_count(24, 104, 6) > base
 
 
 class TestEncodeWindow:
     def test_decision_one_hot(self):
         encoder = EncoderConfig(0.0, 1.0)
-        vec = encode_window([0.0, 0.0], [2], encoder, m=2)
+        vec = encode_window([0.0, 0.0], [2], encoder)
         np.testing.assert_array_equal(vec[8:12], [0.0, 0.0, 1.0, 0.0])
 
     def test_block_structure_17_taps(self):
         encoder = EncoderConfig(0.0, 1.0)
         rng = np.random.default_rng(0)
-        vec = encode_window(rng.uniform(0, 1, 9), rng.integers(0, 4, 8), encoder, m=2)
+        vec = encode_window(rng.uniform(0, 1, 9), rng.integers(0, 4, 8), encoder)
         assert vec.shape == (104,)
         assert np.count_nonzero(vec) == 17
         assert set(np.unique(vec)).issubset({0.0, 1.0})
@@ -182,18 +182,17 @@ class TestEncodeWindow:
 
     def test_window_length_mismatch(self):
         with pytest.raises(ValueError):
-            encode_window([0.0, 0.0, 0.0], [1], EncoderConfig(0.0, 1.0), m=2)
+            encode_window([0.0, 0.0, 0.0], [1], EncoderConfig(0.0, 1.0))
 
 
 @settings(max_examples=60, deadline=None)
 @given(rx_min=st.floats(-2.0, 2.0), span=st.one_of(st.just(0.0), st.floats(-1.0, 3.0)),
-       n_tap=st.sampled_from([1, 3, 5, 9, 17]), m=st.integers(1, 3),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_prebinned_windows_match_encode_window(rx_min, span, n_tap, m, seed):
+       n_tap=st.sampled_from([1, 3, 5, 9, 17]), seed=st.integers(0, 2 ** 32 - 1))
+def test_prebinned_windows_match_encode_window(rx_min, span, n_tap, seed):
     # windows built from one binning of the whole stream (as the training
     # batches and the closed loop build them) against the per-window encoder
     encoder = EncoderConfig(rx_min, rx_min + span)
-    cfg = TopologyConfig(n_tap=n_tap, bits_per_symbol=m, hidden=1, steps=1)
+    cfg = TopologyConfig(n_tap=n_tap, hidden=1, steps=1)
     rng = np.random.default_rng(seed)
     history = cfg.history
     y = rng.uniform(rx_min - 1.0, rx_min + abs(span) + 1.0, history + 12)
@@ -202,7 +201,7 @@ def test_prebinned_windows_match_encode_window(rx_min, span, n_tap, m, seed):
     windows, labels = teacher_forced_windows(y, fed, encoder, cfg)
     np.testing.assert_array_equal(labels, fed[history:])
     for k in range(history, y.size):
-        expected = encode_window(y[k - history : k + 1], fed[k - history : k], encoder, m)
+        expected = encode_window(y[k - history : k + 1], fed[k - history : k], encoder)
         np.testing.assert_array_equal(windows[k - history], expected)
 
 
@@ -570,6 +569,16 @@ class TestSerialization:
         save_model(path, model)
         edit_container(path, lambda header, arrays: header["qat"].update(state_bits=3))
         with pytest.raises(ValueError, match="state_bits"):
+            load_model(path)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_non_pam4_file_refused(self, tmp_path, m):
+        # the link is PAM-4 only, so no model of another order loads (and
+        # none reaches evaluate_ber: TopologyConfig refuses one at construction)
+        path = tmp_path / "model.npz"
+        save_model(path, make_model(seed=14))
+        edit_container(path, lambda header, arrays: header.update(bits_per_symbol=m))
+        with pytest.raises(ValueError, match=rf"bits_per_symbol={m}.*BITS_PER_SYMBOL = 2"):
             load_model(path)
 
     @pytest.mark.parametrize("drop", ["hidden", "qat", "w_fc2", "lif.alpha_v",

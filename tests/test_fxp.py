@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -28,14 +29,20 @@ from snndfe.fxp import (
     save_fxp_model,
 )
 from snndfe.lif import LifParams, lif_step
-from snndfe.quant import QatConfig, fake_quantize
+from snndfe.quant import QatConfig, fake_quantize, state_format
 from test_equalizer import drop_from_container, edit_container
 
 
-def make_float_model(n_tap=5, hidden=8, steps=3, seed=0, scale=3.0, qat_bits=8):
+def firing_lif(state_bits):
+    """The shift-friendly LIF, but alpha_v = 1/2 on the 4-bit state grid, where
+    alpha_v = 1/8 never lets the voltage reach the threshold."""
+    return LifParams(alpha_v=0.5, alpha_i=0.25) if state_bits == 4 else LifParams.shift_friendly()
+
+
+def make_float_model(n_tap=5, hidden=8, steps=3, seed=0, scale=3.0, qat_bits=8, lif=None):
     cfg = TopologyConfig(n_tap=n_tap, hidden=hidden, steps=steps)
     model = EqualizerModel.initialize(
-        cfg, LifParams.shift_friendly(), EncoderConfig(0.0, 1.0),
+        cfg, lif or LifParams.shift_friendly(), EncoderConfig(0.0, 1.0),
         np.random.default_rng(seed),
         qat=QatConfig(weight_bits=qat_bits, state_bits=qat_bits),
     )
@@ -49,7 +56,7 @@ def random_windows(model, n, seed=1):
     cfg = model.config
     received = rng.uniform(0.0, 1.0, (n, cfg.history + 1))
     decisions = rng.integers(0, cfg.n_classes, (n, cfg.history))
-    return one_hot_windows(model.encoder.bin_indices(received), decisions, cfg.bits_per_symbol)
+    return one_hot_windows(model.encoder.bin_indices(received), decisions)
 
 
 def fc3_grid(fm):
@@ -57,9 +64,11 @@ def fc3_grid(fm):
     return 2.0 ** -max(fm.fracs["w_fc3"], fm.fracs["b_fc3"])
 
 
-def float_twin_forward(windows, fm):
+def float_twin_forward(windows, fm, acc_max=None):
     """Float64 simulation of the identical quantized arithmetic over a batch of
-    windows (B, n_input): the logits (B, n_classes) as values (oracle)."""
+    windows (B, n_input): the logits (B, n_classes) as values (oracle). Each
+    accumulator is asserted within acc_max (default fm.acc_max)."""
+    acc_max = fm.acc_max if acc_max is None else acc_max
     deq = {k: fm.ints[k].astype(float) * 2.0 ** -fm.fracs[k] for k in fm.ints}
     f = fm.fracs
     f_a = max(f["w_fc0"], f["b_fc0"])
@@ -71,7 +80,7 @@ def float_twin_forward(windows, fm):
 
     def acc(val, frac):
         # the invariant _check_model guarantees, so no accumulator is clamped
-        assert np.abs(val).max(initial=0) <= fm.acc_max * 2.0 ** -frac, "accumulator overflow"
+        assert np.abs(val).max(initial=0) <= acc_max * 2.0 ** -frac, "accumulator overflow"
         return val
 
     def floor_shift(val, k):
@@ -380,7 +389,7 @@ def test_any_drive_shift_runs_exactly(fc0_factor, factor, state_bits, shift):
     # scaling fc0's and the hidden drive's tensors sets the drive's shift onto
     # the state grid: right shifts that round every drive to 0 from 54 bits
     # on, and left shifts that would wrap an int64 drive
-    model = make_float_model(n_tap=5, hidden=6, steps=3, scale=1.0)
+    model = make_float_model(n_tap=5, hidden=6, steps=3, scale=1.0, lif=firing_lif(state_bits))
     model.qat = QatConfig(weight_bits=8, state_bits=state_bits)
     for name, scale in (("w_fc0", fc0_factor), ("b_fc0", fc0_factor), ("w_fc1", factor),
                         ("b_fc1", factor), ("w_fc2", factor)):
@@ -403,7 +412,7 @@ def hand_built(fracs, state_bits, seed):
     cfg, rng = TopologyConfig(n_tap=3, hidden=4, steps=4), np.random.default_rng(seed)
     ints = {name: rng.integers(-2 ** 15 + 1, 2 ** 15, shape)
             for name, shape in cfg.param_shapes().items()}
-    return FxpModel(config=cfg, encoder=EncoderConfig(0.0, 1.0), lif=LifParams.shift_friendly(),
+    return FxpModel(config=cfg, encoder=EncoderConfig(0.0, 1.0), lif=firing_lif(state_bits),
                     ints=ints, fracs=fracs, formats=FxpFormats(16, state_bits, acc_bits=53))
 
 
@@ -432,6 +441,34 @@ def test_domain_corners_match_python_ints(fracs, state_bits, shift):
     np.testing.assert_array_equal(logits, want)
     assert stats == want_stats
     np.testing.assert_array_equal(logits * fc3_grid(fm), float_twin_forward(windows, fm))
+    if state_bits == 4:
+        # the 4-bit LIF fires, so the windows reach the readout, except at
+        # shift 63, where every drive |h| <= 2^52 rounds to 0
+        assert (len(set(map(tuple, logits))) > 1) == (shift < 63)
+
+
+@pytest.mark.parametrize("bits", range(4, 17))
+@pytest.mark.parametrize("alpha_v", [0.125, 0.5])
+def test_threshold_above_the_voltage_reach_refused(bits, alpha_v):
+    # under the largest current the voltage rises from 0 to (state_max >> k_v)
+    # << k_v and stays there; derive accepts a threshold there and refuses one
+    # a grid step higher, which no neuron would ever cross
+    fmt, k_v = state_format(bits), round(-np.log2(alpha_v))
+    reach = (fmt.max_int >> k_v) << k_v
+    never = FxpLifSpec(k_v=k_v, k_i=2, v_th_int=fmt.max_int + 1, v_r_int=0,
+                       state_min=fmt.min_int, state_max=fmt.max_int)
+    v, i, top = np.zeros(1), np.zeros(1), np.full(1, float(fmt.max_int))
+    for _ in range(300):
+        v, i, _ = fxp_lif_step(v, i, top, never)
+    assert v[0] == reach == fxp_lif_step(v, i, top, never)[0][0]
+
+    def lif(level):
+        return LifParams(alpha_v=alpha_v, alpha_i=0.25, v_th=level * fmt.scale,
+                         v_r=fmt.min_int * fmt.scale)
+
+    assert FxpLifSpec.derive(lif(reach), fmt).v_th_int == reach
+    with pytest.raises(ConversionError, match="no neuron would fire"):
+        FxpLifSpec.derive(lif(reach + 1), fmt)
 
 
 @pytest.mark.parametrize("frac", [33, -33])
@@ -455,7 +492,8 @@ def test_frac_past_the_bound_refused(tmp_path, frac):
 class TestFxpForward:
     @pytest.mark.parametrize("bits", [4, 6, 8])
     def test_matches_float_twin_bit_exactly(self, bits):
-        model = make_float_model(n_tap=5, hidden=10, steps=4, seed=4, qat_bits=bits)
+        model = make_float_model(n_tap=5, hidden=10, steps=4, seed=4, qat_bits=bits,
+                                 lif=firing_lif(bits))
         fm = convert(model, FxpFormats(weight_bits=bits, state_bits=bits))
         windows = random_windows(model, 200, seed=5)
         logits = fxp_forward(windows, fm)
@@ -507,16 +545,16 @@ class TestFxpForward:
 
     def test_narrow_accumulator_matches_float_twin(self):
         # the refusal is not conservative here: on these windows the twin's
-        # accumulators pass the narrowed acc_max, which the oracle's check sees
+        # accumulators pass a 16-bit acc_max, which the oracle's check sees
         model = make_float_model(seed=11, scale=6.0)
         fm = convert(model, FxpFormats())
         windows = random_windows(model, 200, seed=19)
         float_twin_forward(windows, fm)
-        fm.formats = dataclasses.replace(fm.formats, acc_bits=16)
         with pytest.raises(ConversionError, match="accumulators exceed 16 bits"):
-            fxp_forward(windows, fm)
+            FxpModel(config=fm.config, encoder=fm.encoder, lif=fm.lif, ints=fm.ints,
+                     fracs=fm.fracs, formats=FxpFormats(acc_bits=16))
         with pytest.raises(AssertionError, match="accumulator overflow"):
-            float_twin_forward(windows, fm)
+            float_twin_forward(windows, fm, acc_max=2 ** 15 - 1)
 
     def test_fc1_product_exact_at_the_accumulator_cap(self):
         # fc0 rows of all-maximal 16-bit weights give |a_window| up to 20 * (2^15-1)
@@ -604,7 +642,7 @@ def test_matches_float_twin_property(seed, scale, bits, weight_bits, steps):
     # widths up to FxpFormats' caps; a 53-bit accumulator holds every worst
     # case here, so convert() accepts each model
     model = make_float_model(n_tap=3, hidden=5, steps=steps, seed=seed % 1000, scale=scale,
-                             qat_bits=bits)
+                             qat_bits=bits, lif=firing_lif(bits))
     model.qat = QatConfig(weight_bits=weight_bits, state_bits=bits)
     fm = convert(model, FxpFormats(weight_bits=weight_bits, state_bits=bits, acc_bits=53))
     windows = random_windows(model, 8, seed=seed)
@@ -646,88 +684,50 @@ class TestFxpStreamAndSerialization:
             "e32047101a5d01d414c8bfdf6cf56fb7a335e7fd678dd66541036d10efa17e64")
         assert stats == {"state_clips": 1977}
 
-    def test_narrowed_stream_equals_rows_one_at_a_time(self):
-        # a stream (checked once) and a per-row call (checked per call) refuse
-        # a narrowed model alike, before deciding or counting anything
-        model = make_float_model(n_tap=5, hidden=8, steps=4, seed=26, scale=6.0)
-        fm = convert(model, FxpFormats())
-        fm.formats = dataclasses.replace(fm.formats, acc_bits=16)
-        y = np.random.default_rng(28).uniform(-0.1, 1.1, 150)
-        stream_stats, row_stats = {}, {}
-        with pytest.raises(ConversionError) as stream:
-            equalize_stream(y, fm, stats=stream_stats)
-        history, m = fm.config.history, fm.config.bits_per_symbol
-        window = one_hot_windows(fm.encoder.bin_indices(y)[None, :history + 1],
-                                 np.zeros((1, history), dtype=np.int64), m)
-        with pytest.raises(ConversionError) as row:
-            fxp_forward(window, fm, row_stats)
-        assert str(stream.value) == str(row.value)
-        assert stream_stats == row_stats == {}
+    @pytest.mark.parametrize("edit, error", [
+        (lambda fm: setattr(fm, "formats", FxpFormats(acc_bits=16)),
+         dataclasses.FrozenInstanceError),
+        (lambda fm: operator.setitem(fm.ints, "w_fc3", -fm.ints["w_fc3"]), TypeError),
+        (lambda fm: operator.setitem(fm.fracs, "b_fc3", fm.fracs["b_fc3"] + 1), TypeError),
+        (lambda fm: fm.ints["w_fc0"].__setitem__((0, 0), 1), ValueError),
+    ], ids=["field", "ints_entry", "fracs_entry", "array_element"])
+    def test_model_is_immutable(self, edit, error):
+        # the model is checked and its constants folded once, at construction,
+        # so every way to edit it afterwards raises, and it keeps copies of
+        # the caller's arrays, which stay writeable
+        built = convert(make_float_model(n_tap=5, hidden=8, steps=4, seed=26, scale=4.0),
+                        FxpFormats())
+        ints, fracs = {k: np.array(v) for k, v in built.ints.items()}, dict(built.fracs)
+        fm = FxpModel(config=built.config, encoder=built.encoder, lif=built.lif, ints=ints,
+                      fracs=fracs, formats=built.formats)
+        windows = random_windows(fm, 64, seed=29)
+        logits = fxp_forward(windows, fm)
+        with pytest.raises(error):
+            edit(fm)
+        for name, arr in ints.items():
+            assert arr.flags.writeable and not np.shares_memory(arr, fm.ints[name])
+        ints["w_fc3"] *= -1
+        fracs["b_fc3"] += 1
+        np.testing.assert_array_equal(fxp_forward(windows, fm), logits)
+        np.testing.assert_array_equal(fm.make_decider()(windows), np.argmax(logits, axis=1))
 
-    def test_next_stream_sees_edited_fields(self):
-        model = make_float_model(n_tap=5, hidden=8, steps=4, seed=26, scale=4.0)
-        fm = convert(model, FxpFormats())
-        y = np.random.default_rng(27).uniform(-0.1, 1.1, 200)
-        first = equalize_stream(y, fm)
-        fm.ints["w_fc3"] = -fm.ints["w_fc3"]
-        fm.fracs["b_fc3"] += 1
-        edited = FxpModel(config=fm.config, encoder=fm.encoder, lif=fm.lif,
-                          ints=dict(fm.ints), fracs=dict(fm.fracs), formats=fm.formats)
-        second = equalize_stream(y, fm)
-        assert (second != first).any()
-        np.testing.assert_array_equal(second, equalize_stream(y, edited))
-        fm.formats = dataclasses.replace(fm.formats, acc_bits=16)
-        with pytest.raises(ConversionError, match="accumulators exceed 16 bits"):
-            equalize_stream(y, fm)
-
-    @pytest.mark.parametrize("edit", [
-        lambda fm: setattr(fm, "formats", dataclasses.replace(fm.formats, state_bits=6)),
-        lambda fm: setattr(fm, "lif", LifParams(alpha_v=0.5, alpha_i=0.5)),
-    ], ids=["state_bits", "lif"])
-    def test_edited_lif_fields_reach_the_engine(self, edit):
-        # the integer LIF constants derive from the current lif and state
-        # grid, so an edited model runs as one built with its fields
-        fm = convert(make_float_model(seed=26, scale=4.0), FxpFormats())
-        edit(fm)
-        fresh = FxpModel(config=fm.config, encoder=fm.encoder, lif=fm.lif,
-                         ints=fm.ints, fracs=fm.fracs, formats=fm.formats)
-        windows = np.random.default_rng(29).integers(-1, 2, (200, fm.config.n_input))
-        np.testing.assert_array_equal(fxp_forward(windows, fm), fxp_forward(windows, fresh))
-        assert fm.lif_spec == fresh.lif_spec
-
-    def test_edit_past_float64_exactness_refused(self):
-        # construction bounds every partial sum below 2^53; an edit that breaks
-        # that bound would round the float64 products, so the engine refuses it
-        model = make_float_model(seed=18)
-        fm = convert(model, FxpFormats())
-        fm.ints["w_fc0"] = fm.ints["w_fc0"] << 50
-        with pytest.raises(ConversionError, match="representable range: \\['w_fc0'\\]"):
-            fxp_forward(random_windows(model, 2), fm)
-        with pytest.raises(ConversionError, match="representable range: \\['w_fc0'\\]"):
-            fm.make_decider()
-
-    @pytest.mark.parametrize("edit, match", [
+    @pytest.mark.parametrize("change, match", [
         # 2^58 in every column: the int64 row sum of the worst case wraps
-        (lambda fm: fm.ints["w_fc0"].__setitem__((0, slice(None)), 2 ** 58),
+        (lambda fm: {"ints": {**fm.ints, "w_fc0": np.full_like(fm.ints["w_fc0"], 2 ** 58)}},
          "representable range: \\['w_fc0'\\]"),
-        (lambda fm: setattr(fm, "formats", dataclasses.replace(fm.formats, acc_bits=16)),
-         "accumulators exceed 16 bits"),
-        (lambda fm: fm.ints.update(w_fc1=fm.ints["w_fc1"].astype(np.int32)),
+        # past 2^53 the float64 products would round
+        (lambda fm: {"ints": {**fm.ints, "w_fc0": fm.ints["w_fc0"] << 50}},
+         "representable range: \\['w_fc0'\\]"),
+        (lambda fm: {"formats": FxpFormats(acc_bits=16)}, "accumulators exceed 16 bits"),
+        (lambda fm: {"ints": {**fm.ints, "w_fc1": fm.ints["w_fc1"].astype(np.int32)}},
          "w_fc1 must be an int64 array"),
-    ], ids=["w_fc0_wraps_int64", "acc_bits_16", "int32_tensor"])
-    def test_edit_refused_at_next_resolve(self, edit, match):
-        # the next decider and the next fxp_forward call refuse an edit with
-        # the ConversionError constructing the edited model raises
-        model = make_float_model(n_tap=5, hidden=6, steps=2, scale=6.0)
-        fm = convert(model, FxpFormats())
-        edit(fm)
-        with pytest.raises(ConversionError, match=match) as built:
-            FxpModel(config=fm.config, encoder=fm.encoder, lif=fm.lif, ints=fm.ints,
-                     fracs=fm.fracs, formats=fm.formats)
-        for resolve in (fm.make_decider, lambda: fxp_forward(random_windows(model, 2), fm)):
-            with pytest.raises(ConversionError) as refused:
-                resolve()
-            assert str(refused.value) == str(built.value)
+    ], ids=["w_fc0_wraps_int64", "w_fc0_past_float64", "acc_bits_16", "int32_tensor"])
+    def test_refused_at_construction(self, change, match):
+        # a model rebuilt from a valid one's fields (any mappings) with one
+        # change construction refuses
+        fm = convert(make_float_model(n_tap=5, hidden=6, steps=2, scale=6.0), FxpFormats())
+        with pytest.raises(ConversionError, match=match):
+            dataclasses.replace(fm, **change(fm))
 
     def test_roundtrip(self, tmp_path):
         model = make_float_model(seed=15)
@@ -752,7 +752,7 @@ class TestFxpStreamAndSerialization:
             "encoder": {"rx_min": 0.0, "rx_max": 1.0},
             "lif": {"alpha_v": 0.125, "alpha_i": 0.25, "v_th": 1.0, "v_r": 0.0,
                     "v_leak": 0.0, "r": 1.0},
-            "fracs": fm.fracs, "state_bits": 8, "state_frac_bits": 5,
+            "fracs": dict(fm.fracs), "state_bits": 8, "state_frac_bits": 5,
             "k_v": 3, "k_i": 2, "v_th_int": 32, "v_r_int": 0,
             "weight_bits": 8, "acc_bits": 32,
         }
