@@ -1,12 +1,14 @@
 """Simulation of the optical IM/DD link: PAM-4 over fiber with square-law detection.
 
 The link is PAM-4 only: its alphabet is PAM4_LEVELS with BITS_PER_SYMBOL Gray
-bits per symbol, and the stages pass plain sample arrays.
+bits per symbol, mapped by two fixed 4-entry tables, and the stages pass
+plain sample arrays.
 
 Transmit chain: Gray-mapped PAM-4 symbols, 2x upsampling, RRC pulse shaping.
 Fiber: chromatic dispersion (all-pass quadratic phase), square-law photodiode,
-AWGN at the detector output. Receive chain: matched RRC, downsample to one
-sample per symbol, group-delay compensated so y[k] lines up with x[k].
+AWGN on the detected (real) intensity. Receive chain: matched RRC,
+downsample to one sample per symbol, group-delay compensated so y[k] lines
+up with x[k].
 """
 
 from __future__ import annotations
@@ -62,38 +64,33 @@ def _finite(x, stage: str) -> np.ndarray:
     return x
 
 
-def _gray_encode(idx: np.ndarray) -> np.ndarray:
-    return idx ^ (idx >> 1)
+def check_pam4(m: int) -> None:
+    """Raise ValueError unless m is the link's bits per symbol (PAM-4)."""
+    if m != BITS_PER_SYMBOL:
+        raise ValueError(f"bits_per_symbol={m}, but the link is PAM-4 "
+                         f"(channel.BITS_PER_SYMBOL = {BITS_PER_SYMBOL})")
 
 
-def _gray_decode(code: np.ndarray, m: int) -> np.ndarray:
-    out = code.copy()
-    shift = 1
-    while shift < m:
-        out ^= out >> shift
-        shift *= 2
-    return out
+# Gray labels: class k (amplitude rank) carries the bit pair _CLASS_BITS[k],
+# MSB first; _PAIR_CLASS inverts it, indexed by the pair as a 2-bit number.
+_CLASS_BITS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.int64)
+_PAIR_CLASS = np.array([0, 1, 3, 2], dtype=np.int64)
 
 
 def bits_to_classes(bits, m: int = 2) -> np.ndarray:
-    """Pack m-bit groups (MSB first) into amplitude-rank class indices."""
+    """Pack bit pairs (MSB first) into amplitude-rank class indices; m must be 2."""
+    check_pam4(m)
     bits = np.asarray(bits, dtype=np.int64)
     if bits.size % m != 0:
         raise ValueError(f"bit count {bits.size} not divisible by m={m}")
-    groups = bits.reshape(-1, m)
-    pattern = np.zeros(len(groups), dtype=np.int64)
-    for b in range(m):
-        pattern = (pattern << 1) | groups[:, b]
-    return _gray_decode(pattern, m)
+    pairs = bits.reshape(-1, m)
+    return _PAIR_CLASS[2 * pairs[:, 0] + pairs[:, 1]]
 
 
 def classes_to_bits(classes, m: int = 2) -> np.ndarray:
     """Inverse of bits_to_classes."""
-    pattern = _gray_encode(np.asarray(classes, dtype=np.int64))
-    bits = np.zeros((len(pattern), m), dtype=np.int64)
-    for b in range(m):
-        bits[:, m - 1 - b] = (pattern >> b) & 1
-    return bits.reshape(-1)
+    check_pam4(m)
+    return _CLASS_BITS[np.asarray(classes, dtype=np.int64)].reshape(-1)
 
 
 def gray_map(bits) -> np.ndarray:
@@ -102,44 +99,33 @@ def gray_map(bits) -> np.ndarray:
 
 
 @functools.cache
-def rrc_taps(rolloff: float, span_symbols: int, sps: int) -> np.ndarray:
-    """Root-raised-cosine taps, unit energy, exactly symmetric about the center.
+def rrc_taps(cfg: ChannelConfig) -> np.ndarray:
+    """The link's root-raised-cosine taps, unit energy, exactly symmetric about
+    the center: rrc_span_symbols*sps + 1 of them.
 
-    span_symbols is the total support in symbol periods (even), giving
-    span_symbols*sps + 1 taps. The removable singularities at t = 0 and
-    t = +/- Ts/(4*rolloff) are filled with their analytic limits. Cached per
-    (rolloff, span_symbols, sps) and returned read-only, since every link
-    simulation shapes with the same taps.
+    The removable singularities at t = 0 and t = +/- Ts/(4*rolloff) (a
+    rolloff ChannelConfig keeps > 0) are filled with their analytic limits.
+    Cached per config and returned read-only, since every link simulation
+    shapes with the same taps.
     """
-    if span_symbols % 2 != 0 or span_symbols < 2:
-        raise ValueError("span_symbols must be even and >= 2")
-    if sps < 1:
-        raise ValueError("sps must be >= 1")
-    beta = rolloff
-    n = span_symbols * sps + 1
-    half = n // 2
+    beta, sps = cfg.rolloff, cfg.sps
+    half = cfg.rrc_span_symbols * sps // 2
     # Evaluate on t >= 0 only and mirror: the impulse response is even in t,
     # and mirroring keeps the symmetry exact in floating point.
     t = np.arange(half + 1, dtype=float) / sps
     h = np.empty_like(t)
     h[0] = 1.0 - beta + 4.0 * beta / np.pi
-    if beta > 0:
-        t_sing = 1.0 / (4.0 * beta)
-        sing = np.isclose(t, t_sing)
-        h_sing = (beta / math.sqrt(2.0)) * (
-            (1.0 + 2.0 / np.pi) * math.sin(np.pi / (4.0 * beta))
-            + (1.0 - 2.0 / np.pi) * math.cos(np.pi / (4.0 * beta))
-        )
-    else:
-        sing = np.zeros_like(t, dtype=bool)
-        h_sing = 0.0
+    sing = np.isclose(t, 1.0 / (4.0 * beta))
     regular = ~sing
     regular[0] = False
     tr = t[regular]
     num = np.sin(np.pi * tr * (1.0 - beta)) + 4.0 * beta * tr * np.cos(np.pi * tr * (1.0 + beta))
     den = np.pi * tr * (1.0 - (4.0 * beta * tr) ** 2)
     h[regular] = num / den
-    h[sing] = h_sing
+    h[sing] = (beta / math.sqrt(2.0)) * (
+        (1.0 + 2.0 / np.pi) * math.sin(np.pi / (4.0 * beta))
+        + (1.0 - 2.0 / np.pi) * math.cos(np.pi / (4.0 * beta))
+    )
     taps = np.concatenate([h[:0:-1], h])
     taps /= math.sqrt(float(np.dot(taps, taps)))
     taps.flags.writeable = False  # shared by every caller through the cache
@@ -168,22 +154,23 @@ def chromatic_dispersion(x, cfg: ChannelConfig) -> np.ndarray:
 def square_law(x) -> np.ndarray:
     """Photodiode model: out[k] = |x[k]|^2, real and nonnegative."""
     x = _finite(x, "square_law")
-    out = (x.real * x.real + x.imag * x.imag) if np.iscomplexobj(x) else x * x
-    return out.astype(np.float64)
+    return (x.real * x.real + x.imag * x.imag).astype(np.float64)
 
 
 def add_awgn(x, snr_db: float, rng: np.random.Generator) -> np.ndarray:
-    """Add white Gaussian noise at the requested SNR.
+    """Add white Gaussian noise at the requested SNR to a real signal (the
+    detected intensity); ValueError for complex samples.
 
     Noise power is referenced to the empirical mean square of the input, so
     10*log10(P_signal/P_noise) = snr_db. On the detected signal that total
     power includes its DC part: at the default link it is about 4.9 dB above
     the AC power, so the AC SNR is that much below snr_db. snr_db = +inf
     returns a copy of the input; NaN and -inf raise ValueError, and so does a
-    signal power or noisy output that overflows. For complex inputs the noise
-    power is split across quadratures.
+    signal power or noisy output that overflows.
     """
     x = _finite(x, "add_awgn")
+    if np.iscomplexobj(x):
+        raise ValueError("add_awgn adds noise to a real intensity, got complex samples")
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
     if snr_db == math.inf:
@@ -193,12 +180,7 @@ def add_awgn(x, snr_db: float, rng: np.random.Generator) -> np.ndarray:
         if not math.isfinite(p_signal):
             raise ValueError("add_awgn: the signal power overflows")
         p_noise = p_signal / np.float64(10.0) ** (snr_db / 10.0)
-        if np.iscomplexobj(x):
-            scale = math.sqrt(p_noise / 2.0)
-            noise = scale * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
-        else:
-            noise = math.sqrt(p_noise) * rng.standard_normal(x.size)
-        noisy = x + noise
+        noisy = x + math.sqrt(p_noise) * rng.standard_normal(x.size)
     if not np.all(np.isfinite(noisy)):
         raise ValueError(f"add_awgn: the noisy output overflows at {snr_db} dB")
     return noisy
@@ -215,7 +197,7 @@ def simulate_link(tx_bits, cfg: ChannelConfig, snr_db: float, rng: np.random.Gen
     """
     symbols = gray_map(tx_bits)
     n_sym = symbols.size
-    taps = rrc_taps(cfg.rolloff, cfg.rrc_span_symbols, cfg.sps)
+    taps = rrc_taps(cfg)
 
     up = np.zeros(n_sym * cfg.sps)
     up[:: cfg.sps] = symbols

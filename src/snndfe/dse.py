@@ -22,9 +22,8 @@ from .channel import ChannelConfig
 from .equalizer import TopologyConfig
 from .fxp import ConversionError, FxpFormats, FxpLifSpec, convert
 from .harness import check_eval_symbols, derive_seed, evaluate_ber
-from .lif import LifParams
 from .quant import QatConfig, state_format
-from .train import TrainConfig, TrainingDiverged, train
+from .train import TrainConfig, TrainingDiverged, default_lif, train
 
 
 @dataclass(frozen=True)
@@ -49,8 +48,8 @@ class TrialScale:
 class DseSpace:
     """Candidate grid; `bits` entries of None evaluate the float model. ValueError
     for an empty range, a value run_trial's configurations refuse (a bit width
-    whose state grid QAT's shift-friendly LIF never fires on included), or an
-    eval_symbols evaluate_ber refuses at the largest n_tap."""
+    whose state grid the LIF train gives a QAT model never fires on included),
+    or an eval_symbols evaluate_ber refuses at the largest n_tap."""
 
     n_taps: tuple = tuple(range(3, 42, 2))
     hidden: tuple = tuple(range(1, 81))
@@ -68,9 +67,9 @@ class DseSpace:
         check_eval_symbols(self.scale.eval_symbols, TopologyConfig(n_tap=max(self.n_taps)).history)
         for b in self.bits:
             if b is not None:
-                QatConfig(weight_bits=b, state_bits=b)
+                qat = QatConfig(weight_bits=b, state_bits=b)
                 FxpFormats(weight_bits=b, state_bits=b)
-                FxpLifSpec.derive(LifParams.shift_friendly(), state_format(b))
+                FxpLifSpec.derive(default_lif(qat), state_format(b))
 
     def enumerate(self) -> list:
         """Lexicographic (n_tap, hidden, steps, bits) order."""

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import BITS_PER_SYMBOL, N_CLASSES
+from .channel import N_CLASSES, check_pam4
 from .lif import LifParams, lif_step
 from .quant import QatConfig, fake_quantize, fake_quantize_with_mask, state_format
 
@@ -61,9 +61,7 @@ class TopologyConfig:
     steps: int = 10
 
     def __post_init__(self):
-        if self.bits_per_symbol != BITS_PER_SYMBOL:
-            raise ValueError(f"bits_per_symbol={self.bits_per_symbol}, but the link is PAM-4 "
-                             f"(channel.BITS_PER_SYMBOL = {BITS_PER_SYMBOL})")
+        check_pam4(self.bits_per_symbol)
         input_size(self.n_tap)  # validates n_tap
         if not 1 <= self.hidden <= 1024:
             raise ValueError("hidden must be in [1, 1024]")
@@ -95,14 +93,18 @@ class TopologyConfig:
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Min-max calibration of the received amplitude binning."""
+    """Min-max calibration of the received amplitude binning; ValueError unless
+    rx_min < rx_max, both finite, with a span rx_max - rx_min float64 holds."""
 
     rx_min: float
     rx_max: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.rx_min) and np.isfinite(self.rx_max)):
-            raise ValueError(f"encoder ends must be finite, got [{self.rx_min}, {self.rx_max}]")
+        # + 0.0 refuses a str (TypeError); Python floats give no overflow warning
+        lo, hi = float(self.rx_min + 0.0), float(self.rx_max + 0.0)
+        if not (lo < hi and hi - lo < math.inf):  # NaN and infinite ends fail it too
+            raise ValueError(f"encoder ends must be finite with rx_min < rx_max and a finite "
+                             f"span, got [{self.rx_min}, {self.rx_max}]")
 
     def bin_indices(self, samples) -> np.ndarray:
         """Uniform 8-level quantizer, clamping out-of-range values (+-inf too)
@@ -111,14 +113,8 @@ class EncoderConfig:
         if np.isnan(samples).any():
             raise ValueError("received samples must not be NaN")
         lo, hi = float(self.rx_min), float(self.rx_max)
-        span = hi - lo
-        if span <= 0:
-            return np.zeros(samples.shape, dtype=np.int64)
-        if span == np.inf:  # ends too far apart: halve them (exactly) and the samples
-            lo, hi, samples = lo / 2, hi / 2, samples / 2
-            span = hi - lo
         # clamp first: far samples over a tiny span would overflow to inf
-        t = (np.clip(samples, lo, hi) - lo) / span
+        t = (np.clip(samples, lo, hi) - lo) / (hi - lo)
         return np.clip(np.floor(t * RX_LEVELS).astype(np.int64), 0, RX_LEVELS - 1)
 
 

@@ -142,8 +142,8 @@ def _worst_case_accumulators(ints: dict, fracs: dict, steps: int) -> dict:
 
 # Widest |frac| FxpModel accepts: every binary point lies within a 32-bit
 # word. With a state grid of at most 13 fractional bits, the hidden drive's
-# shift onto it lies in [-45, 63], and every exponent _Resolved folds into its
-# float64 weights within +-80, so each folded weight is exact.
+# shift onto it lies in [-45, 52] (_check_model keeps it below acc_bits), and
+# every exponent _Resolved folds into its weights is within +-80: exact.
 _MAX_FRAC = 32
 
 
@@ -151,8 +151,10 @@ def _check_model(model: FxpModel) -> FxpLifSpec:
     """The model's integer LIF constants; ConversionError (a ValueError) unless
     `model.lif` passes FxpLifSpec.derive, the Mappings `ints` and `fracs` hold
     exactly the EqualizerModel parameters, each an int64 array of its shape on
-    the weight_bits grid with an int frac within +-_MAX_FRAC, and every
-    worst-case accumulator fits acc_bits (ranges first: they keep its int64 sums exact)."""
+    the weight_bits grid with an int frac within +-_MAX_FRAC, every
+    worst-case accumulator fits acc_bits (ranges first: they keep its int64
+    sums exact), and the hidden drive's shift onto the state grid is below
+    acc_bits, past which every drive |h| < 2^(acc_bits-1) rounds to 0."""
     spec = FxpLifSpec.derive(model.lif, model.state_fmt)  # refuses constants it cannot run
     shapes = model.config.param_shapes()
     for label, table in (("ints", model.ints), ("fracs", model.fracs)):
@@ -180,6 +182,10 @@ def _check_model(model: FxpModel) -> FxpLifSpec:
     if too_wide:
         raise ConversionError(f"worst-case accumulators exceed {model.formats.acc_bits} "
                               f"bits: {', '.join(too_wide)}")
+    shift = _accumulator_fracs(model.fracs)[1] - model.state_fmt.frac_bits
+    if shift >= model.formats.acc_bits:
+        raise ConversionError(f"the hidden drive's shift onto the state grid, {shift} bits, "
+                              f"is not below acc_bits = {model.formats.acc_bits}")
     return spec
 
 
@@ -244,8 +250,8 @@ def convert(model: EqualizerModel, formats: FxpFormats) -> FxpModel:
     with matching bit widths converts exactly (zero error); a warning is issued
     when the QAT setup does not match. Each fitted grid holds its tensor;
     FxpModel's checks raise ConversionError for LIF constants the integer
-    engine cannot run, for a grid outside +-_MAX_FRAC fractional bits and for
-    a worst-case accumulator wider than acc_bits.
+    engine cannot run, for a grid outside +-_MAX_FRAC fractional bits, for
+    a worst-case accumulator wider than acc_bits and for a drive shift past it.
     """
     if model.qat is None:
         warnings.warn("converting a model that was not QAT-trained", stacklevel=2)
@@ -313,7 +319,7 @@ def _requantize(x: np.ndarray, spec: FxpLifSpec, stats: dict | None) -> np.ndarr
     """The hidden drive x = h * 2^-shift, already scaled onto the state grid,
     rounded half up and clamped to the state range in place ("state_clips").
     Exact for integers |h| <= 2^52, as every accumulator is, and shifts in
-    [-45, 63], as every model's is (_MAX_FRAC): the scale only moves the
+    [-45, 52], as every model's is (_check_model): the scale only moves the
     exponent, and floor(x + 1/2) rounds as integer arithmetic does and keeps
     a left shift's integers."""
     x += 0.5

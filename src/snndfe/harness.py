@@ -21,10 +21,6 @@ class ConfigError(ValueError):
     """Invalid evaluation or training settings."""
 
 
-class CalibrationError(ValueError):
-    """Baseline centroid fit asked for with too little pilot data."""
-
-
 def derive_seed(master_seed: int, label: str) -> int:
     digest = hashlib.sha256(f"{master_seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
@@ -102,39 +98,20 @@ def evaluate_ber(model, channel_cfg: ChannelConfig, snrs_db, symbols_per_snr: in
     return BerCurve(points)
 
 
-def fit_centroids(pilot_y, pilot_classes, n_classes: int) -> np.ndarray:
-    """Per-class means of a pilot block; needs at least 4 symbols per class."""
-    pilot_y = np.asarray(pilot_y, dtype=float)
-    pilot_classes = np.asarray(pilot_classes, dtype=np.int64)
-    if pilot_y.size < 4 * n_classes:
-        raise CalibrationError(
-            f"pilot of {pilot_y.size} symbols is shorter than {4 * n_classes}"
-        )
-    centroids = np.zeros(n_classes)
-    for c in range(n_classes):
-        mask = pilot_classes == c
-        if not np.any(mask):
-            raise CalibrationError(f"pilot contains no symbols of class {c}")
-        centroids[c] = float(np.mean(pilot_y[mask]))
-    return centroids
-
-
-def baseline_hard_decision(y, calibration: np.ndarray) -> np.ndarray:
-    """Minimum-distance decision against fitted per-class centroids."""
-    y = np.asarray(y, dtype=float)
-    return np.argmin(np.abs(y[:, None] - calibration[None, :]), axis=1)
+PILOT_SYMBOLS = 4096  # the frame the unequalized receiver fits its class means on
 
 
 def evaluate_baseline_ber(channel_cfg: ChannelConfig, m: int, snrs_db,
-                          symbols_per_snr: int, seed: int, warmup: int = 0,
-                          pilot_symbols: int = 4096) -> BerCurve:
+                          symbols_per_snr: int, seed: int, warmup: int = 0) -> BerCurve:
     """BER of the unequalized hard-decision receiver on the same eval frames.
 
-    Uses the same derived eval streams as evaluate_ber, so comparisons are
-    paired, and skips the first `warmup` symbols (default 0): callers pass
-    warmup=model.config.history to count the bits evaluate_ber counts. m must
-    be channel.BITS_PER_SYMBOL and 0 <= warmup < symbols_per_snr, or
-    ConfigError is raised.
+    Per SNR the receiver takes each class's mean over a PILOT_SYMBOLS pilot
+    frame of its own derived stream, then decides every sample as the class
+    of the nearest mean. It uses the same derived eval streams as
+    evaluate_ber, so comparisons are paired, and skips the first `warmup`
+    symbols (default 0): callers pass warmup=model.config.history to count
+    the bits evaluate_ber counts. m must be channel.BITS_PER_SYMBOL and
+    0 <= warmup < symbols_per_snr, or ConfigError is raised.
     """
     if m != BITS_PER_SYMBOL:
         raise ConfigError(f"bits_per_symbol={m}, but the link is PAM-4 "
@@ -145,13 +122,13 @@ def evaluate_baseline_ber(channel_cfg: ChannelConfig, m: int, snrs_db,
     points = []
     for snr_db in snrs_db:
         pilot_rng = derive_rng(seed, f"pilot:snr={snr_db}")
-        pilot_bits = pilot_rng.integers(0, 2, m * pilot_symbols)
+        pilot_bits = pilot_rng.integers(0, 2, m * PILOT_SYMBOLS)
         pilot_classes = bits_to_classes(pilot_bits, m)
         _, pilot_y = simulate_link(pilot_bits, channel_cfg, snr_db, pilot_rng)
-        centroids = fit_centroids(pilot_y, pilot_classes, N_CLASSES)
+        means = np.array([np.mean(pilot_y[pilot_classes == c]) for c in range(N_CLASSES)])
 
         classes, y = _eval_frame(channel_cfg, snr_db, symbols_per_snr, seed)
-        decided = baseline_hard_decision(y, centroids)
+        decided = np.argmin(np.abs(y[:, None] - means), axis=1)
         errors = count_bit_errors(classes[warmup:], decided[warmup:], m)
         points.append(BerPoint(snr_db, errors, m * (symbols_per_snr - warmup)))
     return BerCurve(points)

@@ -223,6 +223,11 @@ def calibrate_encoder(channel_cfg: ChannelConfig, snr_db: float,
     return EncoderConfig(float(np.min(y)), float(np.max(y)))
 
 
+def default_lif(qat: QatConfig | None) -> LifParams:
+    """train's LIF when given none: under QAT the shift-friendly one fxp runs."""
+    return LifParams.shift_friendly() if qat is not None else LifParams()
+
+
 def train(channel_cfg: ChannelConfig, topology_cfg: TopologyConfig,
           train_cfg: TrainConfig, lif: LifParams | None = None,
           progress=None):
@@ -235,13 +240,9 @@ def train(channel_cfg: ChannelConfig, topology_cfg: TopologyConfig,
     """
     from .harness import derive_rng  # local import: harness owns the seeding policy
 
-    if lif is None:
-        lif = LifParams.shift_friendly() if train_cfg.qat is not None else LifParams()
-    encoder = calibrate_encoder(
-        channel_cfg, train_cfg.train_snr_db,
-        derive_rng(train_cfg.seed, "calibration"),
-        n_symbols=max(20000, min(train_cfg.batch_size, 200000)),
-    )
+    lif = default_lif(train_cfg.qat) if lif is None else lif
+    encoder = calibrate_encoder(channel_cfg, train_cfg.train_snr_db,
+                                derive_rng(train_cfg.seed, "calibration"))
     model = EqualizerModel.initialize(
         topology_cfg, lif, encoder, derive_rng(train_cfg.seed, "init"), qat=train_cfg.qat
     )

@@ -20,8 +20,10 @@ from snndfe.dse import (
     trial_seed,
 )
 from snndfe.equalizer import EncoderConfig, EqualizerModel, TopologyConfig
+from snndfe.fxp import FxpLifSpec
 from snndfe.lif import LifParams
-from snndfe.train import TrainConfig, TrainingDiverged
+from snndfe.quant import QatConfig
+from snndfe.train import TrainConfig, TrainingDiverged, train
 
 CHANNEL = ChannelConfig()
 
@@ -398,6 +400,16 @@ class TestSpaceParsing:
         # model, recorded ber == {} and failed only in pareto_front
         with pytest.raises(ValueError, match=match):
             TrialScale(**settings)
+
+    def test_bit_width_checked_with_the_lif_train_gives_a_qat_model(self, monkeypatch):
+        # a trial trains with no lif, so DseSpace must check the LIF train picks
+        checked, derive = [], FxpLifSpec.derive
+        monkeypatch.setattr(FxpLifSpec, "derive",
+                            lambda lif, fmt: checked.append(lif) or derive(lif, fmt))
+        DseSpace(bits=(6,))
+        model, _ = train(CHANNEL, TopologyConfig(n_tap=3, hidden=2, steps=1),
+                         TrainConfig(batches_per_epoch=1, batch_size=8, qat=QatConfig(6, 6)))
+        assert checked == [model.lif]
 
     def test_defaults_and_fxp_widths_accepted(self):
         assert len(DseSpace().enumerate()) == 20 * 80 * 10

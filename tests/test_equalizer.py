@@ -135,9 +135,13 @@ class TestEncodeWindow:
         np.testing.assert_array_equal(encoder.bin_indices([1e10, -1e10, 5e-309]), [7, 0, 4])
 
     def test_ends_too_far_apart_for_a_finite_span(self):
-        # rx_max - rx_min overflows to inf; the fraction must not
-        encoder = EncoderConfig(-1e308, 1e308)
-        np.testing.assert_array_equal(encoder.bin_indices([0.0, 5e307, 1e308]), [4, 6, 7])
+        # rx_max - rx_min overflows to inf there, and is refused; just inside
+        # float64's range the span is finite and bins as any other
+        with pytest.raises(ValueError, match="finite span"):
+            EncoderConfig(-1e308, 1e308)
+        encoder = EncoderConfig(-8e307, 8e307)
+        np.testing.assert_array_equal(encoder.bin_indices([-1e308, 0.0, 5e307, 1e308]),
+                                      [0, 4, 6, 7])
 
     def test_nan_sample_rejected_and_infinities_clamp(self):
         # a NaN sample was binned to 0 with only a cast warning, so the closed
@@ -152,7 +156,7 @@ class TestEncodeWindow:
         np.testing.assert_array_equal(encoder.bin_indices([-np.inf, np.inf]), [0, 7])
 
     @settings(max_examples=100, deadline=None)
-    @given(ends=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+    @given(ends=st.lists(st.floats(-2.0 ** 1022, 2.0 ** 1022),  # a span float64 holds
                          min_size=2, max_size=2, unique=True),
            samples=st.lists(st.floats(allow_nan=False), max_size=50))
     def test_bins_monotone_with_edges_at_ends(self, ends, samples):
@@ -174,11 +178,25 @@ class TestEncodeWindow:
         edges = rx_min + np.arange(8) * (span / 8)
         np.testing.assert_array_equal(encoder.bin_indices(edges), np.arange(8))
 
+    # non-finite ends, then equal, reversed and too far apart for a finite span
     @pytest.mark.parametrize("ends", [(np.nan, 1.0), (0.0, np.nan), (-np.inf, 1.0),
-                                      (0.0, np.inf)])
-    def test_non_finite_ends_rejected(self, ends):
-        with pytest.raises(ValueError, match="finite"):
+                                      (0.0, np.inf), (1.0, 1.0), (1.0, 0.5),
+                                      (-1e308, 1e308)])
+    def test_non_finite_ends_rejected(self, tmp_path, ends):
+        with pytest.raises(ValueError, match=r"finite with rx_min < rx_max and a finite span"):
             EncoderConfig(*ends)
+        # nor does a model file with such ends load
+        path = tmp_path / "model.npz"
+        save_model(path, make_model(seed=14))
+        edit_container(path, lambda header, arrays: header["encoder"].update(
+            rx_min=ends[0], rx_max=ends[1]))
+        with pytest.raises(ValueError, match=r"finite with rx_min < rx_max and a finite span"):
+            load_model(path)
+
+    def test_string_ends_refused(self):
+        # a hand-edited model file may quote its ends; they are not numbers
+        with pytest.raises(TypeError):
+            EncoderConfig("0.0", "1.0")
 
     def test_window_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -186,7 +204,7 @@ class TestEncodeWindow:
 
 
 @settings(max_examples=60, deadline=None)
-@given(rx_min=st.floats(-2.0, 2.0), span=st.one_of(st.just(0.0), st.floats(-1.0, 3.0)),
+@given(rx_min=st.floats(-2.0, 2.0), span=st.floats(2.0 ** -40, 3.0),
        n_tap=st.sampled_from([1, 3, 5, 9, 17]), seed=st.integers(0, 2 ** 32 - 1))
 def test_prebinned_windows_match_encode_window(rx_min, span, n_tap, seed):
     # windows built from one binning of the whole stream (as the training
@@ -195,7 +213,7 @@ def test_prebinned_windows_match_encode_window(rx_min, span, n_tap, seed):
     cfg = TopologyConfig(n_tap=n_tap, hidden=1, steps=1)
     rng = np.random.default_rng(seed)
     history = cfg.history
-    y = rng.uniform(rx_min - 1.0, rx_min + abs(span) + 1.0, history + 12)
+    y = rng.uniform(rx_min - 1.0, rx_min + span + 1.0, history + 12)
     y[rng.integers(0, y.size, 2)] = [encoder.rx_min, encoder.rx_max]  # bin edges
     fed = rng.integers(0, cfg.n_classes, y.size)
     windows, labels = teacher_forced_windows(y, fed, encoder, cfg)

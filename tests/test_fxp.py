@@ -22,6 +22,7 @@ from snndfe.fxp import (
     FxpLifSpec,
     FxpModel,
     _requantize,
+    _worst_case_accumulators,
     convert,
     fxp_forward,
     fxp_lif_step,
@@ -365,7 +366,7 @@ def test_requantize_matches_python_ints(case):
 @pytest.mark.parametrize("bits", [4, 8, 16, 53])
 @pytest.mark.parametrize("shift", [1, 52, 53, 54, 63, 64, 78, -11, -45, -48, -71])
 def test_requantize_at_shift_boundaries(shift, bits):
-    # -45 and 63 bound the engine's shifts, and 4 and 16 its state widths; the
+    # -45 and 52 bound the engine's shifts, and 4 and 16 its state widths; the
     # shifts past them and the 53-bit range hold too. A left shift of the
     # largest h by 11 bits would wrap an int64; at 53 and 54 bits |h| <= 2^52
     # stops rounding to +-1
@@ -376,7 +377,7 @@ def test_requantize_at_shift_boundaries(shift, bits):
 
 
 # (fc0 factor, drive factor, state bits, shift): -45 and 63 are the extreme
-# shifts, reached with every frac involved at -32 or +32
+# shifts the frac bounds allow, reached with every frac involved at -32 or +32
 DRIVE_SHIFTS = [(1, 2.0 ** 11, 8, 1), (2.0 ** -20, 2.0 ** -20, 8, 52),
                 (2.0 ** -20, 2.0 ** -21, 8, 53), (2.0 ** -20, 2.0 ** -22, 8, 54),
                 (2.0 ** -23, 2.0 ** -24, 4, 63), (1, 2.0 ** 23, 8, -11),
@@ -387,14 +388,20 @@ DRIVE_SHIFTS = [(1, 2.0 ** 11, 8, 1), (2.0 ** -20, 2.0 ** -20, 8, 52),
                          ids=[str(case[-1]) for case in DRIVE_SHIFTS])
 def test_any_drive_shift_runs_exactly(fc0_factor, factor, state_bits, shift):
     # scaling fc0's and the hidden drive's tensors sets the drive's shift onto
-    # the state grid: right shifts that round every drive to 0 from 54 bits
-    # on, and left shifts that would wrap an int64 drive
+    # the state grid: left shifts that would wrap an int64 drive, and right
+    # shifts up to 52; from acc_bits = 53 on, where every drive |h| < 2^52
+    # would round to 0, the model is refused
     model = make_float_model(n_tap=5, hidden=6, steps=3, scale=1.0, lif=firing_lif(state_bits))
     model.qat = QatConfig(weight_bits=8, state_bits=state_bits)
     for name, scale in (("w_fc0", fc0_factor), ("b_fc0", fc0_factor), ("w_fc1", factor),
                         ("b_fc1", factor), ("w_fc2", factor)):
         getattr(model, name)[:] *= scale
-    fm = convert(model, FxpFormats(state_bits=state_bits, acc_bits=53))
+    formats = FxpFormats(state_bits=state_bits, acc_bits=53)
+    if shift >= formats.acc_bits:
+        with pytest.raises(ConversionError, match=rf"grid, {shift} bits, is not below acc_bits"):
+            convert(model, formats)
+        return
+    fm = convert(model, formats)
     assert drive_shift(fm) == shift
     windows = random_windows(model, 100, seed=2)
     stats = {}
@@ -416,13 +423,15 @@ def hand_built(fracs, state_bits, seed):
                     ints=ints, fracs=fracs, formats=FxpFormats(16, state_bits, acc_bits=53))
 
 
-# Grids at the frac bounds: +32 everywhere, and -32 wherever fc1's worst
-# case still fits 53 bits; MID drives the states into their clamps
+# Grids at the frac bounds: +32 everywhere (and on a 4-bit state, fc0 at +21,
+# whose drive shift 52 is the largest 53 bits accept), and -32 wherever
+# fc1's worst case still fits 53 bits; MID drives the states into their clamps
 PLUS = dict.fromkeys(EqualizerModel.PARAM_NAMES, 32)
+PLUS_FC0_21 = {**PLUS, "w_fc0": 21, "b_fc0": 21}
 MINUS = {"w_fc0": 0, "b_fc0": 0,
          **dict.fromkeys(("w_fc1", "b_fc1", "w_fc2", "w_fc3", "b_fc3"), -32)}
 MID = {"w_fc0": 15, "b_fc0": 15, "w_fc1": 13, "b_fc1": 14, "w_fc2": 14, "w_fc3": 12, "b_fc3": 12}
-CORNERS = [("fracs+32-state4", PLUS, 4, 63), ("fracs+32-state16", PLUS, 16, 51),
+CORNERS = [("fracs+32-fc0+21-state4", PLUS_FC0_21, 4, 52), ("fracs+32-state16", PLUS, 16, 51),
            ("fracs-32-state4", MINUS, 4, -33), ("fracs-32-state16", MINUS, 16, -45),
            ("state4", MID, 4, 27), ("state16", MID, 16, 15)]
 
@@ -431,7 +440,7 @@ CORNERS = [("fracs+32-state4", PLUS, 4, 63), ("fracs+32-state16", PLUS, 16, 51),
                          ids=[c[0] for c in CORNERS])
 def test_domain_corners_match_python_ints(fracs, state_bits, shift):
     # 16-bit weights at the frac bounds and the state widths' ends, where the
-    # drive's shift onto the state grid reaches its extremes, -45 and 63
+    # drive's shift onto the state grid reaches its extremes, -45 and 52
     fm = hand_built(fracs, state_bits, seed=abs(shift))
     assert drive_shift(fm) == shift
     windows = random_windows(fm, 64, seed=43)
@@ -442,9 +451,11 @@ def test_domain_corners_match_python_ints(fracs, state_bits, shift):
     assert stats == want_stats
     np.testing.assert_array_equal(logits * fc3_grid(fm), float_twin_forward(windows, fm))
     if state_bits == 4:
-        # the 4-bit LIF fires, so the windows reach the readout, except at
-        # shift 63, where every drive |h| <= 2^52 rounds to 0
-        assert (len(set(map(tuple, logits))) > 1) == (shift < 63)
+        # the 4-bit LIF fires, so the windows reach the readout wherever the
+        # worst-case drive reaches half a state level; at shift 52 these
+        # ints' drives stay below 2^51, and all round to 0
+        reach = _worst_case_accumulators(fm.ints, fm.fracs, fm.config.steps)["hidden drive"]
+        assert (len(set(map(tuple, logits))) > 1) == (reach >= 2.0 ** (shift - 1))
 
 
 @pytest.mark.parametrize("bits", range(4, 17))
