@@ -98,21 +98,21 @@ def gray_map(bits) -> np.ndarray:
     return np.array(PAM4_LEVELS)[bits_to_classes(bits, BITS_PER_SYMBOL)]
 
 
-@functools.cache
 def rrc_taps(cfg: ChannelConfig) -> np.ndarray:
-    """The link's root-raised-cosine taps, unit energy, exactly symmetric about
-    the center: rrc_span_symbols*sps + 1 of them.
-
-    The removable singularities at t = 0 and t = +/- Ts/(4*rolloff) (a
-    rolloff ChannelConfig keeps > 0) are filled with their analytic limits.
-    Cached per config and returned read-only, since every link simulation
-    shapes with the same taps.
+    """The link's root-raised-cosine taps: rrc_span_symbols*sps + 1 of them, unit
+    energy, exactly symmetric about the center, read-only and cached on the
+    three fields they depend on. The removable singularities at t = 0 and
+    t = +/- Ts/(4*rolloff) (a rolloff ChannelConfig keeps > 0) are filled with
+    their analytic limits.
     """
-    beta, sps = cfg.rolloff, cfg.sps
-    half = cfg.rrc_span_symbols * sps // 2
+    return _rrc_taps(cfg.rolloff, cfg.rrc_span_symbols, cfg.sps)
+
+
+@functools.cache
+def _rrc_taps(beta: float, span_symbols: int, sps: int) -> np.ndarray:
     # Evaluate on t >= 0 only and mirror: the impulse response is even in t,
     # and mirroring keeps the symmetry exact in floating point.
-    t = np.arange(half + 1, dtype=float) / sps
+    t = np.arange(span_symbols * sps // 2 + 1, dtype=float) / sps
     h = np.empty_like(t)
     h[0] = 1.0 - beta + 4.0 * beta / np.pi
     sing = np.isclose(t, 1.0 / (4.0 * beta))

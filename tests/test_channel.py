@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snndfe import channel
 from snndfe.channel import (
     BITS_PER_SYMBOL,
     PAM4_LEVELS,
@@ -83,13 +84,16 @@ class TestRrcTaps:
         assert np.all(np.isfinite(taps))
 
     def test_cached_taps_are_read_only(self):
-        # every caller shares one array per config, equal configs included
+        # every caller shares one array per (rolloff, span, sps): configs that
+        # differ only in the fiber or the symbol rate included
         taps = rrc_taps(ChannelConfig())
         assert rrc_taps(ChannelConfig()) is taps
+        assert rrc_taps(ChannelConfig(fiber_length_km=0.0, baud_rate_gbd=28.0)) is taps
+        assert rrc_taps(ChannelConfig(rolloff=0.3)) is not taps
         assert not taps.flags.writeable
         with pytest.raises(ValueError):
             taps[0] = 0.0
-        np.testing.assert_array_equal(rrc_taps.__wrapped__(ChannelConfig()), taps)
+        np.testing.assert_array_equal(channel._rrc_taps.__wrapped__(0.2, 40, 2), taps)
 
 
 class TestChromaticDispersion:

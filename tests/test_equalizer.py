@@ -1,4 +1,5 @@
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -156,10 +157,12 @@ class TestEncodeWindow:
         np.testing.assert_array_equal(encoder.bin_indices([-np.inf, np.inf]), [0, 7])
 
     @settings(max_examples=100, deadline=None)
-    @given(ends=st.lists(st.floats(-2.0 ** 1022, 2.0 ** 1022),  # a span float64 holds
+    @given(ends=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                          min_size=2, max_size=2, unique=True),
            samples=st.lists(st.floats(allow_nan=False), max_size=50))
     def test_bins_monotone_with_edges_at_ends(self, ends, samples):
+        # ends whose span overflows are refused (test_non_finite_ends_rejected)
+        assume(math.isfinite(max(ends) - min(ends)))
         encoder = EncoderConfig(min(ends), max(ends))
         bins = encoder.bin_indices(np.sort(samples))
         assert np.all(np.diff(bins) >= 0)
@@ -204,11 +207,13 @@ class TestEncodeWindow:
 
 
 @settings(max_examples=60, deadline=None)
-@given(rx_min=st.floats(-2.0, 2.0), span=st.floats(2.0 ** -40, 3.0),
+@given(rx_min=st.floats(-2.0, 2.0), span=st.floats(0.0, 3.0, exclude_min=True),
        n_tap=st.sampled_from([1, 3, 5, 9, 17]), seed=st.integers(0, 2 ** 32 - 1))
 def test_prebinned_windows_match_encode_window(rx_min, span, n_tap, seed):
     # windows built from one binning of the whole stream (as the training
-    # batches and the closed loop build them) against the per-window encoder
+    # batches and the closed loop build them) against the per-window encoder;
+    # a span too small to move rx_min gives equal ends, which are refused
+    assume(rx_min + span > rx_min)
     encoder = EncoderConfig(rx_min, rx_min + span)
     cfg = TopologyConfig(n_tap=n_tap, hidden=1, steps=1)
     rng = np.random.default_rng(seed)
