@@ -9,7 +9,6 @@ derive from hash(master seed, config), making results schedule-independent.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import operator
@@ -29,14 +28,14 @@ from .train import TrainConfig, TrainingDiverged, default_lif, train
 @dataclass(frozen=True)
 class TrialScale:
     """Per-trial training/evaluation budget, uniform across configurations;
-    ValueError for no SNR points or a setting TrainConfig refuses."""
+    every trial trains at train.TRAIN_SNR_DB. ValueError for no SNR points or
+    a setting TrainConfig refuses."""
 
     train_symbols: int = 60_000
     eval_symbols: int = 20_000
     snrs_db: tuple = tuple(range(12, 22))
     batch_size: int = 500
     learning_rate: float = 1e-3
-    train_snr_db: float = 17.0
 
     def __post_init__(self):
         if not self.snrs_db:
@@ -135,9 +134,8 @@ def run_trial(config: dict, channel_cfg: ChannelConfig, scale: TrialScale,
     batches = max(1, scale.train_symbols // scale.batch_size)
     train_cfg = TrainConfig(
         learning_rate=scale.learning_rate, epochs=1, batches_per_epoch=batches,
-        batch_size=scale.batch_size, train_snr_db=scale.train_snr_db,
+        batch_size=scale.batch_size, seed=seed,
         qat=None if bits is None else QatConfig(weight_bits=bits, state_bits=bits),
-        seed=seed,
     )
     start = time.perf_counter()
     ber, status, error = None, "ok", None
@@ -174,11 +172,11 @@ def load_results(path) -> list:
 
 
 def search(space: DseSpace, channel_cfg: ChannelConfig, strategy: str, budget: int,
-           seed: int, results_path=None, trial_runner=run_trial) -> list:
+           seed: int, results_path, trial_runner=run_trial) -> list:
     """Run `budget` trials; returns all results including resumed ones.
 
     Grid takes the lexicographic prefix of the space; random samples without
-    replacement. With a results_path, completed configurations are skipped;
+    replacement. Configurations already in the results_path file are skipped;
     the file is opened once, in append mode, and each new record is written
     and flushed as its trial finishes, so a resume (or a trial runner reading
     the file) sees every finished trial and a crash loses only the running one.
@@ -196,9 +194,9 @@ def search(space: DseSpace, channel_cfg: ChannelConfig, strategy: str, budget: i
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    results = load_results(results_path) if results_path else []
+    results = load_results(results_path)
     done_keys = {t.config_key() for t in results}
-    with open(results_path, "a") if results_path else contextlib.nullcontext() as fh:
+    with open(results_path, "a") as fh:
         for config in chosen:
             key = TrialResult._config_key(config)
             if key in done_keys:
@@ -207,9 +205,8 @@ def search(space: DseSpace, channel_cfg: ChannelConfig, strategy: str, budget: i
                                  trial_seed(seed, config))
             results.append(trial)
             done_keys.add(key)
-            if fh is not None:
-                fh.write(trial.to_json() + "\n")
-                fh.flush()  # a resume, or a crash in the next trial, finds it
+            fh.write(trial.to_json() + "\n")
+            fh.flush()  # a resume, or a crash in the next trial, finds it
     return results
 
 

@@ -61,6 +61,11 @@ class TopologyConfig:
     steps: int = 10
 
     def __post_init__(self):
+        for name in ("n_tap", "hidden", "steps"):  # numpy integers too; no bool or float
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a plain int, as a header stores
         check_pam4(self.bits_per_symbol)
         input_size(self.n_tap)  # validates n_tap
         if not 1 <= self.hidden <= 1024:
@@ -245,25 +250,25 @@ class EqualizerModel:
         copied column-major so that the transposes forward multiplies by are
         row-major. BLAS may then sum a float logit in another order and move
         its last bits; QAT-float terms are short dyadic numbers, summed
-        exactly in any order while every sum fits 53 bits. Calls reuse one
-        Workspace. `stats` is the integer engine's clip counter; the float
-        and QAT-float deciders ignore it."""
+        exactly in any order while every sum fits 53 bits. `stats` is the
+        integer engine's clip counter; the float and QAT-float deciders
+        ignore it."""
         eff = {k: np.asfortranarray(v) for k, v in self.effective_weights().items()}
-        cfg, lif, qat, workspace = self.config, self.lif, self.qat, Workspace()
+        cfg, lif, qat = self.config, self.lif, self.qat
 
         def decide(windows: np.ndarray, stats=None) -> np.ndarray:
-            logits, _ = forward(windows, eff, cfg, lif, qat, workspace=workspace)
+            logits, _ = forward(windows, eff, cfg, lif, qat)
             return np.argmax(logits, axis=1)
 
         return decide
 
 
 class Workspace:
-    """Named float arrays kept from call to call, so that a training loop or a
-    decider (make_decider) passing one to every forward reuses its memory
-    instead of faulting it in again. An array is kept per key and replaced
-    when a call asks for another shape. A call overwrites what the last call
-    returned in it (the tape); forward's logits are never in it."""
+    """Named float arrays kept from call to call, so that a training loop
+    passing one to every loss_and_grads reuses its memory instead of faulting
+    it in again. An array is kept per key and replaced when a call asks for
+    another shape. A call overwrites what the last call returned in it (the
+    tape); forward's logits are never in it."""
 
     def __init__(self):
         self._arrays = {}
@@ -277,7 +282,7 @@ class Workspace:
 
 def forward(windows, weights: dict, config: TopologyConfig, lif: LifParams,
             qat: QatConfig | None = None, keep: bool = False,
-            smooth_slope: float | None = None, workspace: Workspace | None = None):
+            smooth: bool = False, workspace: Workspace | None = None):
     """The T-step forward pass over a batch of encoded windows (B, n_input).
 
     Step 1 drives fc0 with the windows, later steps with zeros, so that fc0
@@ -288,7 +293,7 @@ def forward(windows, weights: dict, config: TopologyConfig, lif: LifParams,
     the backward pass reads, else None: the fc0 output "a0" and per-step lists
     of spikes "s" and pre-reset voltages "v_pre", and under QAT the bool
     straight-through masks of the drive, current and voltage ("h", "i", "v").
-    `smooth_slope` runs the sigmoid twin of the spike (see lif_step). All of
+    `smooth` runs the sigmoid twin of the spike (see lif_step). All of
     it runs in place on arrays from `workspace` (else fresh ones), never on
     the windows or weights.
     """
@@ -327,7 +332,7 @@ def forward(windows, weights: dict, config: TopologyConfig, lif: LifParams,
             h = quantize(h, "h")
         k = t if keep else 0  # without a tape, each step overwrites the last one's
         out = (v, i, new(("s", k), shape), new(("v_pre", k), shape))
-        v, i, s, v_pre = lif_step(v, i, h, lif, quantize, smooth_slope, out=out)
+        v, i, s, v_pre = lif_step(v, i, h, lif, quantize, smooth, out=out)
         logits += s @ w3.T + b3
         if tape is not None:
             tape["s"].append(s)

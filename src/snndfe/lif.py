@@ -16,6 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Slope of training's fast-sigmoid surrogate and of the spike's sigmoid twin.
+SURROGATE_SLOPE = 100.0
+
 
 @dataclass(frozen=True)
 class LifParams:
@@ -45,7 +48,7 @@ class LifParams:
         return cls(alpha_v=0.125, alpha_i=0.25)
 
 
-def smooth_spike(u, slope: float = 100.0):
+def smooth_spike(u, slope: float = SURROGATE_SLOPE):
     """Sigmoid twin of the spike function and its exact derivative.
 
     s(u) = (1 + slope*u/(1+slope*|u|))/2 ranges over (0, 1), and
@@ -60,7 +63,7 @@ def smooth_spike(u, slope: float = 100.0):
 
 
 def lif_step(v: np.ndarray, i: np.ndarray, drive: np.ndarray, params: LifParams,
-             quantize=None, smooth_slope: float | None = None, *, out):
+             quantize=None, smooth: bool = False, *, out):
     """Advance one step given the already-summed synaptic drive.
 
     Returns (v, i, spikes, v_pre) for arrays of any one shape. Update order:
@@ -68,9 +71,9 @@ def lif_step(v: np.ndarray, i: np.ndarray, drive: np.ndarray, params: LifParams,
     integrates the new current, threshold compare (ties spike), hard reset to
     v_r. `quantize(x, name)`, when given, rounds the new current ("i") and the
     reset voltage ("v") onto the state grid (QAT), and may do so in place.
-    `smooth_slope` swaps the Heaviside for its sigmoid twin and the reset for
-    the differentiable v_pre - s*(v_pre - v_r), for finite-difference checks
-    of training. Each result is built in place on the matching array of
+    `smooth` swaps the Heaviside for its sigmoid twin (smooth_spike) and the
+    reset for the differentiable v_pre - s*(v_pre - v_r), for finite-difference
+    checks of training. Each result is built in place on the matching array of
     `out` = (v, i, spikes, v_pre), whose v and i may be the state itself.
     """
     if np.shape(drive) != np.shape(v):
@@ -85,13 +88,13 @@ def lif_step(v: np.ndarray, i: np.ndarray, drive: np.ndarray, params: LifParams,
     v_pre *= params.alpha_v
     v_pre += v
     spikes, v = s_out, v_out
-    if smooth_slope is None:
+    if not smooth:
         fired = v_pre >= params.v_th
         np.copyto(spikes, fired)  # 1.0 where fired, else 0.0
         np.copyto(v, v_pre)
         np.putmask(v, fired, params.v_r)
     else:
-        np.copyto(spikes, smooth_spike(v_pre - params.v_th, smooth_slope)[0])
+        np.copyto(spikes, smooth_spike(v_pre - params.v_th)[0])
         np.subtract(v_pre, params.v_r, out=v)  # v_pre - s * (v_pre - v_r)
         v *= spikes
         np.subtract(v_pre, v, out=v)

@@ -21,7 +21,7 @@ import numpy as np
 from .channel import BITS_PER_SYMBOL, ChannelConfig, bits_to_classes, simulate_link
 from .equalizer import (EncoderConfig, EqualizerModel, TopologyConfig, Workspace,
                         forward, teacher_forced_windows)
-from .lif import LifParams, smooth_spike
+from .lif import SURROGATE_SLOPE, LifParams, smooth_spike
 from .quant import QatConfig, fake_quantize_with_mask
 
 
@@ -29,17 +29,21 @@ class TrainingDiverged(RuntimeError):
     """Raised when the training loss stops being finite."""
 
 
+# The SNR of every training frame and of the encoder's calibration frame.
+TRAIN_SNR_DB = 17.0
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimization settings. The defaults are the desk scale a dse.TrialScale
-    trial runs: one epoch of 120 batches of 500 windows."""
+    trial runs: one epoch of 120 batches of 500 windows. train builds the
+    model with `qat`; the training SNR (TRAIN_SNR_DB) and the surrogate slope
+    (lif.SURROGATE_SLOPE) are constants, not settings."""
 
     learning_rate: float = 1e-3
     epochs: int = 1
     batches_per_epoch: int = 120
     batch_size: int = 500
-    train_snr_db: float = 17.0
-    surrogate_slope: float = 100.0
     qat: QatConfig | None = None
     seed: int = 0
 
@@ -48,8 +52,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be >= 0")
         if self.batch_size < 1 or self.batches_per_epoch < 1 or self.epochs < 1:
             raise ValueError("epochs, batches_per_epoch and batch_size must be >= 1")
-        if self.surrogate_slope <= 0:
-            raise ValueError("surrogate_slope must be > 0")
 
 
 # Adam's standard constants: moment decay rates and the denominator guard
@@ -72,7 +74,7 @@ class AdamState:
         )
 
 
-def surrogate_grad(u, slope: float = 100.0, out=None):
+def surrogate_grad(u, slope: float = SURROGATE_SLOPE, out=None):
     """Fast-sigmoid surrogate for the Heaviside derivative: 1/(1+slope*|u|)^2,
     built in place on one array: `out` (which may be u itself) when given."""
     u = np.asarray(u, dtype=float)
@@ -97,23 +99,13 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
         p -= lr * (state.m[key] / bc1) / (np.sqrt(state.v[key] / bc2) + ADAM_EPS)
 
 
-def _effective_weights_with_masks(model: EqualizerModel, qat: QatConfig | None):
-    """The weights the forward sees and, under QAT, their bool straight-through masks."""
-    if qat is None:
-        return model.parameters(), None
-    eff, masks = {}, {}
-    for key, p in model.parameters().items():
-        eff[key], masks[key], _ = fake_quantize_with_mask(p, qat.weight_bits)
-    return eff, masks
-
-
 def loss_and_grads(windows: np.ndarray, labels: np.ndarray, model: EqualizerModel,
-                   config: TrainConfig, spike_mode: str = "hard",
-                   workspace: Workspace | None = None):
-    """Mean cross-entropy over a teacher-forced batch and its gradients.
+                   smooth: bool = False, workspace: Workspace | None = None):
+    """Mean cross-entropy over a teacher-forced batch and its gradients, under
+    the model's own QAT config (`model.qat`) and SURROGATE_SLOPE.
 
-    spike_mode "hard" is the production path: Heaviside forward, surrogate
-    backward, stop-gradient through the reset. "smooth" swaps in the sigmoid
+    The default is the production path: Heaviside forward, surrogate
+    backward, stop-gradient through the reset. `smooth` swaps in the sigmoid
     twin in both passes (full reset gradient) for finite-difference checks.
     The forward pass is equalizer.forward, the one inference runs; the
     backward runs in place on arrays from `workspace` too (see forward).
@@ -122,19 +114,20 @@ def loss_and_grads(windows: np.ndarray, labels: np.ndarray, model: EqualizerMode
     n_classes = model.config.n_classes
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= n_classes:
         raise ValueError(f"labels must lie in [0, {n_classes})")
-    if spike_mode not in ("hard", "smooth"):
-        raise ValueError(f"unknown spike_mode {spike_mode!r}")
-    qat = config.qat
-    lif, slope = model.lif, config.surrogate_slope
+    qat, lif = model.qat, model.lif
     av, ai = lif.alpha_v, lif.alpha_i
     n_steps = model.config.steps
     batch = windows.shape[0]
 
     new = Workspace() if workspace is None else workspace
-    eff, wmasks = _effective_weights_with_masks(model, qat)
+    # the weights forward sees and, under QAT, their bool straight-through masks
+    eff, wmasks = model.parameters(), {}
+    if qat is not None:
+        for key, p in model.parameters().items():
+            eff[key], wmasks[key], _ = fake_quantize_with_mask(p, qat.weight_bits)
     w1, w2, w3 = eff["w_fc1"], eff["w_fc2"], eff["w_fc3"]
-    z, tape = forward(windows, eff, model.config, lif, qat, keep=True,
-                      smooth_slope=slope if spike_mode == "smooth" else None, workspace=new)
+    z, tape = forward(windows, eff, model.config, lif, qat, keep=True, smooth=smooth,
+                      workspace=new)
     S, VP, a0 = tape["s"], tape["v_pre"], tape["a0"]
 
     z_shift = z - z.max(axis=1, keepdims=True)
@@ -171,13 +164,13 @@ def loss_and_grads(windows: np.ndarray, labels: np.ndarray, model: EqualizerMode
         if qat is not None:
             gv *= tape["v"][t]
         u = np.subtract(VP[t], lif.v_th, out=scratch)
-        if spike_mode == "hard":
-            fprime = surrogate_grad(u, slope, out=u)
-        else:
-            _, fprime = smooth_spike(u, slope)
+        if smooth:
+            _, fprime = smooth_spike(u)
             reset = np.subtract(lif.v_r, VP[t])  # the reset branch differentiated
             reset *= gv
             ds += reset
+        else:
+            fprime = surrogate_grad(u, out=u)
         gvp = ds  # ds * fprime + gv * (1 - s_t)
         gvp *= fprime
         leak = np.subtract(1.0, S[t], out=scratch)
@@ -216,9 +209,9 @@ def loss_and_grads(windows: np.ndarray, labels: np.ndarray, model: EqualizerMode
 
 
 def calibrate_encoder(channel_cfg: ChannelConfig, snr_db: float,
-                      rng: np.random.Generator, n_symbols: int = 20000) -> EncoderConfig:
-    """Min-max fit of the amplitude binning on a fresh channel realization."""
-    bits = rng.integers(0, 2, BITS_PER_SYMBOL * n_symbols)
+                      rng: np.random.Generator) -> EncoderConfig:
+    """Min-max fit of the amplitude binning on a fresh 20,000-symbol frame."""
+    bits = rng.integers(0, 2, BITS_PER_SYMBOL * 20_000)
     _, y = simulate_link(bits, channel_cfg, snr_db, rng)
     return EncoderConfig(float(np.min(y)), float(np.max(y)))
 
@@ -233,7 +226,7 @@ def train(channel_cfg: ChannelConfig, topology_cfg: TopologyConfig,
           progress=None):
     """Train a fresh model on freshly simulated data.
 
-    Each batch simulates a new frame at the training SNR, builds teacher-forced
+    Each batch simulates a new frame at TRAIN_SNR_DB, builds teacher-forced
     windows and applies one Adam step; LIF constants stay fixed. Returns the
     model and a log of (batch, loss, grad_norm) rows. Deterministic for a given
     seed. Raises TrainingDiverged if the loss stops being finite.
@@ -241,7 +234,7 @@ def train(channel_cfg: ChannelConfig, topology_cfg: TopologyConfig,
     from .harness import derive_rng  # local import: harness owns the seeding policy
 
     lif = default_lif(train_cfg.qat) if lif is None else lif
-    encoder = calibrate_encoder(channel_cfg, train_cfg.train_snr_db,
+    encoder = calibrate_encoder(channel_cfg, TRAIN_SNR_DB,
                                 derive_rng(train_cfg.seed, "calibration"))
     model = EqualizerModel.initialize(
         topology_cfg, lif, encoder, derive_rng(train_cfg.seed, "init"), qat=train_cfg.qat
@@ -256,9 +249,9 @@ def train(channel_cfg: ChannelConfig, topology_cfg: TopologyConfig,
         rng = derive_rng(train_cfg.seed, f"batch:{batch_idx}")
         bits = rng.integers(0, 2, BITS_PER_SYMBOL * (train_cfg.batch_size + history))
         classes = bits_to_classes(bits, BITS_PER_SYMBOL)
-        _, y = simulate_link(bits, channel_cfg, train_cfg.train_snr_db, rng)
+        _, y = simulate_link(bits, channel_cfg, TRAIN_SNR_DB, rng)
         windows, labels = teacher_forced_windows(y, classes, encoder, topology_cfg)
-        loss, grads = loss_and_grads(windows, labels, model, train_cfg, workspace=workspace)
+        loss, grads = loss_and_grads(windows, labels, model, workspace=workspace)
         if not math.isfinite(loss):
             raise TrainingDiverged(f"loss became non-finite at batch {batch_idx}")
         grad_norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))

@@ -150,27 +150,32 @@ class TestSearch:
                      scale=TrialScale(train_symbols=1000, eval_symbols=500,
                                       snrs_db=(17,), batch_size=250))
 
-    def test_grid_enumeration_order(self):
-        res = search(self.SPACE, CHANNEL, "grid", 4, seed=1, trial_runner=stub_runner)
+    def test_grid_enumeration_order(self, tmp_path):
+        res = search(self.SPACE, CHANNEL, "grid", 4, seed=1, results_path=tmp_path / "r.jsonl",
+                     trial_runner=stub_runner)
         keys = [(t.hidden, t.steps) for t in res]
         assert keys == [(8, 2), (8, 4), (16, 2), (16, 4)]
 
-    def test_grid_budget_bounded(self):
+    def test_grid_budget_bounded(self, tmp_path):
         with pytest.raises(ValueError, match="exceeds space size"):
-            search(self.SPACE, CHANNEL, "grid", 5, seed=1, trial_runner=stub_runner)
+            search(self.SPACE, CHANNEL, "grid", 5, seed=1, results_path=tmp_path / "r.jsonl",
+                   trial_runner=stub_runner)
 
-    def test_random_same_seed_same_sequence(self):
-        a = search(self.SPACE, CHANNEL, "random", 3, seed=5, trial_runner=stub_runner)
-        b = search(self.SPACE, CHANNEL, "random", 3, seed=5, trial_runner=stub_runner)
+    def test_random_same_seed_same_sequence(self, tmp_path):
+        a, b = (search(self.SPACE, CHANNEL, "random", 3, seed=5,
+                       results_path=tmp_path / f"{k}.jsonl", trial_runner=stub_runner)
+                for k in range(2))
         assert [t.config_key() for t in a] == [t.config_key() for t in b]
 
-    def test_random_without_replacement(self):
-        res = search(self.SPACE, CHANNEL, "random", 4, seed=6, trial_runner=stub_runner)
+    def test_random_without_replacement(self, tmp_path):
+        res = search(self.SPACE, CHANNEL, "random", 4, seed=6, results_path=tmp_path / "r.jsonl",
+                     trial_runner=stub_runner)
         keys = [t.config_key() for t in res]
         assert len(set(keys)) == 4
 
-    def test_budget_one_front_is_that_trial(self):
-        res = search(self.SPACE, CHANNEL, "grid", 1, seed=2, trial_runner=stub_runner)
+    def test_budget_one_front_is_that_trial(self, tmp_path):
+        res = search(self.SPACE, CHANNEL, "grid", 1, seed=2, results_path=tmp_path / "r.jsonl",
+                     trial_runner=stub_runner)
         assert len(res) == 1
         assert pareto_front(res, 17.0) == res
 
@@ -356,7 +361,7 @@ def test_train_config_defaults_are_the_trial_budget():
     cfg, scale = TrainConfig(), TrialScale()
     assert (cfg.epochs, cfg.batch_size) == (1, scale.batch_size)
     assert cfg.batches_per_epoch == scale.train_symbols // scale.batch_size
-    assert cfg.learning_rate == scale.learning_rate and cfg.train_snr_db == scale.train_snr_db
+    assert cfg.learning_rate == scale.learning_rate
 
 
 def input_size_of(cfg):

@@ -105,6 +105,24 @@ class TestSizing:
         assert mac_count(24, input_size(19), 5) > base
         assert mac_count(24, 104, 6) > base
 
+    @pytest.mark.parametrize("field, value", [("n_tap", 5.0), ("hidden", 8.0), ("steps", 2.0),
+                                              ("n_tap", True), ("hidden", "8"),
+                                              ("steps", np.float64(3))])
+    def test_non_integer_dimension_refused(self, field, value):
+        # a float dimension would give float shapes (n_input 32.0) that fail
+        # only far from here, where weights are drawn or windows built
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TopologyConfig(**{"n_tap": 5, "hidden": 8, "steps": 2, field: value})
+
+    def test_numpy_integer_dimensions_are_plain_ints(self, tmp_path):
+        cfg = TopologyConfig(n_tap=np.int64(5), hidden=np.int32(8), steps=np.uint8(2))
+        assert cfg == TopologyConfig(n_tap=5, hidden=8, steps=2)
+        assert [type(v) for v in (cfg.n_tap, cfg.hidden, cfg.steps)] == [int] * 3
+        model = EqualizerModel.initialize(cfg, LifParams(), EncoderConfig(0.0, 1.0),
+                                          np.random.default_rng(0))
+        save_model(tmp_path / "model.npz", model)  # its header is JSON
+        assert load_model(tmp_path / "model.npz").config == cfg
+
 
 class TestEncodeWindow:
     def test_decision_one_hot(self):
@@ -491,8 +509,8 @@ def test_qat_logits_do_not_depend_on_the_weight_layout():
 
 @pytest.mark.parametrize("engine", ["float", "qat"])
 def test_decider_calls_leave_earlier_results_alone(engine):
-    # the decider reuses one workspace from call to call; what a call
-    # returned stays as it was through later calls, of any batch size
+    # what a decider call returned stays as it was through later calls, of
+    # any batch size
     model = closed_loop_model(engine, 9, 24, 3, seed=6, scale=5.0)
     windows, decide = stream_windows(model, 60, seed=6), model.make_decider()
     first = decide(windows[:40])
@@ -602,6 +620,18 @@ class TestSerialization:
         save_model(path, make_model(seed=14))
         edit_container(path, lambda header, arrays: header.update(bits_per_symbol=m))
         with pytest.raises(ValueError, match=rf"bits_per_symbol={m}.*BITS_PER_SYMBOL = 2"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field", ["n_tap", "hidden", "steps"])
+    def test_float_dimension_in_header_refused(self, tmp_path, field):
+        # JSON keeps 5.0 a float, so a header can hold one: the loader must
+        # refuse it, not build a model that fails when windows are built
+        path = tmp_path / "model.npz"
+        model = make_model(seed=14)
+        save_model(path, model)
+        value = float(getattr(model.config, field))
+        edit_container(path, lambda header, arrays: header.update({field: value}))
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
             load_model(path)
 
     @pytest.mark.parametrize("drop", ["hidden", "qat", "w_fc2", "lif.alpha_v",

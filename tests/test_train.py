@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from snndfe.channel import ChannelConfig
 from snndfe.equalizer import EncoderConfig, EqualizerModel, TopologyConfig, Workspace, forward
-from snndfe.lif import LifParams, lif_step
+from snndfe.lif import SURROGATE_SLOPE, LifParams, lif_step
 from snndfe.quant import (QatConfig, fake_quantize, fake_quantize_with_mask, pow2_scale,
                           state_format)
 from snndfe.train import (
@@ -58,24 +59,24 @@ def reference_fake_quantize_with_mask(x, bits, scale=None):
     return np.clip(ints, lo, hi) * scale, mask, scale
 
 
-def reference_lif_step(v, i, drive, params, quantize=None, smooth_slope=None):
+def reference_lif_step(v, i, drive, params, quantize=None, smooth=False):
     i = (1.0 - params.alpha_i) * i + drive
     if quantize is not None:
         i = quantize(i, "i")
     v_pre = v + params.alpha_v * ((params.v_leak - v) + i)
-    if smooth_slope is None:
+    if smooth:
+        spikes, _ = smooth_spike(v_pre - params.v_th, SURROGATE_SLOPE)
+        v = v_pre - spikes * (v_pre - params.v_r)
+    else:
         fired = v_pre >= params.v_th
         spikes = fired.astype(float)
         v = np.where(fired, params.v_r, v_pre)
-    else:
-        spikes, _ = smooth_spike(v_pre - params.v_th, smooth_slope)
-        v = v_pre - spikes * (v_pre - params.v_r)
     if quantize is not None:
         v = quantize(v, "v")
     return v, i, spikes, v_pre
 
 
-def reference_forward(windows, weights, config, lif, qat=None, smooth_slope=None):
+def reference_forward(windows, weights, config, lif, qat=None, smooth=False):
     w1, b1, w2 = weights["w_fc1"], weights["b_fc1"], weights["w_fc2"]
     w3, b3 = weights["w_fc3"], weights["b_fc3"]
     a0 = windows @ weights["w_fc0"].T + weights["b_fc0"]
@@ -96,16 +97,15 @@ def reference_forward(windows, weights, config, lif, qat=None, smooth_slope=None
         h = a0 @ w1.T + b1 if t == 0 else a_rest + s @ w2.T
         if quantize is not None:
             h = quantize(h, "h")
-        v, i, s, v_pre = reference_lif_step(v, i, h, lif, quantize, smooth_slope)
+        v, i, s, v_pre = reference_lif_step(v, i, h, lif, quantize, smooth)
         logits += s @ w3.T + b3
         tape["s"].append(s)
         tape["v_pre"].append(v_pre)
     return logits, tape
 
 
-def reference_loss_and_grads(windows, labels, model, config, spike_mode="hard"):
-    qat = config.qat
-    lif, slope = model.lif, config.surrogate_slope
+def reference_loss_and_grads(windows, labels, model, smooth=False):
+    qat, lif, slope = model.qat, model.lif, SURROGATE_SLOPE
     av, ai = lif.alpha_v, lif.alpha_i
     n_steps = model.config.steps
     batch = windows.shape[0]
@@ -116,8 +116,7 @@ def reference_loss_and_grads(windows, labels, model, config, spike_mode="hard"):
         for key, p in model.parameters().items():
             eff[key], wmasks[key], _ = reference_fake_quantize_with_mask(p, qat.weight_bits)
     w1, w2, w3 = eff["w_fc1"], eff["w_fc2"], eff["w_fc3"]
-    z, tape = reference_forward(windows, eff, model.config, lif, qat,
-                                slope if spike_mode == "smooth" else None)
+    z, tape = reference_forward(windows, eff, model.config, lif, qat, smooth)
     S, VP, a0 = tape["s"], tape["v_pre"], tape["a0"]
     z_shift = z - z.max(axis=1, keepdims=True)
     log_norm = np.log(np.sum(np.exp(z_shift), axis=1))
@@ -137,11 +136,11 @@ def reference_loss_and_grads(windows, labels, model, config, spike_mode="hard"):
         ds = dz_w3 + gh_next @ w2
         gv = carry_v if qat is None else carry_v * tape["v"][t]
         u = VP[t] - lif.v_th
-        if spike_mode == "hard":
-            fprime = 1.0 / (1.0 + slope * np.abs(u)) ** 2
-        else:
+        if smooth:
             _, fprime = smooth_spike(u, slope)
             ds = ds + gv * (lif.v_r - VP[t])
+        else:
+            fprime = 1.0 / (1.0 + slope * np.abs(u)) ** 2
         gvp = ds * fprime + gv * (1.0 - S[t])
         gi = gvp * av + carry_i
         if qat is not None:
@@ -197,19 +196,20 @@ class TestSurrogate:
         assert scalar == 1.0 / (1.0 + 7.0 * 2.5) ** 2
 
 
+# (smooth, qat, lif, steps) of each case
 ORACLE_CASES = {
-    "hard": ("hard", None, LifParams(), 4),
-    "smooth": ("smooth", None, LifParams(), 4),
-    "v_leak": ("hard", None, LifParams(v_leak=0.3), 4),
-    "smooth_v_leak": ("smooth", None, LifParams(v_leak=0.3), 4),
-    "qat88": ("hard", QatConfig(8, 8), LifParams.shift_friendly(), 4),
-    "qat66": ("hard", QatConfig(6, 6), LifParams.shift_friendly(), 4),
-    "qat66_smooth": ("smooth", QatConfig(6, 6), LifParams.shift_friendly(), 4),
+    "hard": (False, None, LifParams(), 4),
+    "smooth": (True, None, LifParams(), 4),
+    "v_leak": (False, None, LifParams(v_leak=0.3), 4),
+    "smooth_v_leak": (True, None, LifParams(v_leak=0.3), 4),
+    "qat88": (False, QatConfig(8, 8), LifParams.shift_friendly(), 4),
+    "qat66": (False, QatConfig(6, 6), LifParams.shift_friendly(), 4),
+    "qat66_smooth": (True, QatConfig(6, 6), LifParams.shift_friendly(), 4),
     # a leak potential below the state grid saturates the voltage too
-    "qat66_v_saturates": ("hard", QatConfig(6, 6),
+    "qat66_v_saturates": (False, QatConfig(6, 6),
                           LifParams(alpha_v=0.5, alpha_i=0.25, v_leak=-6.0), 4),
-    "steps1": ("hard", None, LifParams(), 1),
-    "steps1_qat": ("hard", QatConfig(8, 8), LifParams.shift_friendly(), 1),
+    "steps1": (False, None, LifParams(), 1),
+    "steps1_qat": (False, QatConfig(8, 8), LifParams.shift_friendly(), 1),
 }
 
 
@@ -219,19 +219,19 @@ def oracle_setup(qat, lif, steps, seed=17):
     model.qat = qat
     model.b_fc1[:] += 0.5
     windows, labels = random_batch(model, 96, seed=seed + 1)
-    return model, windows, labels, TrainConfig(qat=qat)
+    return model, windows, labels
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_loss_and_grads_bitwise_equal_the_allocating_reference(case):
-    spike_mode, qat, lif, steps = ORACLE_CASES[case]
-    model, windows, labels, cfg = oracle_setup(qat, lif, steps)
-    ref_loss, ref_grads = reference_loss_and_grads(windows, labels, model, cfg, spike_mode)
+    smooth, qat, lif, steps = ORACLE_CASES[case]
+    model, windows, labels = oracle_setup(qat, lif, steps)
+    ref_loss, ref_grads = reference_loss_and_grads(windows, labels, model, smooth)
     # fresh arrays; then one Workspace sized first by a smaller batch, then reused
     workspace = Workspace()
-    loss_and_grads(windows[:40], labels[:40], model, cfg, spike_mode, workspace)
+    loss_and_grads(windows[:40], labels[:40], model, smooth, workspace)
     for ws in (None, workspace, workspace):
-        loss, grads = loss_and_grads(windows, labels, model, cfg, spike_mode, ws)
+        loss, grads = loss_and_grads(windows, labels, model, smooth, ws)
         assert loss == ref_loss
         assert grads.keys() == ref_grads.keys()
         for name, g in grads.items():
@@ -250,36 +250,35 @@ def test_loss_and_grads_bitwise_equal_the_allocating_reference(case):
 @pytest.mark.parametrize("case", ["hard", "smooth", "qat88", "qat66_smooth"])
 def test_training_step_writes_no_input(case):
     # forward and loss_and_grads work in place on arrays of their own only
-    spike_mode, qat, lif, steps = ORACLE_CASES[case]
-    model, windows, labels, cfg = oracle_setup(qat, lif, steps)
+    smooth, qat, lif, steps = ORACLE_CASES[case]
+    model, windows, labels = oracle_setup(qat, lif, steps)
     params = model.parameters()
     weights = model.effective_weights()
     before = {name: p.tobytes() for name, p in params.items()}
     weights_before = {name: (id(w), w.tobytes()) for name, w in weights.items()}
     windows_before = windows.tobytes()
-    smooth_slope = cfg.surrogate_slope if spike_mode == "smooth" else None
     for workspace in (None, Workspace()):
         for keep in (False, True):
-            forward(windows, weights, model.config, lif, qat, keep, smooth_slope, workspace)
-        loss_and_grads(windows, labels, model, cfg, spike_mode, workspace)
+            forward(windows, weights, model.config, lif, qat, keep, smooth, workspace)
+        loss_and_grads(windows, labels, model, smooth, workspace)
     assert windows.tobytes() == windows_before
     assert {name: (id(w), w.tobytes()) for name, w in weights.items()} == weights_before
     assert {name: p.tobytes() for name, p in model.parameters().items()} == before
 
 
-@pytest.mark.parametrize("smooth_slope", [None, 30.0])
-def test_lif_step_into_its_own_state_equals_the_reference(smooth_slope):
+@pytest.mark.parametrize("smooth", [False, True])
+def test_lif_step_into_its_own_state_equals_the_reference(smooth):
     rng = np.random.default_rng(19)
     params = LifParams(alpha_v=0.3, alpha_i=0.4, v_leak=0.2, v_r=-0.1)
     v, i, drive = (rng.standard_normal((5, 7)) for _ in range(3))
     v[0, 0] = -0.0
-    expected = reference_lif_step(v, i, drive, params, smooth_slope=smooth_slope)
+    expected = reference_lif_step(v, i, drive, params, smooth=smooth)
     kept = [a.tobytes() for a in (v, i, drive)]
-    fresh = lif_step(v, i, drive, params, smooth_slope=smooth_slope,
+    fresh = lif_step(v, i, drive, params, smooth=smooth,
                      out=[np.empty_like(v) for _ in range(4)])
     assert [a.tobytes() for a in (v, i, drive)] == kept
     out = (v, i, np.empty_like(v), np.empty_like(v))
-    in_place = lif_step(v, i, drive, params, smooth_slope=smooth_slope, out=out)
+    in_place = lif_step(v, i, drive, params, smooth=smooth, out=out)
     assert all(got is want for got, want in zip(in_place, out))
     for ref, a, b in zip(expected, fresh, in_place):
         assert a.tobytes() == ref.tobytes() and b.tobytes() == ref.tobytes()
@@ -299,8 +298,7 @@ class TestGradients:
         # analytic oracle: dL/dW3 = (softmax - onehot)^T @ accumulated spikes
         model = tiny_model(hidden=6, steps=4, seed=2, scale=3.0)
         windows, labels = random_batch(model, 32, seed=3)
-        cfg = TrainConfig(surrogate_slope=100.0, batch_size=1, batches_per_epoch=1, epochs=1)
-        loss, grads = loss_and_grads(windows, labels, model, cfg)
+        loss, grads = loss_and_grads(windows, labels, model)
 
         batch = windows.shape[0]
         spikes_sum = np.zeros((batch, model.config.hidden))
@@ -328,8 +326,7 @@ class TestGradients:
         model = tiny_model(n_tap=1, hidden=4, steps=3, seed=4, scale=2.5, lif=lif)
         model.b_fc1[:] += 0.5  # park some units near threshold
         windows, labels = random_batch(model, 6, seed=5)
-        cfg = TrainConfig(surrogate_slope=100.0, batch_size=1, batches_per_epoch=1, epochs=1)
-        self.assert_grads_match_finite_differences(model, windows, labels, cfg)
+        self.assert_grads_match_finite_differences(model, windows, labels)
 
     def test_qat_recurrence_sees_the_masked_drive_gradient(self, monkeypatch):
         # With a clamp-only quantizer the straight-through gradient is exact,
@@ -354,18 +351,16 @@ class TestGradients:
         model.w_fc2[:] *= 3.0
         model.b_fc1[:] += 0.5
         windows, labels = random_batch(model, 6, seed=5)
-        qat = QatConfig(weight_bits=8, state_bits=6)
-        cfg = TrainConfig(surrogate_slope=100.0, batch_size=1, batches_per_epoch=1, epochs=1,
-                          qat=qat)
+        qat = model.qat = QatConfig(weight_bits=8, state_bits=6)
         _, tape = forward(windows, model.parameters(), model.config, model.lif, qat, keep=True)
         drive_only = sum(int(np.sum((tape["h"][t] == 0) & (tape["i"][t] == 1)))
                          for t in range(1, model.config.steps))
         assert drive_only >= 1
-        self.assert_grads_match_finite_differences(model, windows, labels, cfg)
+        self.assert_grads_match_finite_differences(model, windows, labels)
 
     @staticmethod
-    def assert_grads_match_finite_differences(model, windows, labels, cfg):
-        _, grads = loss_and_grads(windows, labels, model, cfg, spike_mode="smooth")
+    def assert_grads_match_finite_differences(model, windows, labels):
+        _, grads = loss_and_grads(windows, labels, model, smooth=True)
 
         eps = 1e-5
         for name in model.PARAM_NAMES:
@@ -376,9 +371,9 @@ class TestGradients:
             for idx in range(flat.size):
                 orig = flat[idx]
                 flat[idx] = orig + eps
-                lp, _ = loss_and_grads(windows, labels, model, cfg, spike_mode="smooth")
+                lp, _ = loss_and_grads(windows, labels, model, smooth=True)
                 flat[idx] = orig - eps
-                lm, _ = loss_and_grads(windows, labels, model, cfg, spike_mode="smooth")
+                lm, _ = loss_and_grads(windows, labels, model, smooth=True)
                 flat[idx] = orig
                 fd_flat[idx] = (lp - lm) / (2 * eps)
             err = np.linalg.norm(grads[name] - fd) / max(np.linalg.norm(fd), 1e-12)
@@ -389,10 +384,9 @@ class TestGradients:
         model = tiny_model(hidden=8, steps=4, seed=6, scale=3.0)
         model.b_fc1[:] += 0.8
         windows, labels = random_batch(model, 64, seed=7)
-        cfg = TrainConfig()
-        _, grads_full = loss_and_grads(windows, labels, model, cfg)
+        _, grads_full = loss_and_grads(windows, labels, model)
         model.w_fc2[:] = 0.0
-        _, grads_zeroed = loss_and_grads(windows, labels, model, cfg)
+        _, grads_zeroed = loss_and_grads(windows, labels, model)
         assert not np.allclose(grads_full["w_fc1"], grads_zeroed["w_fc1"])
 
     def test_uniform_logits_loss_is_ln4(self):
@@ -400,14 +394,14 @@ class TestGradients:
         for name in model.PARAM_NAMES:
             getattr(model, name)[:] = 0.0
         windows, labels = random_batch(model, 50, seed=9)
-        loss, _ = loss_and_grads(windows, labels, model, TrainConfig())
+        loss, _ = loss_and_grads(windows, labels, model)
         assert abs(loss - math.log(4.0)) < 1e-12
 
     def test_label_out_of_range_rejected(self):
         model = tiny_model()
         windows, labels = random_batch(model, 4)
         with pytest.raises(ValueError):
-            loss_and_grads(windows, labels + 4, model, TrainConfig())
+            loss_and_grads(windows, labels + 4, model)
 
     def test_batched_forward_matches_reference(self):
         # the trainer's loss is that of the logits inference computes window by
@@ -422,8 +416,7 @@ class TestGradients:
             for name in model.PARAM_NAMES:
                 getattr(model, name)[:] *= 4.0
             windows, labels = random_batch(model, 16, seed=11)
-            tc = TrainConfig(qat=qat)
-            loss, _ = loss_and_grads(windows, labels, model, tc)
+            loss, _ = loss_and_grads(windows, labels, model)
             eff = model.effective_weights()
             z = np.array([forward(windows[b : b + 1], eff, cfg, lif, qat)[0][0]
                           for b in range(16)])
@@ -537,8 +530,7 @@ def test_fake_quantize_bitwise_equals_reference(values, ties, exponent, bits):
 class TestTrainLoop:
     def desk_cfg(self, **kw):
         defaults = dict(
-            learning_rate=1e-3, epochs=1, batches_per_epoch=8, batch_size=256,
-            train_snr_db=17.0, seed=100,
+            learning_rate=1e-3, epochs=1, batches_per_epoch=8, batch_size=256, seed=100,
         )
         defaults.update(kw)
         return TrainConfig(**defaults)
@@ -580,12 +572,11 @@ class TestTrainLoop:
         # sanity: 10 small Adam steps on one fixed batch never increase the loss
         model = tiny_model(n_tap=5, hidden=8, steps=3, seed=14)
         windows, labels = random_batch(model, 256, seed=15)
-        cfg = TrainConfig(seed=14)
         params = model.parameters()
         state = AdamState.init(params)
         losses = []
         for _ in range(11):
-            loss, grads = loss_and_grads(windows, labels, model, cfg)
+            loss, grads = loss_and_grads(windows, labels, model)
             losses.append(loss)
             adam_step(params, grads, state, lr=1e-4)
         for a, b in zip(losses, losses[1:]):
@@ -594,10 +585,34 @@ class TestTrainLoop:
     def test_divergence_aborts_with_diagnostic(self, monkeypatch):
         import snndfe.train as train_mod
 
-        def nan_loss(windows, labels, model, cfg, spike_mode="hard", workspace=None):
+        def nan_loss(windows, labels, model, smooth=False, workspace=None):
             return float("nan"), {k: np.zeros_like(p) for k, p in model.parameters().items()}
 
         monkeypatch.setattr(train_mod, "loss_and_grads", nan_loss)
         topo = TopologyConfig(n_tap=3, hidden=4, steps=2)
         with pytest.raises(TrainingDiverged, match="batch 0"):
             train(DESK_CHANNEL, topo, self.desk_cfg(batches_per_epoch=2, batch_size=64))
+
+
+# SHA-256 of train()'s loss log, its (loss, grad_norm) rows as float64, and of
+# its final parameters in PARAM_NAMES order, on (5, 8, 3), 10 batches of 128,
+# seed 3. Recorded with OpenBLAS on x86-64; training is deterministic there, so
+# any change to its arithmetic, settings or data shows here.
+TRAIN_DIGESTS = {
+    "float": ("3db0a5c08a94f4338b35a49b39e74d999eb72b8492bce0e0f38bb8bd867fb01e",
+              "e2ed5021e21419111094319f4d251f4c8d6635e034e5d2b5f437efe1c00003c9"),
+    "qat88": ("9fd9ce02a4cdbf6eb7c5dfd3986f73ef0446b844d89d0ae09410f7e728695440",
+              "af79e9f63aca4d34853aeb93a492ae650df7d1c7dae21e47e08f1907b456ed30"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(TRAIN_DIGESTS))
+def test_train_output_is_pinned(mode):
+    qat = QatConfig(8, 8) if mode == "qat88" else None
+    cfg = TrainConfig(batches_per_epoch=10, batch_size=128, qat=qat, seed=3)
+    model, log = train(DESK_CHANNEL, TopologyConfig(n_tap=5, hidden=8, steps=3), cfg)
+    assert [row[0] for row in log] == list(range(10))
+    losses = np.array([row[1:] for row in log])
+    params = b"".join(getattr(model, name).tobytes() for name in model.PARAM_NAMES)
+    digests = (hashlib.sha256(losses.tobytes()).hexdigest(), hashlib.sha256(params).hexdigest())
+    assert digests == TRAIN_DIGESTS[mode]
