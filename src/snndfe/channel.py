@@ -29,7 +29,10 @@ N_CLASSES = 2 ** BITS_PER_SYMBOL
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Link parameters. Defaults: 5 km SSMF at 50 GBd, 1550 nm, RRC roll-off 0.2."""
+    """Link parameters. Defaults: 5 km SSMF at 50 GBd, 1550 nm, RRC roll-off 0.2.
+    ValueError unless every quantity is finite, the length >= 0, the wavelength
+    and baud rate > 0, rolloff in (0, 1], and the counts (check_int, stored as
+    plain ints) sps >= 1 and rrc_span_symbols even and >= 8."""
 
     fiber_length_km: float = 5.0
     dispersion_ps_nm_km: float = 17.0
@@ -42,14 +45,17 @@ class ChannelConfig:
     rrc_span_symbols: int = 40
 
     def __post_init__(self):
-        if self.fiber_length_km < 0:
-            raise ValueError("fiber_length_km must be >= 0")
+        for name in ("fiber_length_km", "dispersion_ps_nm_km", "wavelength_nm", "baud_rate_gbd"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.fiber_length_km < 0 or min(self.wavelength_nm, self.baud_rate_gbd) <= 0:
+            raise ValueError("need fiber_length_km >= 0, wavelength_nm > 0 and baud_rate_gbd > 0")
         if not 0.0 < self.rolloff <= 1.0:
             raise ValueError("rolloff must be in (0, 1]")
-        if self.sps < 1:
-            raise ValueError("sps must be >= 1")
-        if self.rrc_span_symbols < 8 or self.rrc_span_symbols % 2 != 0:
-            raise ValueError("rrc_span_symbols must be even and >= 8")
+        for name, lo in (("sps", 1), ("rrc_span_symbols", 8)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), lo))
+        if self.rrc_span_symbols % 2:
+            raise ValueError(f"rrc_span_symbols must be even, got {self.rrc_span_symbols}")
 
     @property
     def sample_rate_hz(self) -> float:
@@ -64,11 +70,23 @@ def _finite(x, stage: str) -> np.ndarray:
     return x
 
 
-def check_pam4(m: int) -> None:
-    """Raise ValueError unless m is the link's bits per symbol (PAM-4)."""
-    if m != BITS_PER_SYMBOL:
+def check_int(name: str, value, lo: int, hi: int | None = None, error=ValueError) -> int:
+    """value as a plain int; `error` naming the field unless it is an integer
+    (numpy's too, not bool) in [lo, hi], hi None for no upper bound."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < lo or (hi is not None and value > hi):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise error(f"{name} must be {bounds}, got {value}")
+    return int(value)
+
+
+def check_pam4(m) -> int:
+    """m as a plain int; ValueError unless it is the link's bits per symbol (PAM-4)."""
+    if check_int("bits_per_symbol", m, 1) != BITS_PER_SYMBOL:
         raise ValueError(f"bits_per_symbol={m}, but the link is PAM-4 "
                          f"(channel.BITS_PER_SYMBOL = {BITS_PER_SYMBOL})")
+    return BITS_PER_SYMBOL
 
 
 # Gray labels: class k (amplitude rank) carries the bit pair _CLASS_BITS[k],

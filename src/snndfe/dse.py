@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelConfig
+from .channel import ChannelConfig, check_int
 from .equalizer import TopologyConfig
 from .fxp import ConversionError, FxpFormats, FxpLifSpec, convert
 from .harness import check_eval_symbols, derive_seed, evaluate_ber
@@ -27,20 +27,24 @@ from .train import TrainConfig, TrainingDiverged, default_lif, train
 
 @dataclass(frozen=True)
 class TrialScale:
-    """Per-trial training/evaluation budget, uniform across configurations;
-    every trial trains at train.TRAIN_SNR_DB. ValueError for no SNR points or
-    a setting TrainConfig refuses."""
+    """Per-trial budget, uniform across configurations, training at
+    train.TRAIN_SNR_DB with TrainConfig's defaults (train_symbols one epoch).
+    ValueError for no SNR points, a setting TrainConfig refuses, or counts
+    (plain ints) below one batch of train_symbols or one eval symbol."""
 
-    train_symbols: int = 60_000
+    train_symbols: int = TrainConfig.batches_per_epoch * TrainConfig.batch_size
     eval_symbols: int = 20_000
     snrs_db: tuple = tuple(range(12, 22))
-    batch_size: int = 500
-    learning_rate: float = 1e-3
+    batch_size: int = TrainConfig.batch_size
+    learning_rate: float = TrainConfig.learning_rate
 
     def __post_init__(self):
         if not self.snrs_db:
             raise ValueError("TrialScale.snrs_db must be nonempty")
-        TrainConfig(learning_rate=self.learning_rate, batch_size=self.batch_size)
+        cfg = TrainConfig(learning_rate=self.learning_rate, batch_size=self.batch_size)
+        object.__setattr__(self, "batch_size", cfg.batch_size)
+        for name, lo in (("train_symbols", cfg.batch_size), ("eval_symbols", 1)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), lo))
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,7 @@ def run_trial(config: dict, channel_cfg: ChannelConfig, scale: TrialScale,
     topo = TopologyConfig(n_tap=config["n_tap"], hidden=config["hidden"],
                           steps=config["steps"])
     bits = config.get("bits")
-    batches = max(1, scale.train_symbols // scale.batch_size)
+    batches = scale.train_symbols // scale.batch_size
     train_cfg = TrainConfig(
         learning_rate=scale.learning_rate, epochs=1, batches_per_epoch=batches,
         batch_size=scale.batch_size, seed=seed,
@@ -182,10 +186,7 @@ def search(space: DseSpace, channel_cfg: ChannelConfig, strategy: str, budget: i
     the file) sees every finished trial and a crash loses only the running one.
     """
     configs = space.enumerate()
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if budget > len(configs):
-        raise ValueError(f"budget {budget} exceeds space size {len(configs)}")
+    budget = check_int("budget", budget, 1, len(configs))
     if strategy == "grid":
         chosen = configs[:budget]
     elif strategy == "random":

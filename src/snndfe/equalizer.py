@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import N_CLASSES, check_pam4
+from .channel import N_CLASSES, check_int, check_pam4
 from .lif import LifParams, lif_step
 from .quant import QatConfig, fake_quantize, fake_quantize_with_mask, state_format
 
@@ -36,24 +36,11 @@ MODEL_VERSION = 1
 _PASS_ROWS = 64
 
 
-def input_size(n_tap: int) -> int:
-    """Input width for a given tap count: 8*(floor(n/2)+1) + 4*floor(n/2)."""
-    if n_tap < 1 or n_tap % 2 == 0:
-        raise ValueError("n_tap must be odd and >= 1")
-    half = n_tap // 2
-    return RX_LEVELS * (half + 1) + N_CLASSES * half
-
-
-def mac_count(n_hidden: int, n_input: int, n_steps: int) -> int:
-    """Multiply-accumulate operations per equalized symbol."""
-    if min(n_hidden, n_input, n_steps) < 1:
-        raise ValueError("all arguments must be >= 1")
-    return n_hidden * (n_input + 2 * n_hidden + N_CLASSES) * n_steps
-
-
 @dataclass(frozen=True)
 class TopologyConfig:
-    """Equalizer dimensions: tap count, modulation order (PAM-4), hidden width, time steps."""
+    """Equalizer dimensions, each stored as a plain int (channel.check_int):
+    ValueError unless n_tap is odd and >= 1, bits_per_symbol 2 (PAM-4), hidden
+    in [1, 1024] and steps >= 1."""
 
     n_tap: int = 17
     bits_per_symbol: int = 2
@@ -61,17 +48,11 @@ class TopologyConfig:
     steps: int = 10
 
     def __post_init__(self):
-        for name in ("n_tap", "hidden", "steps"):  # numpy integers too; no bool or float
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # a plain int, as a header stores
-        check_pam4(self.bits_per_symbol)
-        input_size(self.n_tap)  # validates n_tap
-        if not 1 <= self.hidden <= 1024:
-            raise ValueError("hidden must be in [1, 1024]")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        for name, lo, hi in (("n_tap", 1, None), ("hidden", 1, 1024), ("steps", 1, None)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), lo, hi))
+        if self.n_tap % 2 == 0:
+            raise ValueError(f"n_tap must be odd, got {self.n_tap}")
+        object.__setattr__(self, "bits_per_symbol", check_pam4(self.bits_per_symbol))
 
     @property
     def n_classes(self) -> int:
@@ -79,7 +60,8 @@ class TopologyConfig:
 
     @property
     def n_input(self) -> int:
-        return input_size(self.n_tap)
+        """Input width: 8*(history+1) received bins and 4*history fed-back classes."""
+        return RX_LEVELS * (self.history + 1) + N_CLASSES * self.history
 
     @property
     def history(self) -> int:
@@ -87,7 +69,8 @@ class TopologyConfig:
         return self.n_tap // 2
 
     def macs_per_symbol(self) -> int:
-        return mac_count(self.hidden, self.n_input, self.steps)
+        """Multiply-accumulates per equalized symbol: fc0 to fc3 at every step."""
+        return self.hidden * (self.n_input + 2 * self.hidden + N_CLASSES) * self.steps
 
     def param_shapes(self) -> dict:
         """Shape of each model parameter, in EqualizerModel.PARAM_NAMES order."""
@@ -143,7 +126,7 @@ def one_hot_windows(bins: np.ndarray, decisions: np.ndarray) -> np.ndarray:
     batch, history = decisions.shape
     columns = np.concatenate([bins[:, :history], decisions, bins[:, history:]], axis=1)
     columns += _block_starts(history)
-    out = np.zeros((batch, input_size(2 * history + 1)))
+    out = np.zeros((batch, (RX_LEVELS + N_CLASSES) * history + RX_LEVELS))
     out[np.arange(batch)[:, None], columns] = 1.0
     return out
 
@@ -404,11 +387,8 @@ _HEADER_SECTIONS = {"lif": LifParams, "encoder": EncoderConfig, "qat": QatConfig
 def save_container(path, fmt: str, version: int, model, arrays: dict, **extra) -> None:
     """Write a versioned npz container: a JSON header (format, version, topology,
     LIF constants, encoder calibration, then `extra`) and row-major arrays."""
-    cfg = model.config
     header = {
-        "format": fmt, "version": version,
-        "n_tap": cfg.n_tap, "bits_per_symbol": cfg.bits_per_symbol,
-        "hidden": cfg.hidden, "steps": cfg.steps,
+        "format": fmt, "version": version, **asdict(model.config),
         "lif": asdict(model.lif), "encoder": asdict(model.encoder),
         **extra,
     }
@@ -441,10 +421,7 @@ def load_container(path, fmt: str, version: int, extra_keys: tuple):
             raise ValueError(f"{fmt} file lacks {missing}")
         arrays = {name: data[name] for name in EqualizerModel.PARAM_NAMES}
     common = {
-        "config": TopologyConfig(
-            n_tap=header["n_tap"], bits_per_symbol=header["bits_per_symbol"],
-            hidden=header["hidden"], steps=header["steps"],
-        ),
+        "config": TopologyConfig(**{f.name: header[f.name] for f in fields(TopologyConfig)}),
         "lif": LifParams(**header["lif"]),
         "encoder": EncoderConfig(**header["encoder"]),
     }

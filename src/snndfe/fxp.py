@@ -27,6 +27,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .channel import check_int
 from .equalizer import (
     EncoderConfig, EqualizerModel, TopologyConfig, load_container, save_container,
 )
@@ -45,11 +46,12 @@ class ConversionError(ValueError):
 class FxpFormats:
     """Bit widths of an integer model: weights/biases, LIF state, accumulators.
 
-    Weights of 2 to 16 bits and LIF states of 4 (quant.state_format) to 16
-    bits, the widths of an FPGA datapath. fxp_forward holds every integer in
-    float64, exact up to magnitude 2^53, and acc_bits <= 53 keeps every
-    product exact: each shifted partial sum is bounded by its accumulator's
-    worst case, which FxpModel's construction holds to acc_max <= 2^52 - 1.
+    Plain ints (channel.check_int): weights of 2 to 16 bits and LIF states of
+    4 (quant.state_format) to 16 bits, the widths of an FPGA datapath.
+    fxp_forward holds every integer in float64, exact up to magnitude 2^53,
+    and acc_bits <= 53 keeps every product exact: each shifted partial sum is
+    bounded by its accumulator's worst case, which FxpModel's construction
+    holds to acc_max <= 2^52 - 1.
     """
 
     weight_bits: int = 8
@@ -59,8 +61,7 @@ class FxpFormats:
     def __post_init__(self):
         for name, lo, hi in (("weight_bits", 2, 16), ("state_bits", 4, 16),
                              ("acc_bits", 16, 53)):
-            if not lo <= getattr(self, name) <= hi:
-                raise ValueError(f"{name} must be in [{lo}, {hi}], got {getattr(self, name)}")
+            object.__setattr__(self, name, check_int(name, getattr(self, name), lo, hi))
 
 
 def _shift_exponent(alpha: float, name: str) -> int:
@@ -87,11 +88,9 @@ class FxpLifSpec:
     @classmethod
     def derive(cls, lif: LifParams, fmt: FxpFormat) -> "FxpLifSpec":
         """The integer constants of `lif` on the state grid `fmt`; ConversionError
-        unless v_leak = 0, both decays are powers of two, v_th and v_r fit the
-        grid and v_th is within reach: from 0, under the largest current, the
-        voltage rises to (state_max >> k_v) << k_v and no higher."""
-        if lif.v_leak != 0.0:
-            raise ConversionError("integer engine assumes v_leak = 0")
+        unless both decays are powers of two, v_th and v_r fit the grid and
+        v_th is within reach: from 0, under the largest current, the voltage
+        rises to (state_max >> k_v) << k_v and no higher."""
         k_v = _shift_exponent(lif.alpha_v, "alpha_v")
         k_i = _shift_exponent(lif.alpha_i, "alpha_i")
         levels = {}

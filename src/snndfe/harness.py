@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (BITS_PER_SYMBOL, N_CLASSES, ChannelConfig, bits_to_classes,
-                      classes_to_bits, simulate_link)
+                      check_int, classes_to_bits, simulate_link)
 from .equalizer import equalize_stream, teacher_forced_windows
 
 
@@ -55,10 +55,8 @@ def count_bit_errors(true_classes, decided_classes, m: int) -> int:
 
 
 def check_eval_symbols(symbols_per_snr: int, history: int) -> None:
-    """Raise ConfigError unless a frame counts two symbols past its `history` warm-up."""
-    if symbols_per_snr < history + 2:
-        raise ConfigError(f"symbols_per_snr={symbols_per_snr} too small for the model's "
-                          f"history {history}")
+    """ConfigError unless symbols_per_snr is an integer >= history + 2."""
+    check_int("symbols_per_snr", symbols_per_snr, history + 2, error=ConfigError)
 
 
 def _eval_frame(channel_cfg: ChannelConfig, snr_db, symbols: int, seed: int):
@@ -111,14 +109,12 @@ def evaluate_baseline_ber(channel_cfg: ChannelConfig, m: int, snrs_db,
     evaluate_ber, so comparisons are paired, and skips the first `warmup`
     symbols (default 0): callers pass warmup=model.config.history to count
     the bits evaluate_ber counts. m must be channel.BITS_PER_SYMBOL and
-    0 <= warmup < symbols_per_snr, or ConfigError is raised.
+    warmup an integer in [0, symbols_per_snr), or ConfigError is raised.
     """
     if m != BITS_PER_SYMBOL:
         raise ConfigError(f"bits_per_symbol={m}, but the link is PAM-4 "
                           f"(channel.BITS_PER_SYMBOL = {BITS_PER_SYMBOL})")
-    if not 0 <= warmup < symbols_per_snr:
-        raise ConfigError(f"warmup must be in [0, symbols_per_snr = {symbols_per_snr}), "
-                          f"got {warmup}")
+    check_int("warmup", warmup, 0, symbols_per_snr - 1, error=ConfigError)
     points = []
     for snr_db in snrs_db:
         pilot_rng = derive_rng(seed, f"pilot:snr={snr_db}")

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import check_int
+
 
 @dataclass(frozen=True)
 class FxpFormat:
@@ -39,23 +41,22 @@ class FxpFormat:
 
 def state_format(bits: int) -> FxpFormat:
     """Grid for LIF voltage/current: 3 integer bits (range +/-4) by convention,
-    so ValueError unless state_bits >= 4."""
-    if bits < 4:
-        raise ValueError(f"state_bits must be >= 4 (3 integer bits and a fraction), got {bits}")
+    so ValueError unless state_bits is an integer >= 4 (channel.check_int)."""
+    bits = check_int("state_bits", bits, 4)
     return FxpFormat(bits, bits - 3)
 
 
 @dataclass(frozen=True)
 class QatConfig:
-    """Quantization-aware-training bit widths for weights/biases and LIF state."""
+    """Quantization-aware-training bit widths for weights/biases and LIF state,
+    plain ints: ValueError unless weight_bits >= 2 and state_bits >= 4."""
 
     weight_bits: int = 8
     state_bits: int = 8
 
     def __post_init__(self):
-        if self.weight_bits < 2:
-            raise ValueError("weight_bits must be >= 2")
-        state_format(self.state_bits)
+        object.__setattr__(self, "weight_bits", check_int("weight_bits", self.weight_bits, 2))
+        object.__setattr__(self, "state_bits", state_format(self.state_bits).total_bits)
 
 
 def pow2_exponent(max_abs: float, bits: int) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BITS_PER_SYMBOL, ChannelConfig, bits_to_classes, simulate_link
+from .channel import BITS_PER_SYMBOL, ChannelConfig, bits_to_classes, check_int, simulate_link
 from .equalizer import (EncoderConfig, EqualizerModel, TopologyConfig, Workspace,
                         forward, teacher_forced_windows)
 from .lif import SURROGATE_SLOPE, LifParams, smooth_spike
@@ -38,7 +38,8 @@ class TrainConfig:
     """Optimization settings. The defaults are the desk scale a dse.TrialScale
     trial runs: one epoch of 120 batches of 500 windows. train builds the
     model with `qat`; the training SNR (TRAIN_SNR_DB) and the surrogate slope
-    (lif.SURROGATE_SLOPE) are constants, not settings."""
+    (lif.SURROGATE_SLOPE) are constants, not settings. ValueError unless the
+    counts are integers >= 1 (plain ints) and learning_rate finite and >= 0."""
 
     learning_rate: float = 1e-3
     epochs: int = 1
@@ -48,10 +49,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.batch_size < 1 or self.batches_per_epoch < 1 or self.epochs < 1:
-            raise ValueError("epochs, batches_per_epoch and batch_size must be >= 1")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        for name in ("epochs", "batches_per_epoch", "batch_size"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
 
 
 # Adam's standard constants: moment decay rates and the denominator guard
@@ -229,7 +230,8 @@ def train(channel_cfg: ChannelConfig, topology_cfg: TopologyConfig,
     Each batch simulates a new frame at TRAIN_SNR_DB, builds teacher-forced
     windows and applies one Adam step; LIF constants stay fixed. Returns the
     model and a log of (batch, loss, grad_norm) rows. Deterministic for a given
-    seed. Raises TrainingDiverged if the loss stops being finite.
+    seed and BLAS thread count. Raises TrainingDiverged if the loss stops
+    being finite.
     """
     from .harness import derive_rng  # local import: harness owns the seeding policy
 

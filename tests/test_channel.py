@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from snndfe.channel import (
     add_awgn,
     bits_to_classes,
     chromatic_dispersion,
+    check_int,
     check_pam4,
     classes_to_bits,
     gray_map,
@@ -21,7 +23,13 @@ from snndfe.channel import (
     simulate_link,
     square_law,
 )
-from snndfe.harness import count_bit_errors
+from snndfe.dse import DseSpace, TrialScale, search
+from snndfe.equalizer import TopologyConfig
+from snndfe.fxp import FxpFormats
+from snndfe.harness import ConfigError, check_eval_symbols, count_bit_errors, evaluate_baseline_ber
+from snndfe.lif import LifParams
+from snndfe.quant import QatConfig
+from snndfe.train import TrainConfig
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -331,3 +339,73 @@ def test_non_pam4_bit_groups_refused(m):
                  lambda: classes_to_bits([0, 1], m), lambda: count_bit_errors([0], [1], m)):
         with pytest.raises(ValueError, match=rf"bits_per_symbol={m}.*BITS_PER_SYMBOL = 2"):
             call()
+
+
+def test_check_int_returns_a_plain_int_or_names_the_field():
+    assert check_int("n", np.int64(5), 1, 8) == 5 and type(check_int("n", np.uint8(5), 1)) is int
+    for value, hi, match in ((True, 8, "n must be an integer, got True"), (5.0, 8, "got 5.0"),
+                             ("5", 8, "got '5'"), (0, None, r"n must be >= 1, got 0"),
+                             (9, 8, r"n must be in \[1, 8\], got 9")):
+        with pytest.raises(ValueError, match=match):
+            check_int("n", value, 1, hi)
+    with pytest.raises(ConfigError, match="n must be >= 1"):
+        check_int("n", 0, 1, error=ConfigError)
+
+
+NAN, INF = float("nan"), float("inf")
+TINY_SPACE = DseSpace(n_taps=(3,), hidden=(2,), steps=(1,))
+
+# Each value a config or count argument refuses where it is set; each of them
+# used to be accepted, or to fail later with another error (TypeError in
+# rng.integers or a slice, ZeroDivisionError in simulate_link, a json error on
+# save), or to be ignored (r).
+REFUSALS = {
+    "check_pam4_float": (lambda: check_pam4(2.0), "bits_per_symbol must be an integer"),
+    "topology_bits_per_symbol_float": (lambda: TopologyConfig(bits_per_symbol=2.0),
+                                       "bits_per_symbol must be an integer"),
+    "qat_weight_bits_float": (lambda: QatConfig(8.0, 8), "weight_bits must be an integer"),
+    "qat_state_bits_float": (lambda: QatConfig(8, 8.0), "state_bits must be an integer"),
+    "fxp_weight_bits_float": (lambda: FxpFormats(8.0), "weight_bits must be an integer"),
+    "fxp_state_bits_float": (lambda: FxpFormats(8, 8.0), "state_bits must be an integer"),
+    "fxp_acc_bits_float": (lambda: FxpFormats(8, 8, 32.0), "acc_bits must be an integer"),
+    "dse_bits_float": (lambda: DseSpace(bits=(8.0,)), "weight_bits must be an integer"),
+    "train_epochs_float": (lambda: TrainConfig(epochs=1.0), "epochs must be an integer"),
+    "train_batches_float": (lambda: TrainConfig(batches_per_epoch=2.0), "batches_per_epoch"),
+    "train_batch_size_float": (lambda: TrainConfig(batch_size=2.5), "batch_size must be an int"),
+    "train_learning_rate_nan": (lambda: TrainConfig(learning_rate=NAN), "learning_rate must"),
+    "train_learning_rate_inf": (lambda: TrainConfig(learning_rate=INF), "learning_rate must"),
+    "scale_batch_size_float": (lambda: TrialScale(batch_size=2.5), "batch_size must be an int"),
+    "scale_train_symbols_below_a_batch": (lambda: TrialScale(train_symbols=499),
+                                          "train_symbols must be >= 500, got 499"),
+    "scale_train_symbols_float": (lambda: TrialScale(train_symbols=600.0), "train_symbols"),
+    "scale_eval_symbols_0": (lambda: TrialScale(eval_symbols=0), "eval_symbols must be >= 1"),
+    "scale_eval_symbols_float": (lambda: TrialScale(eval_symbols=100.0), "eval_symbols"),
+    "channel_sps_float": (lambda: ChannelConfig(sps=2.0), "sps must be an integer"),
+    "channel_span_float": (lambda: ChannelConfig(rrc_span_symbols=40.0), "rrc_span_symbols"),
+    "channel_length_nan": (lambda: ChannelConfig(fiber_length_km=NAN), "fiber_length_km"),
+    "channel_length_inf": (lambda: ChannelConfig(fiber_length_km=INF), "fiber_length_km"),
+    "channel_dispersion_nan": (lambda: ChannelConfig(dispersion_ps_nm_km=NAN), "dispersion"),
+    "channel_dispersion_inf": (lambda: ChannelConfig(dispersion_ps_nm_km=-INF), "dispersion"),
+    "channel_wavelength_0": (lambda: ChannelConfig(wavelength_nm=0.0), "wavelength_nm > 0"),
+    "channel_wavelength_nan": (lambda: ChannelConfig(wavelength_nm=NAN), "wavelength_nm"),
+    "channel_baud_rate_0": (lambda: ChannelConfig(baud_rate_gbd=0), "baud_rate_gbd > 0"),
+    "channel_baud_rate_negative": (lambda: ChannelConfig(baud_rate_gbd=-50.0), "baud_rate_gbd"),
+    "channel_baud_rate_inf": (lambda: ChannelConfig(baud_rate_gbd=INF), "baud_rate_gbd"),
+    "lif_v_leak": (lambda: LifParams(v_leak=0.3), "v_leak = 0"),
+    "lif_r": (lambda: LifParams(r=2.0), "r = 1"),
+    "search_budget_float": (lambda: search(TINY_SPACE, ChannelConfig(), "grid", 2.5, 0,
+                                           os.devnull), "budget must be an integer"),
+    "eval_symbols_float": (lambda: check_eval_symbols(22.5, 20),
+                           "symbols_per_snr must be an integer"),
+    "baseline_warmup_float": (lambda: evaluate_baseline_ber(ChannelConfig(), 2, (17.0,), 100,
+                                                            seed=1, warmup=2.5),
+                              "warmup must be an integer"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refused_where_it_is_set(case):
+    call, match = REFUSALS[case]
+    error = ConfigError if case in ("eval_symbols_float", "baseline_warmup_float") else ValueError
+    with pytest.raises(error, match=match):
+        call()

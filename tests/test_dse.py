@@ -39,9 +39,8 @@ def synthetic_trial(n_tap=3, hidden=4, steps=2, bits=None, mac=None, ber=None, s
 
 def stub_runner(config, channel_cfg, scale, seed):
     """Deterministic fake trial: BER is a decreasing function of cost."""
-    from snndfe.equalizer import input_size, mac_count
-
-    mac = mac_count(config["hidden"], input_size(config["n_tap"]), config["steps"])
+    mac = TopologyConfig(n_tap=config["n_tap"], hidden=config["hidden"],
+                         steps=config["steps"]).macs_per_symbol()
     rng = np.random.default_rng(seed)
     ber = {float(s): float(1.0 / (mac ** 0.5) * (1 + 0.1 * rng.random()) / (1 + s))
            for s in scale.snrs_db}
@@ -157,7 +156,7 @@ class TestSearch:
         assert keys == [(8, 2), (8, 4), (16, 2), (16, 4)]
 
     def test_grid_budget_bounded(self, tmp_path):
-        with pytest.raises(ValueError, match="exceeds space size"):
+        with pytest.raises(ValueError, match=r"budget must be in \[1, 4\], got 5"):
             search(self.SPACE, CHANNEL, "grid", 5, seed=1, results_path=tmp_path / "r.jsonl",
                    trial_runner=stub_runner)
 
@@ -277,7 +276,7 @@ class TestSearch:
         cfg = {"n_tap": 5, "hidden": 6, "steps": 2, "bits": None}
         trial = run_trial(cfg, CHANNEL, scale, seed=11)
         assert trial.status == "ok"
-        assert trial.mac == 6 * (input_size_of(cfg) + 12 + 4) * 2
+        assert trial.mac == 6 * (32 + 12 + 4) * 2  # 5 taps: 8*3 + 4*2 inputs
         assert 0.0 <= trial.ber[17.0] <= 0.75
         again = run_trial(cfg, CHANNEL, scale, seed=11)
         assert again.ber == trial.ber
@@ -364,12 +363,6 @@ def test_train_config_defaults_are_the_trial_budget():
     assert cfg.learning_rate == scale.learning_rate
 
 
-def input_size_of(cfg):
-    from snndfe.equalizer import input_size
-
-    return input_size(cfg["n_tap"])
-
-
 class TestSpaceParsing:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -384,7 +377,7 @@ class TestSpaceParsing:
         ({"bits": (16, 17)}, "weight_bits must be in \\[2, 16\\], got 17"),
         ({"bits": (8, 4)}, "v_th=1.0 is 2 on the state grid, above the voltage's reach 0"),
         ({"n_taps": (3, 41), "scale": TrialScale(eval_symbols=21)},
-         "symbols_per_snr=21 too small for the model's history 20"),
+         "symbols_per_snr must be >= 22, got 21"),
     ], ids=["even_n_tap", "hidden_0", "steps_0", "bits_3", "bits_33", "bits_17",
             "bits_4_never_fires", "eval_shorter_than_history"])
     def test_axis_values_checked_at_construction(self, settings, match):

@@ -16,9 +16,7 @@ from snndfe.equalizer import (
     encode_window,
     equalize_stream,
     forward,
-    input_size,
     load_model,
-    mac_count,
     one_hot_windows,
     save_model,
     teacher_forced_windows,
@@ -85,25 +83,30 @@ def sequential_equalize(y, model, mode="feedback", true_classes=None, fill_class
 
 
 class TestSizing:
+    @staticmethod
+    def macs(n_tap, hidden, steps):
+        return TopologyConfig(n_tap=n_tap, hidden=hidden, steps=steps).macs_per_symbol()
+
     def test_input_size_paper_values(self):
-        assert input_size(41) == 248
-        assert input_size(17) == 104
-        assert input_size(1) == 8
+        assert TopologyConfig(n_tap=41).n_input == 248
+        assert TopologyConfig(n_tap=17).n_input == 104
+        assert TopologyConfig(n_tap=1).n_input == 8
 
     def test_even_tap_count_rejected(self):
-        with pytest.raises(ValueError):
-            input_size(16)
+        with pytest.raises(ValueError, match="n_tap must be odd, got 16"):
+            TopologyConfig(n_tap=16)
 
     def test_mac_count_paper_values(self):
-        assert mac_count(80, 248, 10) == 329600
-        assert mac_count(72, 104, 5) == 90720
-        assert mac_count(56, 104, 5) == 61600
+        # the paper's operating points: (hidden 80, 41 taps, T 10), (72, 17, 5), (56, 17, 5)
+        assert self.macs(41, 80, 10) == 329600
+        assert self.macs(17, 72, 5) == 90720
+        assert self.macs(17, 56, 5) == 61600
 
     def test_mac_count_monotone(self):
-        base = mac_count(24, 104, 5)
-        assert mac_count(25, 104, 5) > base
-        assert mac_count(24, input_size(19), 5) > base
-        assert mac_count(24, 104, 6) > base
+        base = self.macs(17, 24, 5)
+        assert self.macs(17, 25, 5) > base
+        assert self.macs(19, 24, 5) > base
+        assert self.macs(17, 24, 6) > base
 
     @pytest.mark.parametrize("field, value", [("n_tap", 5.0), ("hidden", 8.0), ("steps", 2.0),
                                               ("n_tap", True), ("hidden", "8"),

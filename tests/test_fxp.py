@@ -14,7 +14,9 @@ from snndfe.equalizer import (
     EqualizerModel,
     TopologyConfig,
     equalize_stream,
+    load_model,
     one_hot_windows,
+    save_model,
 )
 from snndfe.fxp import (
     ConversionError,
@@ -753,6 +755,16 @@ class TestFxpStreamAndSerialization:
             np.testing.assert_array_equal(loaded.ints[name], fm.ints[name])
         windows = random_windows(model, 10, seed=16)
         np.testing.assert_array_equal(fxp_forward(windows, loaded), fxp_forward(windows, fm))
+
+    def test_numpy_integer_bit_widths_survive_their_files(self, tmp_path):
+        # the widths are stored as plain ints, so both JSON headers can hold them
+        model = make_float_model(seed=15)
+        model.qat = QatConfig(np.int64(8), np.int64(8))
+        fm = convert(model, FxpFormats(*map(np.int64, (8, 8, 32))))
+        save_model(tmp_path / "model.npz", model)
+        assert load_model(tmp_path / "model.npz").qat == QatConfig(8, 8)
+        save_fxp_model(tmp_path / "model_fxp.npz", fm)
+        assert load_fxp_model(tmp_path / "model_fxp.npz").formats == FxpFormats(8, 8, 32)
 
     def test_loads_version_1_file(self, tmp_path):
         # a container written key by key as version 1 defines it

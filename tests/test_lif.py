@@ -63,15 +63,6 @@ def test_decay_arithmetic():
     assert spikes[0] == 0.0
 
 
-def test_leak_potential_is_the_rest_point():
-    # with no current the voltage decays toward v_leak, not toward zero
-    params = LifParams(alpha_v=0.5, v_leak=0.5)
-    v, _, spikes = step([0.0], [0.0], [0.0], params)
-    assert v[0] == 0.25 and spikes[0] == 0.0
-    v, _, _ = step([0.5], [0.0], [0.0], params)
-    assert v[0] == 0.5
-
-
 def test_threshold_tie_spikes():
     params = LifParams(alpha_v=0.5, v_th=1.0)
     v, _, spikes = step([0.0], [0.0], [2.0], params)  # v_pre = exactly 1.0

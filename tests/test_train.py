@@ -200,14 +200,12 @@ class TestSurrogate:
 ORACLE_CASES = {
     "hard": (False, None, LifParams(), 4),
     "smooth": (True, None, LifParams(), 4),
-    "v_leak": (False, None, LifParams(v_leak=0.3), 4),
-    "smooth_v_leak": (True, None, LifParams(v_leak=0.3), 4),
     "qat88": (False, QatConfig(8, 8), LifParams.shift_friendly(), 4),
     "qat66": (False, QatConfig(6, 6), LifParams.shift_friendly(), 4),
     "qat66_smooth": (True, QatConfig(6, 6), LifParams.shift_friendly(), 4),
-    # a leak potential below the state grid saturates the voltage too
+    # a reset voltage below the state grid saturates the voltage too
     "qat66_v_saturates": (False, QatConfig(6, 6),
-                          LifParams(alpha_v=0.5, alpha_i=0.25, v_leak=-6.0), 4),
+                          LifParams(alpha_v=0.5, alpha_i=0.25, v_r=-6.0), 4),
     "steps1": (False, None, LifParams(), 1),
     "steps1_qat": (False, QatConfig(8, 8), LifParams.shift_friendly(), 1),
 }
@@ -269,7 +267,7 @@ def test_training_step_writes_no_input(case):
 @pytest.mark.parametrize("smooth", [False, True])
 def test_lif_step_into_its_own_state_equals_the_reference(smooth):
     rng = np.random.default_rng(19)
-    params = LifParams(alpha_v=0.3, alpha_i=0.4, v_leak=0.2, v_r=-0.1)
+    params = LifParams(alpha_v=0.3, alpha_i=0.4, v_r=-0.1)
     v, i, drive = (rng.standard_normal((5, 7)) for _ in range(3))
     v[0, 0] = -0.0
     expected = reference_lif_step(v, i, drive, params, smooth=smooth)
@@ -317,10 +315,6 @@ class TestGradients:
     def test_bptt_matches_finite_differences_on_smooth_twin(self):
         # finite-difference oracle on the sigmoid twin (4 neurons, T=3, N_I=8)
         self.check_finite_differences(LifParams())
-
-    def test_bptt_matches_finite_differences_with_leak_potential(self):
-        # v_leak shifts the forward but not dv_pre/dv = 1 - alpha_v
-        self.check_finite_differences(LifParams(v_leak=0.3))
 
     def check_finite_differences(self, lif):
         model = tiny_model(n_tap=1, hidden=4, steps=3, seed=4, scale=2.5, lif=lif)
@@ -405,8 +399,8 @@ class TestGradients:
 
     def test_batched_forward_matches_reference(self):
         # the trainer's loss is that of the logits inference computes window by
-        # window, with and without QAT and with a nonzero leak potential
-        cases = [(None, LifParams()), (None, LifParams(v_leak=0.3)),
+        # window, with and without QAT and with non-default LIF constants
+        cases = [(None, LifParams()), (None, LifParams(alpha_v=0.3, alpha_i=0.4, v_r=-0.1)),
                  (QatConfig(weight_bits=8, state_bits=8), LifParams.shift_friendly())]
         for qat, lif in cases:
             cfg = TopologyConfig(n_tap=5, hidden=10, steps=4)
