@@ -184,7 +184,9 @@ def search(space: DseSpace, channel_cfg: ChannelConfig, strategy: str, budget: i
     the file is opened once, in append mode, and each new record is written
     and flushed as its trial finishes, so a resume (or a trial runner reading
     the file) sees every finished trial and a crash loses only the running one.
+    ValueError unless seed is an integer >= 0 and budget one in [1, space size].
     """
+    seed = check_int("seed", seed, 0)
     configs = space.enumerate()
     budget = check_int("budget", budget, 1, len(configs))
     if strategy == "grid":

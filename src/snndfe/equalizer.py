@@ -265,7 +265,7 @@ class Workspace:
 
 def forward(windows, weights: dict, config: TopologyConfig, lif: LifParams,
             qat: QatConfig | None = None, keep: bool = False,
-            smooth: bool = False, workspace: Workspace | None = None):
+            workspace: Workspace | None = None):
     """The T-step forward pass over a batch of encoded windows (B, n_input).
 
     Step 1 drives fc0 with the windows, later steps with zeros, so that fc0
@@ -276,9 +276,8 @@ def forward(windows, weights: dict, config: TopologyConfig, lif: LifParams,
     the backward pass reads, else None: the fc0 output "a0" and per-step lists
     of spikes "s" and pre-reset voltages "v_pre", and under QAT the bool
     straight-through masks of the drive, current and voltage ("h", "i", "v").
-    `smooth` runs the sigmoid twin of the spike (see lif_step). All of
-    it runs in place on arrays from `workspace` (else fresh ones), never on
-    the windows or weights.
+    All of it runs in place on arrays from `workspace` (else fresh ones),
+    never on the windows or weights.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 2 or windows.shape[1] != config.n_input:
@@ -298,7 +297,7 @@ def forward(windows, weights: dict, config: TopologyConfig, lif: LifParams,
         def quantize(x, name):  # x is forward's own array: rounded in place
             if tape is None:
                 return fake_quantize(x, grid.total_bits, grid.scale, out=x)
-            q, mask, _ = fake_quantize_with_mask(x, grid.total_bits, grid.scale, out=x)
+            q, mask = fake_quantize_with_mask(x, grid.total_bits, grid.scale, out=x)
             tape[name].append(mask)
             return q
 
@@ -315,7 +314,7 @@ def forward(windows, weights: dict, config: TopologyConfig, lif: LifParams,
             h = quantize(h, "h")
         k = t if keep else 0  # without a tape, each step overwrites the last one's
         out = (v, i, new(("s", k), shape), new(("v_pre", k), shape))
-        v, i, s, v_pre = lif_step(v, i, h, lif, quantize, smooth, out=out)
+        v, i, s, v_pre = lif_step(v, i, h, lif, quantize, out=out)
         logits += s @ w3.T + b3
         if tape is not None:
             tape["s"].append(s)

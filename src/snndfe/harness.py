@@ -22,6 +22,9 @@ class ConfigError(ValueError):
 
 
 def derive_seed(master_seed: int, label: str) -> int:
+    """64-bit seed of one named site; ValueError unless master_seed is an
+    integer >= 0 (channel.check_int): np.int64(3) derives what 3 does."""
+    master_seed = check_int("seed", master_seed, 0)
     digest = hashlib.sha256(f"{master_seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
 
@@ -108,12 +111,14 @@ def evaluate_baseline_ber(channel_cfg: ChannelConfig, m: int, snrs_db,
     of the nearest mean. It uses the same derived eval streams as
     evaluate_ber, so comparisons are paired, and skips the first `warmup`
     symbols (default 0): callers pass warmup=model.config.history to count
-    the bits evaluate_ber counts. m must be channel.BITS_PER_SYMBOL and
-    warmup an integer in [0, symbols_per_snr), or ConfigError is raised.
+    the bits evaluate_ber counts. m must be channel.BITS_PER_SYMBOL,
+    symbols_per_snr an integer >= 1 and warmup one in [0, symbols_per_snr),
+    or ConfigError is raised.
     """
     if m != BITS_PER_SYMBOL:
         raise ConfigError(f"bits_per_symbol={m}, but the link is PAM-4 "
                           f"(channel.BITS_PER_SYMBOL = {BITS_PER_SYMBOL})")
+    check_int("symbols_per_snr", symbols_per_snr, 1, error=ConfigError)
     check_int("warmup", warmup, 0, symbols_per_snr - 1, error=ConfigError)
     points = []
     for snr_db in snrs_db:

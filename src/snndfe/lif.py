@@ -6,7 +6,9 @@ spike fires when the voltage reaches threshold, and the voltage is hard-reset
 afterwards. Decay factors are expressed directly as per-step rates, so 0.125
 and 0.25 correspond to the shift-friendly hardware constants. `lif_step` is
 the one float definition of this update; the equalizer's forward pass, and so
-training and inference, run it.
+training and inference, run it. Its sigmoid twin, on which training's
+backward is checked against finite differences, lives with the allocating
+test oracle in tests/test_train.py.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# Slope of training's fast-sigmoid surrogate and of the spike's sigmoid twin.
-SURROGATE_SLOPE = 100.0
 
 
 @dataclass(frozen=True)
@@ -51,22 +50,8 @@ class LifParams:
         return cls(alpha_v=0.125, alpha_i=0.25)
 
 
-def smooth_spike(u, slope: float = SURROGATE_SLOPE):
-    """Sigmoid twin of the spike function and its exact derivative.
-
-    s(u) = (1 + slope*u/(1+slope*|u|))/2 ranges over (0, 1), and
-    s'(u) = slope/2 * surrogate_grad(u), so the smooth forward/backward pair
-    is finite-difference-consistent.
-    """
-    u = np.asarray(u, dtype=float)
-    denom = 1.0 + slope * np.abs(u)
-    value = 0.5 * (1.0 + slope * u / denom)
-    deriv = 0.5 * slope / denom ** 2
-    return value, deriv
-
-
 def lif_step(v: np.ndarray, i: np.ndarray, drive: np.ndarray, params: LifParams,
-             quantize=None, smooth: bool = False, *, out):
+             quantize=None, *, out):
     """Advance one step given the already-summed synaptic drive.
 
     Returns (v, i, spikes, v_pre) for arrays of any one shape. Update order:
@@ -74,10 +59,8 @@ def lif_step(v: np.ndarray, i: np.ndarray, drive: np.ndarray, params: LifParams,
     integrates the new current, threshold compare (ties spike), hard reset to
     v_r. `quantize(x, name)`, when given, rounds the new current ("i") and the
     reset voltage ("v") onto the state grid (QAT), and may do so in place.
-    `smooth` swaps the Heaviside for its sigmoid twin (smooth_spike) and the
-    reset for the differentiable v_pre - s*(v_pre - v_r), for finite-difference
-    checks of training. Each result is built in place on the matching array of
-    `out` = (v, i, spikes, v_pre), whose v and i may be the state itself.
+    Each result is built in place on the matching array of `out` =
+    (v, i, spikes, v_pre), whose v and i may be the state itself.
     """
     if np.shape(drive) != np.shape(v):
         raise ValueError(f"drive shape {np.shape(drive)} != state shape {np.shape(v)}")
@@ -90,16 +73,10 @@ def lif_step(v: np.ndarray, i: np.ndarray, drive: np.ndarray, params: LifParams,
     v_pre *= params.alpha_v
     v_pre += v
     spikes, v = s_out, v_out
-    if not smooth:
-        fired = v_pre >= params.v_th
-        np.copyto(spikes, fired)  # 1.0 where fired, else 0.0
-        np.copyto(v, v_pre)
-        np.putmask(v, fired, params.v_r)
-    else:
-        np.copyto(spikes, smooth_spike(v_pre - params.v_th)[0])
-        np.subtract(v_pre, params.v_r, out=v)  # v_pre - s * (v_pre - v_r)
-        v *= spikes
-        np.subtract(v_pre, v, out=v)
+    fired = v_pre >= params.v_th
+    np.copyto(spikes, fired)  # 1.0 where fired, else 0.0
+    np.copyto(v, v_pre)
+    np.putmask(v, fired, params.v_r)
     if quantize is not None:
         v = quantize(v, "v")
     return v, i, spikes, v_pre

@@ -74,8 +74,8 @@ def pow2_scale(max_abs: float, bits: int) -> float:
 
 
 def _quantize(x, bits: int, scale: float | None, out, masked: bool):
-    """The core of fake_quantize and fake_quantize_with_mask: (q, mask or None,
-    scale), the mask taken between the rounding and the clamps."""
+    """The core of fake_quantize and fake_quantize_with_mask: (q, mask or None),
+    the mask taken between the rounding and the clamps."""
     x = np.asarray(x, dtype=float)
     if scale is None:
         scale = pow2_scale(float(np.max(np.abs(x))) if x.size else 0.0, bits)
@@ -93,7 +93,7 @@ def _quantize(x, bits: int, scale: float | None, out, masked: bool):
     np.maximum(q, lo, out=q)
     np.minimum(q, hi, out=q)
     q *= scale
-    return q, mask, scale
+    return q, mask
 
 
 def fake_quantize(x: np.ndarray, bits: int, scale: float | None = None,
@@ -113,6 +113,6 @@ def fake_quantize(x: np.ndarray, bits: int, scale: float | None = None,
 
 
 def fake_quantize_with_mask(x: np.ndarray, bits: int, scale: float | None = None, out=None):
-    """fake_quantize plus its straight-through mask: (q, mask, scale), the mask
-    a bool array, True where rint(value/step) lies inside the clamp range."""
+    """fake_quantize plus its straight-through mask: (q, mask), the mask a bool
+    array, True where rint(value/step) lies inside the clamp range."""
     return _quantize(x, bits, scale, out, True)

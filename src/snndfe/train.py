@@ -2,13 +2,14 @@
 
 The T-step recurrence is unrolled by hand and differentiated with the fast
 sigmoid surrogate standing in for the Heaviside derivative; the hard reset is
-a stop-gradient branch. A smooth twin mode replaces the Heaviside by the
-matching sigmoid in both passes so the whole backward chain can be checked
-against central finite differences. Quantization-aware training fake-quantizes
-weights, biases, the per-step drive and the LIF state with straight-through
-gradients. The backward is the adjoint of equalizer.forward as written: like
-the forward, which computes the fc1 drive of the steps t >= 1 once, it sums
-their drive gradient over steps and applies it to fc1 and b_fc0 once.
+a stop-gradient branch. Quantization-aware training fake-quantizes weights,
+biases, the per-step drive and the LIF state with straight-through gradients.
+The backward is the adjoint of equalizer.forward as written: like the
+forward, which computes the fc1 drive of the steps t >= 1 once, it sums their
+drive gradient over steps and applies it to fc1 and b_fc0 once. It is checked
+against central finite differences in tests/test_train.py, on the allocating
+oracle's sigmoid twin of the spike, and equals that oracle byte for byte on
+the Heaviside.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 from .channel import BITS_PER_SYMBOL, ChannelConfig, bits_to_classes, check_int, simulate_link
 from .equalizer import (EncoderConfig, EqualizerModel, TopologyConfig, Workspace,
                         forward, teacher_forced_windows)
-from .lif import SURROGATE_SLOPE, LifParams, smooth_spike
+from .harness import derive_rng
+from .lif import LifParams
 from .quant import QatConfig, fake_quantize_with_mask
 
 
@@ -31,6 +33,8 @@ class TrainingDiverged(RuntimeError):
 
 # The SNR of every training frame and of the encoder's calibration frame.
 TRAIN_SNR_DB = 17.0
+# Slope of the fast-sigmoid surrogate that stands in for the spike's derivative.
+SURROGATE_SLOPE = 100.0
 
 
 @dataclass(frozen=True)
@@ -38,8 +42,8 @@ class TrainConfig:
     """Optimization settings. The defaults are the desk scale a dse.TrialScale
     trial runs: one epoch of 120 batches of 500 windows. train builds the
     model with `qat`; the training SNR (TRAIN_SNR_DB) and the surrogate slope
-    (lif.SURROGATE_SLOPE) are constants, not settings. ValueError unless the
-    counts are integers >= 1 (plain ints) and learning_rate finite and >= 0."""
+    (SURROGATE_SLOPE) are constants, not settings. ValueError unless the counts
+    are integers >= 1, the seed one >= 0 (plain ints), learning_rate finite >= 0."""
 
     learning_rate: float = 1e-3
     epochs: int = 1
@@ -51,8 +55,8 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        for name in ("epochs", "batches_per_epoch", "batch_size"):
-            object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
+        for name, lo in (("epochs", 1), ("batches_per_epoch", 1), ("batch_size", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), lo))
 
 
 # Adam's standard constants: moment decay rates and the denominator guard
@@ -75,12 +79,12 @@ class AdamState:
         )
 
 
-def surrogate_grad(u, slope: float = SURROGATE_SLOPE, out=None):
-    """Fast-sigmoid surrogate for the Heaviside derivative: 1/(1+slope*|u|)^2,
+def surrogate_grad(u, out=None):
+    """Fast-sigmoid surrogate of the Heaviside derivative, 1/(1+SURROGATE_SLOPE*|u|)^2,
     built in place on one array: `out` (which may be u itself) when given."""
     u = np.asarray(u, dtype=float)
     g = np.abs(u, out=np.empty_like(u) if out is None else out)
-    g *= slope
+    g *= SURROGATE_SLOPE
     g += 1.0
     g *= g
     np.reciprocal(g, out=g)
@@ -101,15 +105,12 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
 
 
 def loss_and_grads(windows: np.ndarray, labels: np.ndarray, model: EqualizerModel,
-                   smooth: bool = False, workspace: Workspace | None = None):
+                   workspace: Workspace | None = None):
     """Mean cross-entropy over a teacher-forced batch and its gradients, under
-    the model's own QAT config (`model.qat`) and SURROGATE_SLOPE.
-
-    The default is the production path: Heaviside forward, surrogate
-    backward, stop-gradient through the reset. `smooth` swaps in the sigmoid
-    twin in both passes (full reset gradient) for finite-difference checks.
-    The forward pass is equalizer.forward, the one inference runs; the
-    backward runs in place on arrays from `workspace` too (see forward).
+    the model's own QAT config (`model.qat`): Heaviside forward, surrogate
+    backward (surrogate_grad), stop-gradient through the reset. The forward
+    pass is equalizer.forward, the one inference runs; the backward runs in
+    place on arrays from `workspace` too (see forward).
     """
     labels = np.asarray(labels, dtype=np.int64)
     n_classes = model.config.n_classes
@@ -125,10 +126,9 @@ def loss_and_grads(windows: np.ndarray, labels: np.ndarray, model: EqualizerMode
     eff, wmasks = model.parameters(), {}
     if qat is not None:
         for key, p in model.parameters().items():
-            eff[key], wmasks[key], _ = fake_quantize_with_mask(p, qat.weight_bits)
+            eff[key], wmasks[key] = fake_quantize_with_mask(p, qat.weight_bits)
     w1, w2, w3 = eff["w_fc1"], eff["w_fc2"], eff["w_fc3"]
-    z, tape = forward(windows, eff, model.config, lif, qat, keep=True, smooth=smooth,
-                      workspace=new)
+    z, tape = forward(windows, eff, model.config, lif, qat, keep=True, workspace=new)
     S, VP, a0 = tape["s"], tape["v_pre"], tape["a0"]
 
     z_shift = z - z.max(axis=1, keepdims=True)
@@ -165,13 +165,7 @@ def loss_and_grads(windows: np.ndarray, labels: np.ndarray, model: EqualizerMode
         if qat is not None:
             gv *= tape["v"][t]
         u = np.subtract(VP[t], lif.v_th, out=scratch)
-        if smooth:
-            _, fprime = smooth_spike(u)
-            reset = np.subtract(lif.v_r, VP[t])  # the reset branch differentiated
-            reset *= gv
-            ds += reset
-        else:
-            fprime = surrogate_grad(u, out=u)
+        fprime = surrogate_grad(u, out=u)
         gvp = ds  # ds * fprime + gv * (1 - s_t)
         gvp *= fprime
         leak = np.subtract(1.0, S[t], out=scratch)
@@ -233,8 +227,6 @@ def train(channel_cfg: ChannelConfig, topology_cfg: TopologyConfig,
     seed and BLAS thread count. Raises TrainingDiverged if the loss stops
     being finite.
     """
-    from .harness import derive_rng  # local import: harness owns the seeding policy
-
     lif = default_lif(train_cfg.qat) if lif is None else lif
     encoder = calibrate_encoder(channel_cfg, TRAIN_SNR_DB,
                                 derive_rng(train_cfg.seed, "calibration"))

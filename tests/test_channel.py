@@ -26,7 +26,8 @@ from snndfe.channel import (
 from snndfe.dse import DseSpace, TrialScale, search
 from snndfe.equalizer import TopologyConfig
 from snndfe.fxp import FxpFormats
-from snndfe.harness import ConfigError, check_eval_symbols, count_bit_errors, evaluate_baseline_ber
+from snndfe.harness import (ConfigError, check_eval_symbols, count_bit_errors, derive_seed,
+                            evaluate_baseline_ber)
 from snndfe.lif import LifParams
 from snndfe.quant import QatConfig
 from snndfe.train import TrainConfig
@@ -400,12 +401,30 @@ REFUSALS = {
     "baseline_warmup_float": (lambda: evaluate_baseline_ber(ChannelConfig(), 2, (17.0,), 100,
                                                             seed=1, warmup=2.5),
                               "warmup must be an integer"),
+    "baseline_symbols_float": (lambda: evaluate_baseline_ber(ChannelConfig(), 2, (17.0,), 50.5,
+                                                             seed=1),
+                               "symbols_per_snr must be an integer"),
+    "baseline_symbols_0": (lambda: evaluate_baseline_ber(ChannelConfig(), 2, (17.0,), 0, seed=1),
+                           "symbols_per_snr must be >= 1, got 0"),
+    # a float or bool master seed derived other streams than the equal int
+    "derive_seed_float": (lambda: derive_seed(3.0, "init"), "seed must be an integer, got 3.0"),
+    "derive_seed_bool": (lambda: derive_seed(True, "init"), "seed must be an integer, got True"),
+    "derive_seed_negative": (lambda: derive_seed(-1, "init"), "seed must be >= 0, got -1"),
+    "train_seed_float": (lambda: TrainConfig(seed=3.0), "seed must be an integer, got 3.0"),
+    "train_seed_bool": (lambda: TrainConfig(seed=True), "seed must be an integer, got True"),
+    "train_seed_negative": (lambda: TrainConfig(seed=-1), "seed must be >= 0, got -1"),
+    "search_seed_float": (lambda: search(TINY_SPACE, ChannelConfig(), "grid", 1, 3.0, os.devnull),
+                          "seed must be an integer, got 3.0"),
+    "search_seed_bool": (lambda: search(TINY_SPACE, ChannelConfig(), "grid", 1, True, os.devnull),
+                         "seed must be an integer, got True"),
+    "search_seed_negative": (lambda: search(TINY_SPACE, ChannelConfig(), "grid", 1, -1,
+                                            os.devnull), "seed must be >= 0, got -1"),
 }
 
 
 @pytest.mark.parametrize("case", REFUSALS)
 def test_refused_where_it_is_set(case):
     call, match = REFUSALS[case]
-    error = ConfigError if case in ("eval_symbols_float", "baseline_warmup_float") else ValueError
+    error = ConfigError if case.startswith(("eval_", "baseline_")) else ValueError
     with pytest.raises(error, match=match):
         call()

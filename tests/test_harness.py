@@ -3,13 +3,23 @@ import pytest
 
 from snndfe.channel import ChannelConfig
 from snndfe.equalizer import EncoderConfig, EqualizerModel, TopologyConfig
-from snndfe.harness import ConfigError, evaluate_baseline_ber, evaluate_ber
+from snndfe.harness import (ConfigError, derive_rng, derive_seed, evaluate_baseline_ber,
+                            evaluate_ber)
 from snndfe.lif import LifParams
+from snndfe.train import TrainConfig
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_evaluate_baseline_ber_rejects_non_pam4(m):
     with pytest.raises(ConfigError, match=rf"bits_per_symbol={m}.*channel\.BITS_PER_SYMBOL = 2"):
         evaluate_baseline_ber(ChannelConfig(), m, (17.0,), 50, seed=1)
+
+
+def test_a_numpy_integer_seed_derives_the_streams_of_the_int():
+    assert derive_seed(np.int64(3), "init") == derive_seed(3, "init")
+    assert TrainConfig(seed=np.int64(3)) == TrainConfig(seed=3)
+    assert type(TrainConfig(seed=np.int64(3)).seed) is int
+    assert (derive_rng(np.uint8(3), "batch:0").integers(0, 2 ** 62, 4).tolist()
+            == derive_rng(3, "batch:0").integers(0, 2 ** 62, 4).tolist())
 
 
 @pytest.mark.parametrize("warmup", [-5, 100, 200])

@@ -8,16 +8,17 @@ from hypothesis import strategies as st
 
 from snndfe.channel import ChannelConfig
 from snndfe.equalizer import EncoderConfig, EqualizerModel, TopologyConfig, Workspace, forward
-from snndfe.lif import SURROGATE_SLOPE, LifParams, lif_step
+from snndfe.harness import derive_rng
+from snndfe.lif import LifParams, lif_step
 from snndfe.quant import (QatConfig, fake_quantize, fake_quantize_with_mask, pow2_scale,
                           state_format)
 from snndfe.train import (
+    SURROGATE_SLOPE,
     AdamState,
     TrainConfig,
     TrainingDiverged,
     adam_step,
     loss_and_grads,
-    smooth_spike,
     surrogate_grad,
     teacher_forced_windows,
     train,
@@ -48,7 +49,9 @@ def random_batch(model, n, seed=1):
 
 # The training step as first written, one fresh array per operation: the
 # oracle the in-place forward, LIF step, quantizer and backward must equal
-# byte for byte.
+# byte for byte. Its `smooth` mode swaps the Heaviside for its sigmoid twin in
+# both passes (with the full reset gradient), so that the backward can be
+# checked against central finite differences.
 def reference_fake_quantize_with_mask(x, bits, scale=None):
     x = np.asarray(x, dtype=float)
     if scale is None:
@@ -56,7 +59,21 @@ def reference_fake_quantize_with_mask(x, bits, scale=None):
     ints = np.rint(x / scale)
     lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
     mask = ((ints >= lo) & (ints <= hi)).astype(float)
-    return np.clip(ints, lo, hi) * scale, mask, scale
+    return np.clip(ints, lo, hi) * scale, mask
+
+
+def smooth_spike(u):
+    """Sigmoid twin of the spike function and its exact derivative.
+
+    s(u) = (1 + k*u/(1+k*|u|))/2 ranges over (0, 1), and
+    s'(u) = k/2 * surrogate_grad(u) for k = SURROGATE_SLOPE, so the smooth
+    forward/backward pair is finite-difference-consistent.
+    """
+    u = np.asarray(u, dtype=float)
+    denom = 1.0 + SURROGATE_SLOPE * np.abs(u)
+    value = 0.5 * (1.0 + SURROGATE_SLOPE * u / denom)
+    deriv = 0.5 * SURROGATE_SLOPE / denom ** 2
+    return value, deriv
 
 
 def reference_lif_step(v, i, drive, params, quantize=None, smooth=False):
@@ -65,7 +82,7 @@ def reference_lif_step(v, i, drive, params, quantize=None, smooth=False):
         i = quantize(i, "i")
     v_pre = v + params.alpha_v * ((params.v_leak - v) + i)
     if smooth:
-        spikes, _ = smooth_spike(v_pre - params.v_th, SURROGATE_SLOPE)
+        spikes, _ = smooth_spike(v_pre - params.v_th)
         v = v_pre - spikes * (v_pre - params.v_r)
     else:
         fired = v_pre >= params.v_th
@@ -87,7 +104,7 @@ def reference_forward(windows, weights, config, lif, qat=None, smooth=False):
         grid = state_format(qat.state_bits)
 
         def quantize(x, name):
-            q, mask, _ = reference_fake_quantize_with_mask(x, grid.total_bits, grid.scale)
+            q, mask = reference_fake_quantize_with_mask(x, grid.total_bits, grid.scale)
             tape[name].append(mask)
             return q
 
@@ -114,7 +131,7 @@ def reference_loss_and_grads(windows, labels, model, smooth=False):
     else:
         eff, wmasks = {}, {}
         for key, p in model.parameters().items():
-            eff[key], wmasks[key], _ = reference_fake_quantize_with_mask(p, qat.weight_bits)
+            eff[key], wmasks[key] = reference_fake_quantize_with_mask(p, qat.weight_bits)
     w1, w2, w3 = eff["w_fc1"], eff["w_fc2"], eff["w_fc3"]
     z, tape = reference_forward(windows, eff, model.config, lif, qat, smooth)
     S, VP, a0 = tape["s"], tape["v_pre"], tape["a0"]
@@ -137,7 +154,7 @@ def reference_loss_and_grads(windows, labels, model, smooth=False):
         gv = carry_v if qat is None else carry_v * tape["v"][t]
         u = VP[t] - lif.v_th
         if smooth:
-            _, fprime = smooth_spike(u, slope)
+            _, fprime = smooth_spike(u)
             ds = ds + gv * (lif.v_r - VP[t])
         else:
             fprime = 1.0 / (1.0 + slope * np.abs(u)) ** 2
@@ -169,7 +186,7 @@ class TestSurrogate:
 
     def test_monotone_decay_to_zero(self):
         u = np.linspace(0, 50, 200)
-        vals = surrogate_grad(u, 100.0)
+        vals = surrogate_grad(u)
         assert np.all(np.diff(vals) < 0)
         assert vals[-1] < 1e-6
 
@@ -178,9 +195,10 @@ class TestSurrogate:
         np.testing.assert_array_equal(surrogate_grad(u), surrogate_grad(-u))
 
     def test_smooth_spike_derivative_is_scaled_surrogate(self):
+        # the oracle's sigmoid twin is differentiated by production's surrogate
         u = np.linspace(-2, 2, 101)
-        _, deriv = smooth_spike(u, 37.0)
-        np.testing.assert_allclose(deriv, 0.5 * 37.0 * surrogate_grad(u, 37.0))
+        _, deriv = smooth_spike(u)
+        np.testing.assert_allclose(deriv, 0.5 * SURROGATE_SLOPE * surrogate_grad(u))
 
     def test_bitwise_equals_formula_in_place_or_not(self):
         rng = np.random.default_rng(16)
@@ -191,23 +209,21 @@ class TestSurrogate:
         assert u.tobytes() == kept.tobytes()
         assert surrogate_grad(u, out=u) is u
         assert u.tobytes() == expected.tobytes()
-        scalar = surrogate_grad(-2.5, 7.0)
+        scalar = surrogate_grad(-2.5)
         assert isinstance(scalar, np.float64) and np.ndim(scalar) == 0
-        assert scalar == 1.0 / (1.0 + 7.0 * 2.5) ** 2
+        assert scalar == 1.0 / (1.0 + 100.0 * 2.5) ** 2
 
 
-# (smooth, qat, lif, steps) of each case
+# (qat, lif, steps) of each case
 ORACLE_CASES = {
-    "hard": (False, None, LifParams(), 4),
-    "smooth": (True, None, LifParams(), 4),
-    "qat88": (False, QatConfig(8, 8), LifParams.shift_friendly(), 4),
-    "qat66": (False, QatConfig(6, 6), LifParams.shift_friendly(), 4),
-    "qat66_smooth": (True, QatConfig(6, 6), LifParams.shift_friendly(), 4),
+    "hard": (None, LifParams(), 4),
+    "qat88": (QatConfig(8, 8), LifParams.shift_friendly(), 4),
+    "qat66": (QatConfig(6, 6), LifParams.shift_friendly(), 4),
     # a reset voltage below the state grid saturates the voltage too
-    "qat66_v_saturates": (False, QatConfig(6, 6),
-                          LifParams(alpha_v=0.5, alpha_i=0.25, v_r=-6.0), 4),
-    "steps1": (False, None, LifParams(), 1),
-    "steps1_qat": (False, QatConfig(8, 8), LifParams.shift_friendly(), 1),
+    "qat66_v_saturates": (QatConfig(6, 6), LifParams(alpha_v=0.5, alpha_i=0.25, v_r=-6.0), 4),
+    # a faster voltage lets units fire within the one step
+    "steps1": (None, LifParams(alpha_v=0.5), 1),
+    "steps1_qat": (QatConfig(8, 8), LifParams(alpha_v=0.5, alpha_i=0.25), 1),
 }
 
 
@@ -222,14 +238,14 @@ def oracle_setup(qat, lif, steps, seed=17):
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_loss_and_grads_bitwise_equal_the_allocating_reference(case):
-    smooth, qat, lif, steps = ORACLE_CASES[case]
+    qat, lif, steps = ORACLE_CASES[case]
     model, windows, labels = oracle_setup(qat, lif, steps)
-    ref_loss, ref_grads = reference_loss_and_grads(windows, labels, model, smooth)
+    ref_loss, ref_grads = reference_loss_and_grads(windows, labels, model)
     # fresh arrays; then one Workspace sized first by a smaller batch, then reused
     workspace = Workspace()
-    loss_and_grads(windows[:40], labels[:40], model, smooth, workspace)
+    loss_and_grads(windows[:40], labels[:40], model, workspace=workspace)
     for ws in (None, workspace, workspace):
-        loss, grads = loss_and_grads(windows, labels, model, smooth, ws)
+        loss, grads = loss_and_grads(windows, labels, model, workspace=ws)
         assert loss == ref_loss
         assert grads.keys() == ref_grads.keys()
         for name, g in grads.items():
@@ -237,18 +253,21 @@ def test_loss_and_grads_bitwise_equal_the_allocating_reference(case):
     # the inference forward (no tape) gives the same logits too
     eff = model.effective_weights()
     logits, _ = forward(windows, eff, model.config, lif, qat)
-    ref_logits, _ = reference_forward(windows, eff, model.config, lif, qat)
+    ref_logits, ref_tape = reference_forward(windows, eff, model.config, lif, qat)
     assert logits.tobytes() == ref_logits.tobytes()
+    # units fire at some (row, unit, step) positions and not at others, so the
+    # reset and leak terms of the backward both carry gradient
+    assert 0 < np.sum(ref_tape["s"]) < np.size(ref_tape["s"])
     if qat is not None:  # which straight-through masks this case exercises
         _, tape = forward(windows, eff, model.config, lif, qat, keep=True)
         clamped = {name for name in "hiv" if not all(np.all(m) for m in tape[name])}
         assert clamped == {"h", "i", "v"} if case == "qat66_v_saturates" else "h" in clamped
 
 
-@pytest.mark.parametrize("case", ["hard", "smooth", "qat88", "qat66_smooth"])
+@pytest.mark.parametrize("case", ["hard", "qat88", "qat66"])
 def test_training_step_writes_no_input(case):
     # forward and loss_and_grads work in place on arrays of their own only
-    smooth, qat, lif, steps = ORACLE_CASES[case]
+    qat, lif, steps = ORACLE_CASES[case]
     model, windows, labels = oracle_setup(qat, lif, steps)
     params = model.parameters()
     weights = model.effective_weights()
@@ -257,26 +276,24 @@ def test_training_step_writes_no_input(case):
     windows_before = windows.tobytes()
     for workspace in (None, Workspace()):
         for keep in (False, True):
-            forward(windows, weights, model.config, lif, qat, keep, smooth, workspace)
-        loss_and_grads(windows, labels, model, smooth, workspace)
+            forward(windows, weights, model.config, lif, qat, keep, workspace)
+        loss_and_grads(windows, labels, model, workspace)
     assert windows.tobytes() == windows_before
     assert {name: (id(w), w.tobytes()) for name, w in weights.items()} == weights_before
     assert {name: p.tobytes() for name, p in model.parameters().items()} == before
 
 
-@pytest.mark.parametrize("smooth", [False, True])
-def test_lif_step_into_its_own_state_equals_the_reference(smooth):
+def test_lif_step_into_its_own_state_equals_the_reference():
     rng = np.random.default_rng(19)
     params = LifParams(alpha_v=0.3, alpha_i=0.4, v_r=-0.1)
     v, i, drive = (rng.standard_normal((5, 7)) for _ in range(3))
     v[0, 0] = -0.0
-    expected = reference_lif_step(v, i, drive, params, smooth=smooth)
+    expected = reference_lif_step(v, i, drive, params)
     kept = [a.tobytes() for a in (v, i, drive)]
-    fresh = lif_step(v, i, drive, params, smooth=smooth,
-                     out=[np.empty_like(v) for _ in range(4)])
+    fresh = lif_step(v, i, drive, params, out=[np.empty_like(v) for _ in range(4)])
     assert [a.tobytes() for a in (v, i, drive)] == kept
     out = (v, i, np.empty_like(v), np.empty_like(v))
-    in_place = lif_step(v, i, drive, params, smooth=smooth, out=out)
+    in_place = lif_step(v, i, drive, params, out=out)
     assert all(got is want for got, want in zip(in_place, out))
     for ref, a, b in zip(expected, fresh, in_place):
         assert a.tobytes() == ref.tobytes() and b.tobytes() == ref.tobytes()
@@ -324,29 +341,25 @@ class TestGradients:
 
     def test_qat_recurrence_sees_the_masked_drive_gradient(self, monkeypatch):
         # With a clamp-only quantizer the straight-through gradient is exact,
-        # so QAT's backward must match finite differences too. Large recurrent
-        # weights saturate the drive at steps t >= 1 where the current is not
-        # saturated: the gradient fed back through fc2 must carry the drive's
-        # mask, as the fc2 gradient does.
-        import snndfe.equalizer as equalizer_mod
-        import snndfe.train as train_mod
-
-        def clamp_only(x, bits, scale=None, out=None):
+        # so the oracle's QAT backward must match finite differences too (and
+        # production's equals the oracle's). Large recurrent weights saturate
+        # the drive at steps t >= 1 where the current is not saturated: the
+        # gradient fed back through fc2 must carry the drive's mask, as the fc2
+        # gradient does.
+        def clamp_only(x, bits, scale=None):
             x = np.asarray(x, dtype=float)
             if scale is None:
                 scale = pow2_scale(float(np.max(np.abs(x))) if x.size else 0.0, bits)
             lo, hi = -(2 ** (bits - 1)) * scale, (2 ** (bits - 1) - 1) * scale
-            mask = (x >= lo) & (x <= hi)
-            return np.clip(x, lo, hi, out=out), mask, scale
+            return np.clip(x, lo, hi), (x >= lo) & (x <= hi)
 
-        monkeypatch.setattr(equalizer_mod, "fake_quantize_with_mask", clamp_only)
-        monkeypatch.setattr(train_mod, "fake_quantize_with_mask", clamp_only)
+        monkeypatch.setitem(globals(), "reference_fake_quantize_with_mask", clamp_only)
         model = tiny_model(n_tap=1, hidden=4, steps=3, seed=37, scale=8.0)
         model.w_fc2[:] *= 3.0
         model.b_fc1[:] += 0.5
         windows, labels = random_batch(model, 6, seed=5)
         qat = model.qat = QatConfig(weight_bits=8, state_bits=6)
-        _, tape = forward(windows, model.parameters(), model.config, model.lif, qat, keep=True)
+        _, tape = reference_forward(windows, model.parameters(), model.config, model.lif, qat)
         drive_only = sum(int(np.sum((tape["h"][t] == 0) & (tape["i"][t] == 1)))
                          for t in range(1, model.config.steps))
         assert drive_only >= 1
@@ -354,7 +367,8 @@ class TestGradients:
 
     @staticmethod
     def assert_grads_match_finite_differences(model, windows, labels):
-        _, grads = loss_and_grads(windows, labels, model, smooth=True)
+        # on the oracle's sigmoid twin, whose reset is differentiable too
+        _, grads = reference_loss_and_grads(windows, labels, model, smooth=True)
 
         eps = 1e-5
         for name in model.PARAM_NAMES:
@@ -365,9 +379,9 @@ class TestGradients:
             for idx in range(flat.size):
                 orig = flat[idx]
                 flat[idx] = orig + eps
-                lp, _ = loss_and_grads(windows, labels, model, smooth=True)
+                lp, _ = reference_loss_and_grads(windows, labels, model, smooth=True)
                 flat[idx] = orig - eps
-                lm, _ = loss_and_grads(windows, labels, model, smooth=True)
+                lm, _ = reference_loss_and_grads(windows, labels, model, smooth=True)
                 flat[idx] = orig
                 fd_flat[idx] = (lp - lm) / (2 * eps)
             err = np.linalg.norm(grads[name] - fd) / max(np.linalg.norm(fd), 1e-12)
@@ -511,11 +525,11 @@ def test_fake_quantize_bitwise_equals_reference(values, ties, exponent, bits):
         expected = np.minimum(np.maximum(ints, lo), hi) * scale
         expected_mask = (ints >= lo) & (ints <= hi)
         got = fake_quantize(x, bits, scale)
-        masked, mask, step = fake_quantize_with_mask(x, bits, scale)
+        masked, mask = fake_quantize_with_mask(x, bits, scale)
         in_place = x.copy()
-        in_place_q, in_place_mask, _ = fake_quantize_with_mask(in_place, bits, scale, out=in_place)
+        in_place_q, in_place_mask = fake_quantize_with_mask(in_place, bits, scale, out=in_place)
     assert got.tobytes() == expected.tobytes()
-    assert masked.tobytes() == expected.tobytes() and step == scale
+    assert masked.tobytes() == expected.tobytes()
     assert mask.dtype == bool and np.array_equal(mask, expected_mask)
     assert in_place_q is in_place and in_place.tobytes() == expected.tobytes()
     assert np.array_equal(in_place_mask, expected_mask)
@@ -533,7 +547,6 @@ class TestTrainLoop:
         topo = TopologyConfig(n_tap=5, hidden=6, steps=2)
         cfg = self.desk_cfg(learning_rate=0.0, batches_per_epoch=2)
         model, _ = train(DESK_CHANNEL, topo, cfg)
-        from snndfe.harness import derive_rng
         fresh = EqualizerModel.initialize(topo, LifParams(), model.encoder,
                                           derive_rng(cfg.seed, "init"))
         for name in model.PARAM_NAMES:
@@ -579,7 +592,7 @@ class TestTrainLoop:
     def test_divergence_aborts_with_diagnostic(self, monkeypatch):
         import snndfe.train as train_mod
 
-        def nan_loss(windows, labels, model, smooth=False, workspace=None):
+        def nan_loss(windows, labels, model, workspace=None):
             return float("nan"), {k: np.zeros_like(p) for k, p in model.parameters().items()}
 
         monkeypatch.setattr(train_mod, "loss_and_grads", nan_loss)
