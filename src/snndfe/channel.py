@@ -70,14 +70,14 @@ def _finite(x, stage: str) -> np.ndarray:
     return x
 
 
-def check_int(name: str, value, lo: int, hi: int | None = None, error=ValueError) -> int:
-    """value as a plain int; `error` naming the field unless it is an integer
+def check_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """value as a plain int; ValueError naming the field unless it is an integer
     (numpy's too, not bool) in [lo, hi], hi None for no upper bound."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < lo or (hi is not None and value > hi):
         bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise error(f"{name} must be {bounds}, got {value}")
+        raise ValueError(f"{name} must be {bounds}, got {value}")
     return int(value)
 
 

@@ -5,8 +5,8 @@ window drives the linear input layer (fc0) at the first step only, zeros
 afterwards; fc1 feeds the LIF block, fc2 carries its recurrence, and the fc3
 readout is accumulated over all steps before the argmax decision. Decided
 classes are fed back into the next windows (true DFE); teacher_forced_windows
-feeds back the ground-truth classes instead, for training and the genie
-diagnostic.
+feeds back given classes instead: the true ones for training and the genie
+receiver, a finished loop's own decisions for harness.evaluate_ber's clip count.
 
 The closed loop runs as a fixed-point iteration: batched passes over the
 undecided symbols, each keeping the decisions the per-symbol DFE makes (see
@@ -322,7 +322,7 @@ def forward(windows, weights: dict, config: TopologyConfig, lif: LifParams,
     return logits, tape
 
 
-def equalize_stream(y, model, stats: dict | None = None) -> np.ndarray:
+def equalize_stream(y, model) -> np.ndarray:
     """Decision-feedback equalize a symbol-rate stream; returns the decisions for
     symbols history..N-1.
 
@@ -351,9 +351,6 @@ def equalize_stream(y, model, stats: dict | None = None) -> np.ndarray:
     k = 1.1. On untrained chaotic models at 17 taps, hidden 72, T 5 (2,000
     symbols, one core) the loop then takes 0.6 to 0.7x the per-symbol loop's
     time, against up to 3.7x with every pass at the cap.
-
-    With `stats`, the final windows are decided once more, in one call, to
-    count the integer engine's clips exactly as deciding them one by one would.
     """
     cfg = model.config
     history, bins = cfg.history, model.encoder.bin_indices(y)
@@ -372,8 +369,6 @@ def equalize_stream(y, model, stats: dict | None = None) -> np.ndarray:
         kept = int(changed[0]) + 1 if changed.size else stop - start
         start += kept
         kept_mean += (kept - kept_mean) / 8
-    if stats is not None:
-        decide(windows(history, n), stats)
     return fed[history:].copy()
 
 

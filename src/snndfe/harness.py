@@ -13,12 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (BITS_PER_SYMBOL, N_CLASSES, ChannelConfig, bits_to_classes,
-                      check_int, classes_to_bits, simulate_link)
+                      check_int, check_pam4, classes_to_bits, simulate_link)
 from .equalizer import equalize_stream, teacher_forced_windows
-
-
-class ConfigError(ValueError):
-    """Invalid evaluation or training settings."""
 
 
 def derive_seed(master_seed: int, label: str) -> int:
@@ -58,11 +54,11 @@ def count_bit_errors(true_classes, decided_classes, m: int) -> int:
 
 
 def check_eval_symbols(symbols_per_snr: int, history: int) -> None:
-    """ConfigError unless symbols_per_snr is an integer >= history + 2."""
-    check_int("symbols_per_snr", symbols_per_snr, history + 2, error=ConfigError)
+    """ValueError unless symbols_per_snr is an integer >= history + 2."""
+    check_int("symbols_per_snr", symbols_per_snr, history + 2)
 
 
-def _eval_frame(channel_cfg: ChannelConfig, snr_db, symbols: int, seed: int):
+def _eval_frame(channel_cfg: ChannelConfig, snr_db: float, symbols: int, seed: int):
     """(classes, received stream) of the eval frame at one SNR, derived from
     (seed, snr_db) alone, so every receiver sees the same frame."""
     rng = derive_rng(seed, f"eval:snr={snr_db}")
@@ -71,32 +67,42 @@ def _eval_frame(channel_cfg: ChannelConfig, snr_db, symbols: int, seed: int):
     return bits_to_classes(bits, BITS_PER_SYMBOL), y
 
 
-def evaluate_ber(model, channel_cfg: ChannelConfig, snrs_db, symbols_per_snr: int,
-                 seed: int, mode: str = "feedback", stats: dict | None = None) -> BerCurve:
-    """BER curve over fresh per-SNR channel realizations, closed loop
-    (equalize_stream) in mode "feedback", teacher-forced windows decided in one
-    call in mode "genie"; `stats` goes to the decider.
-
-    The comparison window excludes the warm-up symbols (the model's history
-    length). Deterministic: every SNR point uses its own derived seed. An
-    unknown mode raises ConfigError.
-    """
-    if mode not in ("feedback", "genie"):
-        raise ConfigError(f"unknown mode {mode!r}")
-    cfg = model.config
-    history = cfg.history
-    check_eval_symbols(symbols_per_snr, history)
+def _ber_curve(receiver, channel_cfg: ChannelConfig, snrs_db, symbols: int, seed: int,
+               skip: int) -> BerCurve:
+    """Count one receiver on the eval frames: per SNR, receiver(snr_db, y)
+    decides symbols skip..N-1 of the frame, and the point holds their bit
+    errors. The SNR is a float first, so 17 and 17.0 derive one frame."""
     points = []
     for snr_db in snrs_db:
-        classes, y = _eval_frame(channel_cfg, snr_db, symbols_per_snr, seed)
-        if mode == "genie":
-            windows, _ = teacher_forced_windows(y, classes, model.encoder, cfg)
-            decided = model.make_decider()(windows, stats)
-        else:
-            decided = equalize_stream(y, model, stats=stats)
-        errors = count_bit_errors(classes[history:], decided, BITS_PER_SYMBOL)
-        points.append(BerPoint(snr_db, errors, BITS_PER_SYMBOL * (symbols_per_snr - history)))
+        snr_db = float(snr_db + 0.0)  # + 0.0 refuses a str (TypeError), as float() would not
+        classes, y = _eval_frame(channel_cfg, snr_db, symbols, seed)
+        errors = count_bit_errors(classes[skip:], receiver(snr_db, y), BITS_PER_SYMBOL)
+        points.append(BerPoint(snr_db, errors, BITS_PER_SYMBOL * (symbols - skip)))
     return BerCurve(points)
+
+
+def evaluate_ber(model, channel_cfg: ChannelConfig, snrs_db, symbols_per_snr: int,
+                 seed: int, stats: dict | None = None) -> BerCurve:
+    """BER curve of the model's closed loop (equalize_stream) over fresh
+    per-SNR channel realizations, counted after the warm-up (the model's
+    history length). Deterministic: every SNR point uses its own derived seed.
+    ValueError unless symbols_per_snr passes check_eval_symbols.
+
+    With `stats`, the loop's final windows (its own decisions fed back, the
+    warm-up as class 0) are decided once more, in one call, to count the
+    integer engine's clips exactly as deciding them one by one would.
+    """
+    cfg = model.config
+    check_eval_symbols(symbols_per_snr, cfg.history)
+
+    def closed_loop(snr_db, y):
+        decided = equalize_stream(y, model)
+        if stats is not None:
+            fed = np.concatenate([np.zeros(cfg.history, dtype=np.int64), decided])
+            model.make_decider()(teacher_forced_windows(y, fed, model.encoder, cfg)[0], stats)
+        return decided
+
+    return _ber_curve(closed_loop, channel_cfg, snrs_db, symbols_per_snr, seed, cfg.history)
 
 
 PILOT_SYMBOLS = 4096  # the frame the unequalized receiver fits its class means on
@@ -104,32 +110,26 @@ PILOT_SYMBOLS = 4096  # the frame the unequalized receiver fits its class means 
 
 def evaluate_baseline_ber(channel_cfg: ChannelConfig, m: int, snrs_db,
                           symbols_per_snr: int, seed: int, warmup: int = 0) -> BerCurve:
-    """BER of the unequalized hard-decision receiver on the same eval frames.
+    """BER of the unequalized hard-decision receiver on evaluate_ber's frames.
 
     Per SNR the receiver takes each class's mean over a PILOT_SYMBOLS pilot
     frame of its own derived stream, then decides every sample as the class
-    of the nearest mean. It uses the same derived eval streams as
-    evaluate_ber, so comparisons are paired, and skips the first `warmup`
-    symbols (default 0): callers pass warmup=model.config.history to count
-    the bits evaluate_ber counts. m must be channel.BITS_PER_SYMBOL,
-    symbols_per_snr an integer >= 1 and warmup one in [0, symbols_per_snr),
-    or ConfigError is raised.
+    of the nearest mean. Comparisons are paired; the first `warmup` symbols
+    (default 0) are skipped: callers pass warmup=model.config.history to
+    count the bits evaluate_ber counts. ValueError unless m passes
+    channel.check_pam4, symbols_per_snr is an integer >= 1 and warmup one in
+    [0, symbols_per_snr).
     """
-    if m != BITS_PER_SYMBOL:
-        raise ConfigError(f"bits_per_symbol={m}, but the link is PAM-4 "
-                          f"(channel.BITS_PER_SYMBOL = {BITS_PER_SYMBOL})")
-    check_int("symbols_per_snr", symbols_per_snr, 1, error=ConfigError)
-    check_int("warmup", warmup, 0, symbols_per_snr - 1, error=ConfigError)
-    points = []
-    for snr_db in snrs_db:
+    check_pam4(m)
+    check_int("symbols_per_snr", symbols_per_snr, 1)
+    check_int("warmup", warmup, 0, symbols_per_snr - 1)
+
+    def nearest_mean(snr_db, y):
         pilot_rng = derive_rng(seed, f"pilot:snr={snr_db}")
-        pilot_bits = pilot_rng.integers(0, 2, m * PILOT_SYMBOLS)
-        pilot_classes = bits_to_classes(pilot_bits, m)
+        pilot_bits = pilot_rng.integers(0, 2, BITS_PER_SYMBOL * PILOT_SYMBOLS)
+        pilot_classes = bits_to_classes(pilot_bits, BITS_PER_SYMBOL)
         _, pilot_y = simulate_link(pilot_bits, channel_cfg, snr_db, pilot_rng)
         means = np.array([np.mean(pilot_y[pilot_classes == c]) for c in range(N_CLASSES)])
+        return np.argmin(np.abs(y[warmup:, None] - means), axis=1)
 
-        classes, y = _eval_frame(channel_cfg, snr_db, symbols_per_snr, seed)
-        decided = np.argmin(np.abs(y[:, None] - means), axis=1)
-        errors = count_bit_errors(classes[warmup:], decided[warmup:], m)
-        points.append(BerPoint(snr_db, errors, m * (symbols_per_snr - warmup)))
-    return BerCurve(points)
+    return _ber_curve(nearest_mean, channel_cfg, snrs_db, symbols_per_snr, seed, warmup)

@@ -1,13 +1,11 @@
 import json
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from snndfe import harness
 from snndfe.channel import ChannelConfig, simulate_link
 from snndfe.equalizer import (
     EncoderConfig,
@@ -459,12 +457,13 @@ def closed_loop_model(engine, n_tap, hidden, steps, seed, scale):
        n_tap=st.sampled_from([1, 3, 5, 9]), hidden=st.integers(1, 12),
        steps=st.integers(1, 4), scale=st.floats(0.5, 8.0),
        extra=st.integers(0, 200), seed=st.integers(0, 2 ** 32 - 1))
-def test_equalize_stream_equals_sequential_loop(engine, mode, n_tap, hidden, steps, scale,
-                                                extra, seed):
-    # decisions and (integer engine) clip counts of the batched passes, and of
-    # evaluate_ber's teacher-forced genie path, equal the per-symbol loop's;
-    # streams past 64 decisions need several passes
-    assume(mode == "feedback" or extra > 0)  # evaluate_ber decides 2 symbols or more
+def test_equalize_stream_equals_sequential_loop(counted_decisions, engine, mode, n_tap, hidden,
+                                                steps, scale, extra, seed):
+    # decisions and (integer engine) clip counts of the batched passes as
+    # evaluate_ber counts them, and of the genie's teacher-forced windows in
+    # one decider call, equal the per-symbol loop's; streams past 64
+    # decisions need several passes
+    assume(mode == "genie" or extra > 0)  # evaluate_ber decides 2 symbols or more
     try:
         model = closed_loop_model(engine, n_tap, hidden, steps, seed % 1000, scale)
     except ConversionError:
@@ -474,9 +473,10 @@ def test_equalize_stream_equals_sequential_loop(engine, mode, n_tap, hidden, ste
     classes = rng.integers(0, model.config.n_classes, y.size)
     stats, expected_stats = {}, {}
     if mode == "feedback":
-        got = equalize_stream(y, model, stats=stats)
+        got = counted_decisions(y, model, stats)
     else:
-        got = genie_decisions(y, classes, model, stats)
+        windows, _ = teacher_forced_windows(y, classes, model.encoder, model.config)
+        got = model.make_decider()(windows, stats)
     expected = sequential_equalize(y, model, mode=mode, true_classes=classes,
                                    stats=expected_stats)
     np.testing.assert_array_equal(got, expected)
@@ -523,21 +523,6 @@ def test_decider_calls_leave_earlier_results_alone(engine):
     np.testing.assert_array_equal(decide(windows[40:]), other)
     np.testing.assert_array_equal(first, kept)
     assert len(set(kept.tolist())) > 1
-
-
-def genie_decisions(y, classes, model, stats):
-    """The decisions evaluate_ber(mode="genie") counts errors of, on the frame (classes, y)."""
-    decided = []
-
-    def count_bit_errors(true, decisions, m):
-        decided.append(decisions)
-        return 0
-
-    with mock.patch.object(harness, "_eval_frame", lambda *_: (classes, y)), \
-            mock.patch.object(harness, "count_bit_errors", count_bit_errors):
-        harness.evaluate_ber(model, ChannelConfig(), (17.0,), y.size, seed=0, mode="genie",
-                             stats=stats)
-    return decided[0]
 
 
 class TestSerialization:

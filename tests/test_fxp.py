@@ -388,7 +388,8 @@ DRIVE_SHIFTS = [(1, 2.0 ** 11, 8, 1), (2.0 ** -20, 2.0 ** -20, 8, 52),
 
 @pytest.mark.parametrize("fc0_factor, factor, state_bits, shift", DRIVE_SHIFTS,
                          ids=[str(case[-1]) for case in DRIVE_SHIFTS])
-def test_any_drive_shift_runs_exactly(fc0_factor, factor, state_bits, shift):
+def test_any_drive_shift_runs_exactly(counted_decisions, fc0_factor, factor, state_bits,
+                                      shift):
     # scaling fc0's and the hidden drive's tensors sets the drive's shift onto
     # the state grid: left shifts that would wrap an int64 drive, and right
     # shifts up to 52; from acc_bits = 53 on, where every drive |h| < 2^52
@@ -413,7 +414,7 @@ def test_any_drive_shift_runs_exactly(fc0_factor, factor, state_bits, shift):
     assert stats == want_stats
     np.testing.assert_array_equal(logits * fc3_grid(fm), float_twin_forward(windows, fm))
     y = np.random.default_rng(3).uniform(-0.1, 1.1, 60)
-    assert equalize_stream(y, fm, stats={}).shape == (60 - fm.config.history,)
+    assert counted_decisions(y, fm, {}).shape == (60 - fm.config.history,)
 
 
 def hand_built(fracs, state_bits, seed):
@@ -675,23 +676,24 @@ def test_matches_float_twin_property(seed, scale, bits, weight_bits, steps):
 
 
 class TestFxpStreamAndSerialization:
-    def test_stream_dispatch_and_stats(self):
+    def test_stream_dispatch_and_stats(self, counted_decisions):
         model = make_float_model(n_tap=5, hidden=6, steps=2, seed=13)
         fm = convert(model, FxpFormats())
         y = np.random.default_rng(14).uniform(0.0, 1.0, 120)
         stats = {}
-        out = equalize_stream(y, fm, stats=stats)
+        out = counted_decisions(y, fm, stats)
         assert out.shape == (120 - fm.config.history,)
         assert set(np.unique(out)).issubset(set(range(4)))
         assert list(stats) == ["state_clips"]
 
-    def test_pinned_closed_loop(self):
-        # decisions and clip counts of a fixed feedback run
+    def test_pinned_closed_loop(self, counted_decisions):
+        # decisions and clip counts of a fixed feedback run, as evaluate_ber counts them
         model = make_float_model(n_tap=5, hidden=8, steps=4, seed=26, scale=4.0)
         fm = convert(model, FxpFormats())
         y = np.random.default_rng(27).uniform(-0.1, 1.1, 400)
         stats = {}
-        out = equalize_stream(y, fm, stats=stats)
+        out = counted_decisions(y, fm, stats)
+        np.testing.assert_array_equal(out, equalize_stream(y, fm))
         np.testing.assert_array_equal(np.bincount(out, minlength=4), [80, 48, 0, 270])
         assert hashlib.sha256(out.tobytes()).hexdigest() == (
             "e32047101a5d01d414c8bfdf6cf56fb7a335e7fd678dd66541036d10efa17e64")
