@@ -95,20 +95,34 @@ _CLASS_BITS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.int64)
 _PAIR_CLASS = np.array([0, 1, 3, 2], dtype=np.int64)
 
 
+def check_classes(name: str, classes) -> np.ndarray:
+    """classes as an int64 array; ValueError naming them unless each is an
+    integer in [0, N_CLASSES)."""
+    given = np.asarray(classes)
+    classes = given.astype(np.int64, copy=False)
+    if (classes.min(initial=0) < 0 or classes.max(initial=0) >= N_CLASSES
+            or (given.dtype.kind != "i" and (classes != given).any())):
+        raise ValueError(f"{name} must be in [0, {N_CLASSES}), as integers")
+    return classes
+
+
 def bits_to_classes(bits, m: int = 2) -> np.ndarray:
-    """Pack bit pairs (MSB first) into amplitude-rank class indices; m must be 2."""
+    """Pack bit pairs (MSB first) into amplitude-rank class indices; m must be 2.
+    ValueError unless every bit is 0 or 1 and their count is even."""
     check_pam4(m)
-    bits = np.asarray(bits, dtype=np.int64)
+    bits = np.asarray(bits)
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ValueError("bits must be 0 or 1")
     if bits.size % m != 0:
         raise ValueError(f"bit count {bits.size} not divisible by m={m}")
-    pairs = bits.reshape(-1, m)
+    pairs = bits.astype(np.int64, copy=False).reshape(-1, m)
     return _PAIR_CLASS[2 * pairs[:, 0] + pairs[:, 1]]
 
 
 def classes_to_bits(classes, m: int = 2) -> np.ndarray:
-    """Inverse of bits_to_classes."""
+    """Inverse of bits_to_classes; ValueError for a class outside [0, N_CLASSES)."""
     check_pam4(m)
-    return _CLASS_BITS[np.asarray(classes, dtype=np.int64)].reshape(-1)
+    return _CLASS_BITS[check_classes("classes", classes)].reshape(-1)
 
 
 def gray_map(bits) -> np.ndarray:

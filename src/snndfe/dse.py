@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import numbers
 import operator
 import time
 from dataclasses import dataclass, field
@@ -29,8 +31,10 @@ from .train import TrainConfig, TrainingDiverged, default_lif, train
 class TrialScale:
     """Per-trial budget, uniform across configurations, training at
     train.TRAIN_SNR_DB with TrainConfig's defaults (train_symbols one epoch).
-    ValueError for no SNR points, a setting TrainConfig refuses, or counts
-    (plain ints) below one batch of train_symbols or one eval symbol."""
+    Each SNR point is stored as a plain float. ValueError for no SNR points,
+    one that is not a real number (bool and str included), NaN or -inf, two
+    equal ones, a setting TrainConfig refuses, or counts (plain ints) below
+    one batch of train_symbols or one eval symbol."""
 
     train_symbols: int = TrainConfig.batches_per_epoch * TrainConfig.batch_size
     eval_symbols: int = 20_000
@@ -41,6 +45,13 @@ class TrialScale:
     def __post_init__(self):
         if not self.snrs_db:
             raise ValueError("TrialScale.snrs_db must be nonempty")
+        for snr in self.snrs_db:
+            if isinstance(snr, bool) or not isinstance(snr, numbers.Real) or not snr > -math.inf:
+                raise ValueError(f"snrs_db must hold numbers above -inf, got {snr!r}")
+        snrs = tuple(float(snr) for snr in self.snrs_db)
+        if len(set(snrs)) < len(snrs):
+            raise ValueError(f"snrs_db must not repeat an SNR, got {self.snrs_db}")
+        object.__setattr__(self, "snrs_db", snrs)
         cfg = TrainConfig(learning_rate=self.learning_rate, batch_size=self.batch_size)
         object.__setattr__(self, "batch_size", cfg.batch_size)
         for name, lo in (("train_symbols", cfg.batch_size), ("eval_symbols", 1)):

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import N_CLASSES, check_int, check_pam4
+from .channel import N_CLASSES, check_classes, check_int, check_pam4
 from .lif import LifParams, lif_step
 from .quant import QatConfig, fake_quantize, fake_quantize_with_mask, state_format
 
@@ -55,10 +55,6 @@ class TopologyConfig:
         object.__setattr__(self, "bits_per_symbol", check_pam4(self.bits_per_symbol))
 
     @property
-    def n_classes(self) -> int:
-        return N_CLASSES
-
-    @property
     def n_input(self) -> int:
         """Input width: 8*(history+1) received bins and 4*history fed-back classes."""
         return RX_LEVELS * (self.history + 1) + N_CLASSES * self.history
@@ -74,15 +70,16 @@ class TopologyConfig:
 
     def param_shapes(self) -> dict:
         """Shape of each model parameter, in EqualizerModel.PARAM_NAMES order."""
-        n_i, n_h, n_c = self.n_input, self.hidden, self.n_classes
+        n_i, n_h, n_c = self.n_input, self.hidden, N_CLASSES
         return {"w_fc0": (n_h, n_i), "b_fc0": (n_h,), "w_fc1": (n_h, n_h), "b_fc1": (n_h,),
                 "w_fc2": (n_h, n_h), "w_fc3": (n_c, n_h), "b_fc3": (n_c,)}
 
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Min-max calibration of the received amplitude binning; ValueError unless
-    rx_min < rx_max, both finite, with a span rx_max - rx_min float64 holds."""
+    """Min-max calibration of the received amplitude binning, its ends stored as
+    plain floats; ValueError unless rx_min < rx_max, both finite, with a span
+    rx_max - rx_min float64 holds."""
 
     rx_min: float
     rx_max: float
@@ -93,6 +90,8 @@ class EncoderConfig:
         if not (lo < hi and hi - lo < math.inf):  # NaN and infinite ends fail it too
             raise ValueError(f"encoder ends must be finite with rx_min < rx_max and a finite "
                              f"span, got [{self.rx_min}, {self.rx_max}]")
+        object.__setattr__(self, "rx_min", lo)
+        object.__setattr__(self, "rx_max", hi)
 
     def bin_indices(self, samples) -> np.ndarray:
         """Uniform 8-level quantizer, clamping out-of-range values (+-inf too)
@@ -100,7 +99,7 @@ class EncoderConfig:
         samples = np.asarray(samples, dtype=float)
         if np.isnan(samples).any():
             raise ValueError("received samples must not be NaN")
-        lo, hi = float(self.rx_min), float(self.rx_max)
+        lo, hi = self.rx_min, self.rx_max
         # clamp first: far samples over a tiny span would overflow to inf
         t = (np.clip(samples, lo, hi) - lo) / (hi - lo)
         return np.clip(np.floor(t * RX_LEVELS).astype(np.int64), 0, RX_LEVELS - 1)
@@ -134,9 +133,10 @@ def one_hot_windows(bins: np.ndarray, decisions: np.ndarray) -> np.ndarray:
 def encode_window(received, decisions, encoder: EncoderConfig) -> np.ndarray:
     """One-hot encode a window of history+1 received samples and history decisions
     (layout: one_hot_windows); the per-window reference for the windows that
-    _window_builder builds from one binning."""
+    _window_builder builds from one binning. ValueError for a decision outside
+    [0, N_CLASSES), which would set a column of a neighbouring block."""
     received = np.asarray(received, dtype=float)
-    decisions = np.asarray(decisions, dtype=np.int64)
+    decisions = check_classes("decisions", decisions)
     if received.size != decisions.size + 1:
         raise ValueError("received window must hold history+1 samples")
     return one_hot_windows(encoder.bin_indices(received)[None], decisions[None])[0]
@@ -168,12 +168,10 @@ def teacher_forced_windows(y, classes, encoder: EncoderConfig, config: TopologyC
     shorter than history+1, or classes not aligned with y or outside [0, N_CLASSES).
     """
     y = np.asarray(y, dtype=float)
-    classes = np.asarray(classes, dtype=np.int64)
+    classes = check_classes("classes", classes)
     if classes.shape != y.shape:
         raise ValueError("classes must align with y")
     windows = _window_builder(encoder.bin_indices(y), classes, config)
-    if classes.min() < 0 or classes.max() >= config.n_classes:
-        raise ValueError(f"classes must be in [0, {config.n_classes})")
     return windows(config.history, y.size), classes[config.history:]
 
 
@@ -272,7 +270,7 @@ def forward(windows, weights: dict, config: TopologyConfig, lif: LifParams,
     then outputs its bias. The hidden drive per step is fc1(fc0 output) + fc2(previous
     spikes) + bias; fc3 readouts are summed over steps. With `qat` set, the
     drive and the LIF state are fake-quantized onto the state grid each step.
-    Returns the logits (B, n_classes) and, when `keep` is set, a tape of what
+    Returns the logits (B, N_CLASSES) and, when `keep` is set, a tape of what
     the backward pass reads, else None: the fc0 output "a0" and per-step lists
     of spikes "s" and pre-reset voltages "v_pre", and under QAT the bool
     straight-through masks of the drive, current and voltage ("h", "i", "v").
@@ -305,7 +303,7 @@ def forward(windows, weights: dict, config: TopologyConfig, lif: LifParams,
     v.fill(0.0)
     i.fill(0.0)
     s = None
-    logits = np.zeros((windows.shape[0], config.n_classes))
+    logits = np.zeros((windows.shape[0], N_CLASSES))
     for t in range(config.steps):
         # no spikes before the first step: its drive skips fc2
         np.matmul(a0 if t == 0 else s, (w1 if t == 0 else w2).T, out=h)
@@ -358,7 +356,7 @@ def equalize_stream(y, model) -> np.ndarray:
     fed = np.zeros(n, dtype=np.int64)  # the classes the windows see
     windows = _window_builder(bins, fed, cfg)
     # first guesses: each sample's bin onto the amplitude-ranked classes
-    fed[history:] = bins[history:] * cfg.n_classes // RX_LEVELS
+    fed[history:] = bins[history:] * N_CLASSES // RX_LEVELS
     decide = model.make_decider()
     start, kept_mean = history, math.sqrt(_PASS_ROWS / 2)  # a first pass of the whole cap
     while start < n:
@@ -372,7 +370,7 @@ def equalize_stream(y, model) -> np.ndarray:
     return fed[history:].copy()
 
 
-_HEADER_KEYS = ("n_tap", "bits_per_symbol", "hidden", "steps", "lif", "encoder")
+_HEADER_KEYS = (*(f.name for f in fields(TopologyConfig)), "lif", "encoder")
 # Header sections read into dataclasses with defaults: every field must be
 # present, or a missing one would load as its default.
 _HEADER_SECTIONS = {"lif": LifParams, "encoder": EncoderConfig, "qat": QatConfig}

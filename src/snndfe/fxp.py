@@ -360,7 +360,7 @@ def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarr
     The dataflow mirrors the float forward: fc0 sees the windows at the first
     step only; the hidden drive is requantized onto the state grid (round
     half-up) before entering the current equation; fc3 readouts accumulate over
-    steps. Returns the int64 logits (B, n_classes) on the fc3 grid. With
+    steps. Returns the int64 logits (B, N_CLASSES) on the fc3 grid. With
     `stats`, the LIF state clips are added to its "state_clips" count.
 
     Every value is an integer in a float64 array updated in place, exact as

@@ -1,8 +1,9 @@
-"""Experiment orchestration: seeding, Monte-Carlo BER evaluation, baselines.
+"""Experiment orchestration: seeding, link frames, Monte-Carlo BER evaluation.
 
 Every stochastic site derives its own generator as hash(master_seed, label),
 so results are independent of scheduling and any single output can be
-reproduced from the master seed and its label alone.
+reproduced from the master seed and its label alone. link_frame draws every
+frame: eval, pilot, training and calibration frames differ in their label.
 """
 
 from __future__ import annotations
@@ -58,13 +59,18 @@ def check_eval_symbols(symbols_per_snr: int, history: int) -> None:
     check_int("symbols_per_snr", symbols_per_snr, history + 2)
 
 
-def _eval_frame(channel_cfg: ChannelConfig, snr_db: float, symbols: int, seed: int):
-    """(classes, received stream) of the eval frame at one SNR, derived from
-    (seed, snr_db) alone, so every receiver sees the same frame."""
-    rng = derive_rng(seed, f"eval:snr={snr_db}")
+def link_frame(channel_cfg: ChannelConfig, snr_db: float, symbols: int, seed: int, label: str):
+    """(classes, received stream) of a fresh frame of `symbols` PAM-4 symbols at
+    snr_db: its bits, then the link's noise, drawn from derive_rng(seed, label)."""
+    rng = derive_rng(seed, label)
     bits = rng.integers(0, 2, BITS_PER_SYMBOL * symbols)
     _, y = simulate_link(bits, channel_cfg, snr_db, rng)
     return bits_to_classes(bits, BITS_PER_SYMBOL), y
+
+
+def _eval_frame(channel_cfg: ChannelConfig, snr_db: float, symbols: int, seed: int):
+    """The eval frame at one SNR: every receiver sees the same one."""
+    return link_frame(channel_cfg, snr_db, symbols, seed, f"eval:snr={snr_db}")
 
 
 def _ber_curve(receiver, channel_cfg: ChannelConfig, snrs_db, symbols: int, seed: int,
@@ -125,10 +131,8 @@ def evaluate_baseline_ber(channel_cfg: ChannelConfig, m: int, snrs_db,
     check_int("warmup", warmup, 0, symbols_per_snr - 1)
 
     def nearest_mean(snr_db, y):
-        pilot_rng = derive_rng(seed, f"pilot:snr={snr_db}")
-        pilot_bits = pilot_rng.integers(0, 2, BITS_PER_SYMBOL * PILOT_SYMBOLS)
-        pilot_classes = bits_to_classes(pilot_bits, BITS_PER_SYMBOL)
-        _, pilot_y = simulate_link(pilot_bits, channel_cfg, snr_db, pilot_rng)
+        pilot_classes, pilot_y = link_frame(channel_cfg, snr_db, PILOT_SYMBOLS, seed,
+                                            f"pilot:snr={snr_db}")
         means = np.array([np.mean(pilot_y[pilot_classes == c]) for c in range(N_CLASSES)])
         return np.argmin(np.abs(y[warmup:, None] - means), axis=1)
 

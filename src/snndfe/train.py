@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BITS_PER_SYMBOL, ChannelConfig, bits_to_classes, check_int, simulate_link
+# perfbench's tracer patches train.simulate_link, so the name stays importable here
+from .channel import ChannelConfig, check_classes, check_int, simulate_link
 from .equalizer import (EncoderConfig, EqualizerModel, TopologyConfig, Workspace,
                         forward, teacher_forced_windows)
-from .harness import derive_rng
+from .harness import derive_rng, link_frame
 from .lif import LifParams
 from .quant import QatConfig, fake_quantize_with_mask
 
@@ -112,10 +113,7 @@ def loss_and_grads(windows: np.ndarray, labels: np.ndarray, model: EqualizerMode
     pass is equalizer.forward, the one inference runs; the backward runs in
     place on arrays from `workspace` too (see forward).
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    n_classes = model.config.n_classes
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= n_classes:
-        raise ValueError(f"labels must lie in [0, {n_classes})")
+    labels = check_classes("labels", labels)
     qat, lif = model.qat, model.lif
     av, ai = lif.alpha_v, lif.alpha_i
     n_steps = model.config.steps
@@ -203,11 +201,9 @@ def loss_and_grads(windows: np.ndarray, labels: np.ndarray, model: EqualizerMode
     return loss, grads
 
 
-def calibrate_encoder(channel_cfg: ChannelConfig, snr_db: float,
-                      rng: np.random.Generator) -> EncoderConfig:
-    """Min-max fit of the amplitude binning on a fresh 20,000-symbol frame."""
-    bits = rng.integers(0, 2, BITS_PER_SYMBOL * 20_000)
-    _, y = simulate_link(bits, channel_cfg, snr_db, rng)
+def calibrate_encoder(channel_cfg: ChannelConfig, seed: int) -> EncoderConfig:
+    """Min-max fit of the amplitude binning on the seed's calibration frame."""
+    _, y = link_frame(channel_cfg, TRAIN_SNR_DB, 20_000, seed, "calibration")
     return EncoderConfig(float(np.min(y)), float(np.max(y)))
 
 
@@ -228,8 +224,7 @@ def train(channel_cfg: ChannelConfig, topology_cfg: TopologyConfig,
     being finite.
     """
     lif = default_lif(train_cfg.qat) if lif is None else lif
-    encoder = calibrate_encoder(channel_cfg, TRAIN_SNR_DB,
-                                derive_rng(train_cfg.seed, "calibration"))
+    encoder = calibrate_encoder(channel_cfg, train_cfg.seed)
     model = EqualizerModel.initialize(
         topology_cfg, lif, encoder, derive_rng(train_cfg.seed, "init"), qat=train_cfg.qat
     )
@@ -240,10 +235,8 @@ def train(channel_cfg: ChannelConfig, topology_cfg: TopologyConfig,
     total = train_cfg.epochs * train_cfg.batches_per_epoch
     history = topology_cfg.history
     for batch_idx in range(total):
-        rng = derive_rng(train_cfg.seed, f"batch:{batch_idx}")
-        bits = rng.integers(0, 2, BITS_PER_SYMBOL * (train_cfg.batch_size + history))
-        classes = bits_to_classes(bits, BITS_PER_SYMBOL)
-        _, y = simulate_link(bits, channel_cfg, TRAIN_SNR_DB, rng)
+        classes, y = link_frame(channel_cfg, TRAIN_SNR_DB, train_cfg.batch_size + history,
+                                train_cfg.seed, f"batch:{batch_idx}")
         windows, labels = teacher_forced_windows(y, classes, encoder, topology_cfg)
         loss, grads = loss_and_grads(windows, labels, model, workspace=workspace)
         if not math.isfinite(loss):

@@ -59,21 +59,27 @@ def test_patches_install_and_restore(bench, name, tmp_path):
 def test_traced_training_counts_its_patch_points(bench, tmp_path):
     # train.train looks up teacher_forced_windows, loss_and_grads, adam_step
     # and fake_quantize_with_mask in train's namespace, where train_desk_qat's
-    # patches count them: one window build, gradient and update per batch
+    # patches count them: one window build, gradient and update per batch.
+    # Its frames come from harness.link_frame, where the simulate_link patch
+    # counts the calibration frame and one frame per batch.
     run, tracing, workloads = bench
     tracer = tracing.Tracer()
     cfg = train.TrainConfig(batches_per_epoch=2, batch_size=16, qat=QatConfig())
+    topology = TopologyConfig(n_tap=3, hidden=4, steps=2)
     try:
         run.install_patches(tracer, workloads.make("train_desk_qat", 0, str(tmp_path)))
-        train.train(ChannelConfig(), TopologyConfig(n_tap=3, hidden=4, steps=2), cfg)
+        train.train(ChannelConfig(), topology, cfg)
     finally:
         tracer.restore()
     spans = tracer.summary()
     for name in ("teacher_forced_windows", "loss_and_grads", "adam_step"):
         assert spans[f"train.{name}"]["calls"] == 2, name
     assert spans["quant.fake_quantize_with_mask"]["calls"] > 0
+    assert spans["channel.simulate_link"]["calls"] == 2 + 1
+    assert tracer.counts["channel.symbols"] == 20_000 + 2 * (16 + topology.history)
 
 
+@pytest.mark.one_blas_thread
 def test_ber_int_output_checks_pass(bench, tmp_path):
     _, _, workloads = bench
     workload = workloads.make("ber_int", 0, str(tmp_path))
@@ -83,6 +89,7 @@ def test_ber_int_output_checks_pass(bench, tmp_path):
     assert workload.report["baseline_bit_errors"] == workloads.PINNED_BIT_ERRORS["baseline"]
 
 
+@pytest.mark.one_blas_thread
 @pytest.mark.parametrize("engine", ["float", "qat"])
 def test_ber_float_and_qat_output_checks_pass(bench, engine, tmp_path):
     # perfbench only reports a float or QAT-float count that differs from its
@@ -113,6 +120,7 @@ def test_ber_int_model_survives_its_file(bench, tmp_path):
 PASSES = {"float": 235, "qat": 234, "int": 255}
 
 
+@pytest.mark.one_blas_thread
 @pytest.mark.parametrize("engine", sorted(PASSES))
 def test_check_frame_passes_do_not_grow(bench, engine, tmp_path, monkeypatch):
     _, _, workloads = bench

@@ -342,6 +342,32 @@ def test_non_pam4_bit_groups_refused(m):
             call()
 
 
+# Bits and classes the PAM-4 tables cannot map. Each used to map to a wrong
+# class or bit pair (a class 1.5 to class 1's), or to fail with an IndexError.
+UNMAPPABLE = {
+    "bit_negative": (lambda: bits_to_classes([0, -1], 2), "bits must be 0 or 1"),  # class 2
+    "bit_fraction": (lambda: bits_to_classes([0.5, 1], 2), "bits must be 0 or 1"),  # class 1
+    "bit_2": (lambda: bits_to_classes([2, 1], 2), "bits must be 0 or 1"),  # IndexError
+    "bit_nan": (lambda: gray_map([0.0, float("nan")]), "bits must be 0 or 1"),
+    "class_negative": (lambda: classes_to_bits([-1], 2), r"classes must be in \[0, 4\)"),
+    "class_4": (lambda: classes_to_bits([1, 4], 2), r"classes must be in \[0, 4\)"),
+    "class_fraction": (lambda: classes_to_bits([1.5], 2), r"classes must be in \[0, 4\)"),
+    # -1 demapped as class 3, so no bit error was counted
+    "count_class_negative": (lambda: count_bit_errors([3], [-1], 2), "classes must be in"),
+}
+
+
+@pytest.mark.parametrize("case", UNMAPPABLE)
+def test_unmappable_bits_and_classes_refused(case):
+    call, match = UNMAPPABLE[case]
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_bools_and_integral_floats_map_as_bits():
+    np.testing.assert_array_equal(bits_to_classes([True, False, 1.0, 1.0], 2), [3, 2])
+
+
 def test_check_int_returns_a_plain_int_or_names_the_field():
     assert check_int("n", np.int64(5), 1, 8) == 5 and type(check_int("n", np.uint8(5), 1)) is int
     for value, hi, match in ((True, 8, "n must be an integer, got True"), (5.0, 8, "got 5.0"),

@@ -392,12 +392,25 @@ class TestSpaceParsing:
         ({"batch_size": 0}, "batch_size"),
         ({"snrs_db": ()}, "snrs_db"),
         ({"learning_rate": -1e-3}, "learning_rate"),
-    ], ids=["batch_size_0", "no_snrs", "negative_learning_rate"])
+        ({"snrs_db": ("17",)}, "snrs_db must hold numbers above -inf, got '17'"),
+        ({"snrs_db": (17.0, float("nan"))}, "got nan"),
+        ({"snrs_db": (-float("inf"),)}, "got -inf"),
+        ({"snrs_db": (True,)}, "got True"),
+        ({"snrs_db": (17, 20, 17.0)}, "snrs_db must not repeat an SNR"),
+    ], ids=["batch_size_0", "no_snrs", "negative_learning_rate", "snr_str", "snr_nan",
+            "snr_minus_inf", "snr_bool", "snr_repeated"])
     def test_trial_scale_checked_at_construction(self, settings, match):
         # batch_size 0 divided by zero in run_trial; no SNR point trained the
-        # model, recorded ber == {} and failed only in pareto_front
+        # model, recorded ber == {} and failed only in pareto_front; a str,
+        # NaN or -inf SNR failed only after the first trial had trained, and
+        # 17 and 17.0 collapsed into one BER key
         with pytest.raises(ValueError, match=match):
             TrialScale(**settings)
+
+    def test_trial_scale_snrs_stored_as_plain_floats(self):
+        scale = TrialScale(snrs_db=(np.int64(14), 17, np.float32(20.5), float("inf")))
+        assert scale.snrs_db == (14.0, 17.0, 20.5, float("inf"))
+        assert all(type(snr) is float for snr in scale.snrs_db + TrialScale().snrs_db)
 
     def test_bit_width_checked_with_the_lif_train_gives_a_qat_model(self, monkeypatch):
         # a trial trains with no lif, so DseSpace must check the LIF train picks

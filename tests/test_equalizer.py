@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from snndfe.channel import ChannelConfig, simulate_link
+from snndfe.channel import N_CLASSES, ChannelConfig, simulate_link
 from snndfe.equalizer import (
     EncoderConfig,
     EqualizerModel,
@@ -46,7 +46,7 @@ def build_bin_classifier_model(bin_to_class, encoder, n_tap=17, steps=1):
     spike into the argmax winner.
     """
     cfg = TopologyConfig(n_tap=n_tap, hidden=4, steps=steps)
-    history, n_c = cfg.history, cfg.n_classes
+    history, n_c = cfg.history, N_CLASSES
     w_fc0 = np.zeros((4, cfg.n_input))
     current_base = history * 8 + history * n_c
     for b, cls in enumerate(bin_to_class):
@@ -224,6 +224,22 @@ class TestEncodeWindow:
         with pytest.raises(ValueError):
             encode_window([0.0, 0.0, 0.0], [1], EncoderConfig(0.0, 1.0))
 
+    @pytest.mark.parametrize("decision", [-1, N_CLASSES])
+    def test_decision_outside_the_classes_refused(self, decision):
+        # -1 set the last column of the previous block, 4 the first column of
+        # the current-sample block, which then held two ones
+        with pytest.raises(ValueError, match=r"decisions must be in \[0, 4\)"):
+            encode_window([0.0, 0.0, 0.0], [1, decision], EncoderConfig(0.0, 1.0))
+
+    def test_ends_stored_as_plain_floats(self, tmp_path):
+        # float32 ends made save_model's JSON header fail
+        encoder = EncoderConfig(np.float32(-0.25), np.float32(3.5))
+        assert (encoder.rx_min, encoder.rx_max) == (-0.25, 3.5)
+        assert type(encoder.rx_min) is float and type(encoder.rx_max) is float
+        model = make_model(encoder=encoder)
+        save_model(tmp_path / "model.npz", model)
+        assert load_model(tmp_path / "model.npz").encoder == encoder
+
 
 @settings(max_examples=60, deadline=None)
 @given(rx_min=st.floats(-2.0, 2.0), span=st.floats(0.0, 3.0, exclude_min=True),
@@ -239,7 +255,7 @@ def test_prebinned_windows_match_encode_window(rx_min, span, n_tap, seed):
     history = cfg.history
     y = rng.uniform(rx_min - 1.0, rx_min + span + 1.0, history + 12)
     y[rng.integers(0, y.size, 2)] = [encoder.rx_min, encoder.rx_max]  # bin edges
-    fed = rng.integers(0, cfg.n_classes, y.size)
+    fed = rng.integers(0, N_CLASSES, y.size)
     windows, labels = teacher_forced_windows(y, fed, encoder, cfg)
     np.testing.assert_array_equal(labels, fed[history:])
     for k in range(history, y.size):
@@ -386,7 +402,7 @@ class TestEqualizeStream:
         model = EqualizerModel.initialize(cfg, LifParams(), EncoderConfig(0.0, 1.0),
                                           np.random.default_rng(2))
         history = cfg.history
-        model.w_fc0[:, 8 * history : (8 + cfg.n_classes) * history] *= 30.0
+        model.w_fc0[:, 8 * history : (8 + N_CLASSES) * history] *= 30.0
         model.w_fc1 *= 3.0
         model.w_fc3 *= 3.0
         y = np.random.default_rng(102).uniform(0.0, 1.0, 500)
@@ -418,7 +434,7 @@ class TestEqualizeStream:
         model.b_fc1[:] = 1.0  # make it actually spike
         cfg = model.config
         perm = np.array([2, 0, 3, 1])
-        history, n_c = cfg.history, cfg.n_classes
+        history, n_c = cfg.history, N_CLASSES
         w_fc0_p = model.w_fc0.copy()
         base = history * 8
         for j in range(history):
@@ -470,7 +486,7 @@ def test_equalize_stream_equals_sequential_loop(counted_decisions, engine, mode,
         return  # the worst case does not fit the accumulator: nothing to run
     rng = np.random.default_rng(seed)
     y = rng.uniform(-0.1, 1.1, model.config.history + 1 + extra)
-    classes = rng.integers(0, model.config.n_classes, y.size)
+    classes = rng.integers(0, N_CLASSES, y.size)
     stats, expected_stats = {}, {}
     if mode == "feedback":
         got = counted_decisions(y, model, stats)
@@ -487,7 +503,7 @@ def stream_windows(model, n_windows, seed):
     """Windows of n_windows symbols of a random stream, random classes fed back."""
     rng = np.random.default_rng(seed)
     y = rng.uniform(-0.1, 1.1, model.config.history + n_windows)
-    classes = rng.integers(0, model.config.n_classes, y.size)
+    classes = rng.integers(0, N_CLASSES, y.size)
     return teacher_forced_windows(y, classes, model.encoder, model.config)[0]
 
 
@@ -622,8 +638,9 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             load_model(path)
 
-    @pytest.mark.parametrize("drop", ["hidden", "qat", "w_fc2", "lif.alpha_v",
-                                      "encoder.rx_max", "qat.state_bits"])
+    @pytest.mark.parametrize("drop", ["n_tap", "bits_per_symbol", "hidden", "steps", "qat",
+                                      "w_fc2", "lif.alpha_v", "encoder.rx_max",
+                                      "qat.state_bits"])
     def test_missing_key_or_array_is_a_value_error(self, tmp_path, drop):
         path = tmp_path / "model.npz"
         model = make_model(seed=14)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snndfe.channel import N_CLASSES
 from snndfe.equalizer import (
     EncoderConfig,
     EqualizerModel,
@@ -58,7 +59,7 @@ def random_windows(model, n, seed=1):
     rng = np.random.default_rng(seed)
     cfg = model.config
     received = rng.uniform(0.0, 1.0, (n, cfg.history + 1))
-    decisions = rng.integers(0, cfg.n_classes, (n, cfg.history))
+    decisions = rng.integers(0, N_CLASSES, (n, cfg.history))
     return one_hot_windows(model.encoder.bin_indices(received), decisions)
 
 
@@ -69,7 +70,7 @@ def fc3_grid(fm):
 
 def float_twin_forward(windows, fm, acc_max=None):
     """Float64 simulation of the identical quantized arithmetic over a batch of
-    windows (B, n_input): the logits (B, n_classes) as values (oracle). Each
+    windows (B, n_input): the logits (B, N_CLASSES) as values (oracle). Each
     accumulator is asserted within acc_max (default fm.acc_max)."""
     acc_max = fm.acc_max if acc_max is None else acc_max
     deq = {k: fm.ints[k].astype(float) * 2.0 ** -fm.fracs[k] for k in fm.ints}
@@ -100,7 +101,7 @@ def float_twin_forward(windows, fm, acc_max=None):
     v = np.zeros((windows.shape[0], fm.config.hidden))
     i = np.zeros_like(v)
     spikes = np.zeros_like(v)
-    z = np.zeros((windows.shape[0], fm.config.n_classes))
+    z = np.zeros((windows.shape[0], N_CLASSES))
     v_th = spec.v_th_int * 2.0 ** -fs
     v_r = spec.v_r_int * 2.0 ** -fs
     for t in range(fm.config.steps):
@@ -139,7 +140,7 @@ def exact_requantize(h, shift, spec, stats):
 
 def exact_forward(windows, fm):
     """The integer datapath on Python ints over a batch of windows (oracle):
-    (logits (B, n_classes) on the fc3 grid, {"state_clips"})."""
+    (logits (B, N_CLASSES) on the fc3 grid, {"state_clips"})."""
     ints, f = {k: v.astype(object) for k, v in fm.ints.items()}, fm.fracs
     f_a = max(f["w_fc0"], f["b_fc0"])
     f_h = max(f["w_fc1"] + f_a, f["w_fc2"], f["b_fc1"])
@@ -159,7 +160,7 @@ def exact_forward(windows, fm):
                    @ aligned("w_fc0", f_a).T + a_bias)
     v = np.zeros((len(windows), fm.config.hidden), dtype=np.int64).astype(object)
     i, spikes = v.copy(), v.copy()
-    z = np.zeros((len(windows), fm.config.n_classes), dtype=np.int64).astype(object)
+    z = np.zeros((len(windows), N_CLASSES), dtype=np.int64).astype(object)
     for t in range(fm.config.steps):
         a_t = a_window if t == 0 else a_bias
         h = acc(a_t @ aligned("w_fc1", f_h - f_a).T + aligned("b_fc1", f_h)
@@ -590,8 +591,8 @@ class TestFxpForward:
         ints = {"w_fc0": w_fc0, "b_fc0": np.zeros(cfg.hidden, dtype=np.int64), "w_fc1": w_fc1,
                 "b_fc1": np.ones(cfg.hidden, dtype=np.int64),  # a drive of 1.0 a step
                 "w_fc2": rng.integers(-99, 100, (cfg.hidden, cfg.hidden)),
-                "w_fc3": rng.integers(-99, 100, (cfg.n_classes, cfg.hidden)),
-                "b_fc3": rng.integers(-99, 100, cfg.n_classes)}
+                "w_fc3": rng.integers(-99, 100, (N_CLASSES, cfg.hidden)),
+                "b_fc3": rng.integers(-99, 100, N_CLASSES)}
         # the hidden drive on the 2^-32 grid, 27 bits finer than the state grid's
         # 2^-5; fc1 products arrive on the 2^-15 grid
         fracs = {"w_fc0": 16, "b_fc0": 16, "w_fc1": -1, "b_fc1": 0, "w_fc2": 32,
@@ -624,8 +625,8 @@ class TestFxpForward:
                 "w_fc1": rng.integers(-2 ** 12, 2 ** 12, (cfg.hidden, cfg.hidden)),
                 "b_fc1": rng.integers(-2 ** 15, 2 ** 15, cfg.hidden),
                 "w_fc2": rng.integers(-2, 3, (cfg.hidden, cfg.hidden)),
-                "w_fc3": rng.integers(-7, 8, (cfg.n_classes, cfg.hidden)),
-                "b_fc3": rng.integers(-2 ** 15, 2 ** 15, cfg.n_classes)}
+                "w_fc3": rng.integers(-7, 8, (N_CLASSES, cfg.hidden)),
+                "b_fc3": rng.integers(-2 ** 15, 2 ** 15, N_CLASSES)}
         fracs = {"w_fc0": 14, "b_fc0": 14, "w_fc1": 10, "b_fc1": 32, "w_fc2": 0,
                  "w_fc3": -13, "b_fc3": 32}
         fm = FxpModel(config=cfg, encoder=EncoderConfig(0.0, 1.0),
@@ -686,6 +687,7 @@ class TestFxpStreamAndSerialization:
         assert set(np.unique(out)).issubset(set(range(4)))
         assert list(stats) == ["state_clips"]
 
+    @pytest.mark.one_blas_thread
     def test_pinned_closed_loop(self, counted_decisions):
         # decisions and clip counts of a fixed feedback run, as evaluate_ber counts them
         model = make_float_model(n_tap=5, hidden=8, steps=4, seed=26, scale=4.0)

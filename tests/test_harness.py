@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from snndfe import harness
-from snndfe.channel import ChannelConfig
+from snndfe import harness, train
+from snndfe.channel import ChannelConfig, bits_to_classes, simulate_link
 from snndfe.equalizer import EncoderConfig, EqualizerModel, TopologyConfig
 from snndfe.harness import derive_rng, derive_seed, evaluate_baseline_ber, evaluate_ber
 from snndfe.lif import LifParams
@@ -78,3 +78,44 @@ def test_every_receiver_is_counted_on_the_same_frames(monkeypatch):
         assert snn_args == base_args
         np.testing.assert_array_equal(snn_classes, base_classes)
         np.testing.assert_array_equal(snn_y, base_y)
+
+
+def test_link_frame_draws_the_bits_then_the_link_from_one_stream():
+    classes, y = harness.link_frame(ChannelConfig(), 14.0, 50, 3, "any")
+    rng = derive_rng(3, "any")
+    bits = rng.integers(0, 2, 2 * 50)
+    _, expected_y = simulate_link(bits, ChannelConfig(), 14.0, rng)
+    np.testing.assert_array_equal(classes, bits_to_classes(bits, 2))
+    np.testing.assert_array_equal(y, expected_y)
+
+
+def test_the_eval_frame_is_the_link_frame_with_the_eval_label():
+    frame = harness._eval_frame(ChannelConfig(), 17.0, 40, 5)
+    for got, expected in zip(frame, harness.link_frame(ChannelConfig(), 17.0, 40, 5,
+                                                       "eval:snr=17.0")):
+        np.testing.assert_array_equal(got, expected)
+
+
+def test_every_frame_comes_from_link_frame(monkeypatch):
+    # the eval, pilot, calibration and training frames differ in their label
+    # (and size) alone
+    drawn, link_frame = [], harness.link_frame
+
+    def recorded(channel_cfg, snr_db, symbols, seed, label):
+        drawn.append((label, snr_db, symbols, seed))
+        return link_frame(channel_cfg, snr_db, symbols, seed, label)
+
+    monkeypatch.setattr(harness, "link_frame", recorded)
+    monkeypatch.setattr(train, "link_frame", recorded)
+    train.train(ChannelConfig(), TopologyConfig(n_tap=3, hidden=2, steps=1),
+                TrainConfig(batches_per_epoch=2, batch_size=8, seed=4))
+    evaluate_baseline_ber(ChannelConfig(), 2, (14,), 30, seed=6)
+    assert drawn == [("calibration", train.TRAIN_SNR_DB, 20_000, 4),
+                     ("batch:0", train.TRAIN_SNR_DB, 9, 4), ("batch:1", train.TRAIN_SNR_DB, 9, 4),
+                     ("eval:snr=14.0", 14.0, 30, 6),
+                     ("pilot:snr=14.0", 14.0, harness.PILOT_SYMBOLS, 6)]
+
+
+def test_calibration_fits_the_ends_of_the_calibration_frame():
+    _, y = harness.link_frame(ChannelConfig(), train.TRAIN_SNR_DB, 20_000, 2, "calibration")
+    assert train.calibrate_encoder(ChannelConfig(), 2) == EncoderConfig(y.min(), y.max())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snndfe.channel import ChannelConfig
+from snndfe.channel import N_CLASSES, ChannelConfig
 from snndfe.equalizer import EncoderConfig, EqualizerModel, TopologyConfig, Workspace, forward
 from snndfe.harness import derive_rng
 from snndfe.lif import LifParams, lif_step
@@ -42,7 +42,7 @@ def random_batch(model, n, seed=1):
     rng = np.random.default_rng(seed)
     cfg = model.config
     y = rng.uniform(0.0, 1.0, n + cfg.history)
-    classes = rng.integers(0, cfg.n_classes, n + cfg.history)
+    classes = rng.integers(0, N_CLASSES, n + cfg.history)
     windows, labels = teacher_forced_windows(y, classes, model.encoder, cfg)
     return windows, labels
 
@@ -109,7 +109,7 @@ def reference_forward(windows, weights, config, lif, qat=None, smooth=False):
             return q
 
     v = i = s = np.zeros((windows.shape[0], config.hidden))
-    logits = np.zeros((windows.shape[0], config.n_classes))
+    logits = np.zeros((windows.shape[0], N_CLASSES))
     for t in range(config.steps):
         h = a0 @ w1.T + b1 if t == 0 else a_rest + s @ w2.T
         if quantize is not None:
@@ -236,6 +236,7 @@ def oracle_setup(qat, lif, steps, seed=17):
     return model, windows, labels
 
 
+@pytest.mark.one_blas_thread
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_loss_and_grads_bitwise_equal_the_allocating_reference(case):
     qat, lif, steps = ORACLE_CASES[case]
@@ -613,6 +614,7 @@ TRAIN_DIGESTS = {
 }
 
 
+@pytest.mark.one_blas_thread
 @pytest.mark.parametrize("mode", sorted(TRAIN_DIGESTS))
 def test_train_output_is_pinned(mode):
     qat = QatConfig(8, 8) if mode == "qat88" else None
