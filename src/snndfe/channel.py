@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,11 +100,21 @@ def check_classes(name: str, classes) -> np.ndarray:
     """classes as an int64 array; ValueError naming them unless each is an
     integer in [0, N_CLASSES)."""
     given = np.asarray(classes)
-    classes = given.astype(np.int64, copy=False)
-    if (classes.min(initial=0) < 0 or classes.max(initial=0) >= N_CLASSES
-            or (given.dtype.kind != "i" and (classes != given).any())):
+    if given.dtype.kind in "iu":
+        valid = given.min(initial=0) >= 0 and given.max(initial=0) < N_CLASSES
+    else:  # by value, before any cast: casting NaN or inf to int warns
+        valid = np.isin(given, np.arange(N_CLASSES)).all()
+    if not valid:
         raise ValueError(f"{name} must be in [0, {N_CLASSES}), as integers")
-    return classes
+    return given.astype(np.int64, copy=False)
+
+
+def check_snr(snr_db) -> float:
+    """snr_db as a plain float; ValueError unless it is a real number (numpy's
+    too, not a bool or str) other than NaN and -inf. +inf means no noise."""
+    if isinstance(snr_db, bool) or not isinstance(snr_db, numbers.Real) or not snr_db > -math.inf:
+        raise ValueError(f"snr_db must be a real number above -inf, got {snr_db!r}")
+    return float(snr_db)
 
 
 def bits_to_classes(bits, m: int = 2) -> np.ndarray:
@@ -197,14 +208,13 @@ def add_awgn(x, snr_db: float, rng: np.random.Generator) -> np.ndarray:
     10*log10(P_signal/P_noise) = snr_db. On the detected signal that total
     power includes its DC part: at the default link it is about 4.9 dB above
     the AC power, so the AC SNR is that much below snr_db. snr_db = +inf
-    returns a copy of the input; NaN and -inf raise ValueError, and so does a
-    signal power or noisy output that overflows.
+    returns a copy of the input; an snr_db check_snr refuses raises
+    ValueError, and so does a signal power or noisy output that overflows.
     """
     x = _finite(x, "add_awgn")
     if np.iscomplexobj(x):
         raise ValueError("add_awgn adds noise to a real intensity, got complex samples")
-    if math.isnan(snr_db) or snr_db == -math.inf:
-        raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
+    snr_db = check_snr(snr_db)
     if snr_db == math.inf:
         return x.copy()
     with np.errstate(all="ignore"):  # an overflow is reported by the checks below

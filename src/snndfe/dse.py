@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
-import numbers
 import operator
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelConfig, check_int
+from .channel import ChannelConfig, check_int, check_snr
 from .equalizer import TopologyConfig
 from .fxp import ConversionError, FxpFormats, FxpLifSpec, convert
 from .harness import check_eval_symbols, derive_seed, evaluate_ber
@@ -32,9 +30,9 @@ class TrialScale:
     """Per-trial budget, uniform across configurations, training at
     train.TRAIN_SNR_DB with TrainConfig's defaults (train_symbols one epoch).
     Each SNR point is stored as a plain float. ValueError for no SNR points,
-    one that is not a real number (bool and str included), NaN or -inf, two
-    equal ones, a setting TrainConfig refuses, or counts (plain ints) below
-    one batch of train_symbols or one eval symbol."""
+    one channel.check_snr refuses (a bool or str, NaN or -inf), two equal
+    ones, a setting TrainConfig refuses, or counts (plain ints) below one
+    batch of train_symbols or one eval symbol."""
 
     train_symbols: int = TrainConfig.batches_per_epoch * TrainConfig.batch_size
     eval_symbols: int = 20_000
@@ -45,10 +43,13 @@ class TrialScale:
     def __post_init__(self):
         if not self.snrs_db:
             raise ValueError("TrialScale.snrs_db must be nonempty")
+        snrs = []
         for snr in self.snrs_db:
-            if isinstance(snr, bool) or not isinstance(snr, numbers.Real) or not snr > -math.inf:
-                raise ValueError(f"snrs_db must hold numbers above -inf, got {snr!r}")
-        snrs = tuple(float(snr) for snr in self.snrs_db)
+            try:
+                snrs.append(check_snr(snr))
+            except ValueError:
+                raise ValueError(f"snrs_db must hold numbers above -inf, got {snr!r}") from None
+        snrs = tuple(snrs)
         if len(set(snrs)) < len(snrs):
             raise ValueError(f"snrs_db must not repeat an SNR, got {self.snrs_db}")
         object.__setattr__(self, "snrs_db", snrs)

@@ -280,6 +280,21 @@ def _clamp(x: np.ndarray, lo: float, hi: float, stats: dict | None) -> np.ndarra
     return np.minimum(x, hi, out=x)
 
 
+def _shr(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """x >> k as floor(x * 2^-k), into `out` (a new array if None); 2^-k
+    underflows past 1074 bits, where |x| < 2^16 floors alike."""
+    scaled = np.multiply(x, 2.0 ** -min(k, 1074), out=out)
+    return np.floor(scaled, out=scaled)
+
+
+def _fire(v: np.ndarray, spec: FxpLifSpec) -> np.ndarray:
+    """Spike where v >= v_th_int and hard-reset those v to v_r_int in place;
+    the spikes as a float64 array of 0 and 1."""
+    fired = v >= spec.v_th_int
+    np.putmask(v, fired, spec.v_r_int)
+    return fired.astype(float)
+
+
 def fxp_lif_step(v: np.ndarray, i: np.ndarray, drive: np.ndarray, spec: FxpLifSpec,
                  stats: dict | None = None):
     """One integer LIF step with shift decays; returns (v', i', spikes).
@@ -300,18 +315,21 @@ def fxp_lif_step(v: np.ndarray, i: np.ndarray, drive: np.ndarray, spec: FxpLifSp
     """
     v, i = np.asarray(v, dtype=float), np.asarray(i, dtype=float)
     shifted = np.empty_like(v)
-
-    def shr(x, k):  # x >> k; 2^-k underflows past 1074 bits, where |x| < 2^16 floors alike
-        return np.floor(np.multiply(x, 2.0 ** -min(k, 1074), out=shifted), out=shifted)
-
-    i -= shr(i, spec.k_i)
+    i -= _shr(i, spec.k_i, shifted)
     i += drive
     _clamp(i, spec.state_min, spec.state_max, stats)
-    v -= shr(v, spec.k_v)
-    v += shr(i, spec.k_v)
-    fired = v >= spec.v_th_int
-    np.putmask(v, fired, spec.v_r_int)
-    return v, i, fired.astype(float)
+    v -= _shr(v, spec.k_v, shifted)
+    v += _shr(i, spec.k_v, shifted)
+    return v, i, _fire(v, spec)
+
+
+def _lif_from_rest(drive: np.ndarray, spec: FxpLifSpec):
+    """fxp_lif_step(0, 0, drive) in closed form, for a drive in the state range:
+    i' = drive (the clamp moves nothing, so no clip is counted) and
+    v' = drive >> k_v, then fire and reset. Returns (v', i', spikes); i' is
+    `drive` itself."""
+    v = _shr(drive, spec.k_v)
+    return v, drive, _fire(v, spec)
 
 
 def _requantize(x: np.ndarray, spec: FxpLifSpec, stats: dict | None) -> np.ndarray:
@@ -326,10 +344,24 @@ def _requantize(x: np.ndarray, spec: FxpLifSpec, stats: dict | None) -> np.ndarr
 
 
 class _Resolved:
-    """fxp_forward's constants, all float64: the weights transposed, with each
-    product's alignment shift folded in; the aligned biases; and the t >= 1
-    hidden drive before fc2 (h_rest). The hidden drive's shift onto the
-    state grid is folded into its products too.
+    """fxp_forward's constants, all float64, each product's alignment shift and
+    the hidden drive's shift onto the state grid folded into its weights:
+    w01 and h_rest (below), the fc2 and fc3 weights transposed (w2, w3), and
+    the readout bias summed over the steps as the logits are (z_bias).
+
+    fc0 and fc1 meet only in the first step's drive, (windows @ w0 + a_bias)
+    @ w1 + b1, where w0 and w1 are the aligned fc0 and shift-folded fc1
+    weights, transposed, and a_bias and b1 their aligned biases. One product
+    holds it: windows @ w01 + h_rest, with w01 = w0 @ w1 and h_rest = a_bias
+    @ w1 + b1, which is also the drive of steps t >= 1 before fc2. The fold
+    is exact. Each entry of w01, and each partial sum of w0 @ w1 and of
+    windows @ w01 for ternary windows, is a signed sum of distinct terms
+    w0[j, m] * w1[m, n]; times 2^shift it is an integer on the hidden drive's
+    grid of magnitude at most sum_m |w_fc1[n, m]| * sum_j |w_fc0[m, j]| <=
+    row_sum(w_fc1) x the fc0 bound (aligned). That is a term of the hidden
+    drive's worst case (_worst_case_accumulators), which _check_model holds,
+    with h_rest's partial sums and the drive, to acc_max <= 2^52, so float64
+    holds every one exactly: 2^-shift only moves the exponent.
     """
 
     def __init__(self, model: FxpModel):
@@ -343,22 +375,20 @@ class _Resolved:
         def transposed(name, frac):  # row-major: BLAS multiplies it faster
             return np.ascontiguousarray(aligned(name, frac).T)
 
-        self.w0 = transposed("w_fc0", f_a)
-        self.w1 = transposed("w_fc1", f_h - shift - f_a)
+        w1 = transposed("w_fc1", f_h - shift - f_a)
+        self.w01 = transposed("w_fc0", f_a) @ w1
+        self.h_rest = aligned("b_fc0", f_a) @ w1 + aligned("b_fc1", f_h - shift)
         self.w2 = transposed("w_fc2", f_h - shift)
         self.w3 = transposed("w_fc3", f_z)
-        self.a_bias = aligned("b_fc0", f_a)
-        self.b1 = aligned("b_fc1", f_h - shift)
-        # the fc1 drive of steps t >= 1 sees only the fc0 bias
-        self.h_rest = self.a_bias @ self.w1 + self.b1
-        self.z_bias = aligned("b_fc3", f_z)
+        self.z_bias = model.config.steps * aligned("b_fc3", f_z)
 
 
 def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarray:
     """Integer-exact T-step forward pass over a batch of ternary windows (B, n_input).
 
-    The dataflow mirrors the float forward: fc0 sees the windows at the first
-    step only; the hidden drive is requantized onto the state grid (round
+    The dataflow mirrors the float forward: the windows drive fc0, and fc0
+    drives fc1, at the first step only, a step that starts from rest
+    (v = i = 0); the hidden drive is requantized onto the state grid (round
     half-up) before entering the current equation; fc3 readouts accumulate over
     steps. Returns the int64 logits (B, N_CLASSES) on the fc3 grid. With
     `stats`, the LIF state clips are added to its "state_clips" count.
@@ -369,8 +399,11 @@ def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarr
     on a grid of at most 16 bits (see FxpFormats). The products run on
     float64 BLAS with their alignment shifts folded into the weights, and the
     hidden drive's shift onto the state grid into its own, so no step scales
-    the drive. The readout is linear in the spikes: one product of their
-    counts, with the constants the model folded at construction.
+    the drive. fc0 and fc1 run as one exact product (see _Resolved), and the
+    step from rest as the closed form of fxp_lif_step from v = i = 0; steps
+    1..T-1 call fxp_lif_step. The readout is linear in the spikes: one
+    product of their counts, with the constants the model folded at
+    construction.
     """
     c, cfg, spec = model._resolved, model.config, model.lif_spec
     enc = np.asarray(windows, dtype=float)
@@ -378,21 +411,17 @@ def fxp_forward(windows, model: FxpModel, stats: dict | None = None) -> np.ndarr
         raise ValueError(f"windows have shape {enc.shape}, expected (B, {cfg.n_input})")
     if not ((enc == 0) | (np.abs(enc) == 1)).all():
         raise ValueError("fxp_forward requires ternary {-1, 0, 1} windows")
-    a_window = enc @ c.w0
-    a_window += c.a_bias
-    h = a_window @ c.w1  # the first step's drive: no spikes yet
-    h += c.b1
-    v = np.zeros_like(h)
-    i = np.zeros_like(h)
-    counts = np.zeros_like(h)
-    for t in range(cfg.steps):
-        if t:
-            np.matmul(spikes, c.w2, out=h)
-            h += c.h_rest
-        drive = _requantize(h, spec, stats)
-        v, i, spikes = fxp_lif_step(v, i, drive, spec, stats)
+    h = enc @ c.w01
+    h += c.h_rest
+    v, i, spikes = _lif_from_rest(_requantize(h, spec, stats), spec)
+    counts = spikes  # step 0's array: each later step's spikes are a new one
+    h = np.empty_like(i)
+    for _ in range(1, cfg.steps):
+        np.matmul(spikes, c.w2, out=h)
+        h += c.h_rest
+        v, i, spikes = fxp_lif_step(v, i, _requantize(h, spec, stats), spec, stats)
         counts += spikes
-    return (counts @ c.w3 + cfg.steps * c.z_bias).astype(np.int64)
+    return (counts @ c.w3 + c.z_bias).astype(np.int64)
 
 
 _FXP_FIELDS = ("fracs", "state_bits", "state_frac_bits", "k_v", "k_i",

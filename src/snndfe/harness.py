@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (BITS_PER_SYMBOL, N_CLASSES, ChannelConfig, bits_to_classes,
-                      check_int, check_pam4, classes_to_bits, simulate_link)
+                      check_int, check_pam4, check_snr, classes_to_bits, simulate_link)
 from .equalizer import equalize_stream, teacher_forced_windows
 
 
@@ -77,10 +77,11 @@ def _ber_curve(receiver, channel_cfg: ChannelConfig, snrs_db, symbols: int, seed
                skip: int) -> BerCurve:
     """Count one receiver on the eval frames: per SNR, receiver(snr_db, y)
     decides symbols skip..N-1 of the frame, and the point holds their bit
-    errors. The SNR is a float first, so 17 and 17.0 derive one frame."""
+    errors. Each SNR passes channel.check_snr, which makes it a float first,
+    so 17 and 17.0 derive one frame."""
     points = []
     for snr_db in snrs_db:
-        snr_db = float(snr_db + 0.0)  # + 0.0 refuses a str (TypeError), as float() would not
+        snr_db = check_snr(snr_db)
         classes, y = _eval_frame(channel_cfg, snr_db, symbols, seed)
         errors = count_bit_errors(classes[skip:], receiver(snr_db, y), BITS_PER_SYMBOL)
         points.append(BerPoint(snr_db, errors, BITS_PER_SYMBOL * (symbols - skip)))

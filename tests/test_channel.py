@@ -17,6 +17,7 @@ from snndfe.channel import (
     chromatic_dispersion,
     check_int,
     check_pam4,
+    check_snr,
     classes_to_bits,
     gray_map,
     rrc_taps,
@@ -24,7 +25,7 @@ from snndfe.channel import (
     square_law,
 )
 from snndfe.dse import DseSpace, TrialScale, search
-from snndfe.equalizer import TopologyConfig
+from snndfe.equalizer import EncoderConfig, TopologyConfig, teacher_forced_windows
 from snndfe.fxp import FxpFormats
 from snndfe.harness import (check_eval_symbols, count_bit_errors, derive_seed,
                             evaluate_baseline_ber)
@@ -288,37 +289,44 @@ class TestSimulateLink:
 
 
 # SHA-256 of (symbols, y) from simulate_link over 400 symbols: bits from
-# default_rng(seed), noise from default_rng(seed + 1). Recorded while the
-# stages still passed SignalBuffer objects; the link must not change them.
+# default_rng(seed), noise from default_rng(seed + 1). y's last bits follow
+# OpenBLAS's kernel family (np.convolve's dot products), so they are recorded
+# by tests/blas_digests.py on its Haswell kernels and one thread.
 GOLDEN_LINK = {
     (11, 5.0, 17.0): ("5af487a0ae6b4f0e380891655fa7294be9098fcf3163af4bd4b992ba3a301356",
-                      "dd5150db37040fa212332e5a990cfe08f3247a2a36007d02ba47c7064aab5197"),
+                      "28205523a876dd747e90e7afc484160b93204514250d04d314c0e9c89cd9664d"),
     (11, 5.0, math.inf): ("5af487a0ae6b4f0e380891655fa7294be9098fcf3163af4bd4b992ba3a301356",
-                          "723248152810ef80963beb2ce6d403ba61561add2ac476d89de9cee898165ff9"),
+                          "4319796de38a487dcc5e6fd67c987fcdee11534bc0cba30660d2ed30e9392b90"),
     (11, 0.0, 17.0): ("5af487a0ae6b4f0e380891655fa7294be9098fcf3163af4bd4b992ba3a301356",
-                      "fc34d0865fabad5e018cd11d04e05dac537838bb80936ed9a7a5986474db02fb"),
+                      "d400cabfc4b9ca7e2fb287f467828e6868223af78c3cc98211a770c187bfd1c6"),
     (11, 0.0, math.inf): ("5af487a0ae6b4f0e380891655fa7294be9098fcf3163af4bd4b992ba3a301356",
-                          "e595c1618ba3343735a82c4725b8e4776de440ffd5c500bc24600cdcddd8b5a9"),
+                          "a053883f4eea7f1f8079aa24c6edd473a2ccd56a024e3cb02da43a54fb8a1397"),
     (2024, 5.0, 17.0): ("01229f1f2675c31d4d5b0c492ad4336f9967f2538dd6d55c0e1531cd68926131",
-                        "30ca8d0dd778a1b13c0c04dc54f0c9823ec1f3e7bb4d3a219da62b652cbef6ab"),
+                        "74281e4005ab1385610fa83288ccec367765d3778237dfcee54ed3b6bf7d0db4"),
     (2024, 5.0, math.inf): ("01229f1f2675c31d4d5b0c492ad4336f9967f2538dd6d55c0e1531cd68926131",
-                            "b1b4a3902e5b63df88f13fa7413eab35b6586374c7dc54615500c3c8d8277e67"),
+                            "ce93da2a0d703238dd9c8a95e543cc446bcb30c0f7b4886d36f714a267dd95cc"),
     (2024, 0.0, 17.0): ("01229f1f2675c31d4d5b0c492ad4336f9967f2538dd6d55c0e1531cd68926131",
-                        "5ec9830a6493652d1e92d6608e354bac569e21359d89f94d3b03be98d553fb22"),
+                        "84e744b98d2d95bbbac95f0e5305ccb93256b8e6abd5bfcaa2a5368b129cdc5c"),
     (2024, 0.0, math.inf): ("01229f1f2675c31d4d5b0c492ad4336f9967f2538dd6d55c0e1531cd68926131",
-                            "7ece3a03d1d2dde6073d3584bc701a10c46036ccd018f6bca74b263de746ea41"),
+                            "63f4c3e3e46146b3783811128373176fc7687a50bf4ea28f0fb27bf8920e75d2"),
 }
 
 
-@pytest.mark.parametrize("seed, fiber_length_km, snr_db", sorted(GOLDEN_LINK))
-def test_simulate_link_golden(seed, fiber_length_km, snr_db):
+def link_digests(seed, fiber_length_km, snr_db):
+    """GOLDEN_LINK's digests of one case, as this process computes them."""
     cfg = ChannelConfig() if fiber_length_km else ChannelConfig(fiber_length_km=0)
     bits = np.random.default_rng(seed).integers(0, 2, 2 * 400)
     symbols, y = simulate_link(bits, cfg, snr_db, np.random.default_rng(seed + 1))
-    digests = tuple(hashlib.sha256(np.asarray(a, dtype=np.float64).tobytes()).hexdigest()
-                    for a in (symbols, y))
     assert symbols.shape == y.shape == (400,)
-    assert digests == GOLDEN_LINK[seed, fiber_length_km, snr_db]
+    return [hashlib.sha256(np.asarray(a, dtype=np.float64).tobytes()).hexdigest()
+            for a in (symbols, y)]
+
+
+@pytest.mark.parametrize("seed, fiber_length_km, snr_db", sorted(GOLDEN_LINK))
+def test_simulate_link_golden(blas_digests, seed, fiber_length_km, snr_db):
+    # computed on OpenBLAS's Haswell kernels, whatever this runner's are
+    got = blas_digests["link"][repr((seed, fiber_length_km, snr_db))]
+    assert tuple(got) == GOLDEN_LINK[seed, fiber_length_km, snr_db]
 
 
 @settings(max_examples=60, deadline=None)
@@ -352,6 +360,15 @@ UNMAPPABLE = {
     "class_negative": (lambda: classes_to_bits([-1], 2), r"classes must be in \[0, 4\)"),
     "class_4": (lambda: classes_to_bits([1, 4], 2), r"classes must be in \[0, 4\)"),
     "class_fraction": (lambda: classes_to_bits([1.5], 2), r"classes must be in \[0, 4\)"),
+    # a NaN or infinite class emitted a RuntimeWarning in the int cast first
+    "class_nan": (lambda: classes_to_bits([1.0, math.nan], 2), r"classes must be in \[0, 4\)"),
+    "class_inf": (lambda: classes_to_bits([math.inf], 2), r"classes must be in \[0, 4\)"),
+    "class_minus_inf": (lambda: classes_to_bits([-math.inf], 2), r"classes must be in \[0, 4\)"),
+    **{f"teacher_forced_class_{label}": (
+        lambda c=c: teacher_forced_windows(np.zeros(4), [0.0, 1.0, c, 2.0], EncoderConfig(0.0, 1.0),
+                                           TopologyConfig(n_tap=3)), r"classes must be in \[0, 4\)")
+       for label, c in (("nan", math.nan), ("inf", math.inf), ("minus_inf", -math.inf),
+                        ("fraction", 1.5))},
     # -1 demapped as class 3, so no bit error was counted
     "count_class_negative": (lambda: count_bit_errors([3], [-1], 2), "classes must be in"),
 }
@@ -375,6 +392,15 @@ def test_check_int_returns_a_plain_int_or_names_the_field():
                              (9, 8, r"n must be in \[1, 8\], got 9")):
         with pytest.raises(ValueError, match=match):
             check_int("n", value, 1, hi)
+
+
+def test_check_snr_returns_a_plain_float_or_refuses():
+    for snr, want in ((17, 17.0), (np.int64(14), 14.0), (np.float32(20.5), 20.5),
+                      (math.inf, math.inf), (-300.0, -300.0)):
+        assert check_snr(snr) == want and type(check_snr(snr)) is float
+    for snr in (True, np.bool_(False), "17", math.nan, np.float64("nan"), -math.inf, None, 1j):
+        with pytest.raises(ValueError, match="snr_db must be a real number above -inf"):
+            check_snr(snr)
 
 
 NAN, INF = float("nan"), float("inf")

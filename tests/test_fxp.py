@@ -24,6 +24,7 @@ from snndfe.fxp import (
     FxpFormats,
     FxpLifSpec,
     FxpModel,
+    _lif_from_rest,
     _requantize,
     _worst_case_accumulators,
     convert,
@@ -327,6 +328,21 @@ def test_lif_step_matches_python_ints(case):
     assert stats == want_stats
 
 
+@settings(max_examples=300, deadline=None)
+@given(case=lif_cases())
+def test_step_from_rest_is_the_lif_step_from_zero(case):
+    # fxp_forward's first step: the same v, i and spikes, and no clip, since
+    # a drive in the state range is its own clamp
+    spec, (_, _, drive) = case
+    drive = np.array(drive, dtype=float)
+    stats = {}
+    want = fxp_lif_step(np.zeros_like(drive), np.zeros_like(drive), drive, spec, stats)
+    got = _lif_from_rest(drive.copy(), spec)
+    for g, w in zip(got, want):
+        assert list(map(int, g)) == list(map(int, w))
+    assert stats == {"state_clips": 0}
+
+
 def state_spec(bits):
     return FxpLifSpec(k_v=3, k_i=2, v_th_int=0, v_r_int=0,
                       state_min=-(2 ** (bits - 1)), state_max=2 ** (bits - 1) - 1)
@@ -615,6 +631,41 @@ class TestFxpForward:
         assert stats == want_stats
         assert len(set(map(tuple, logits))) > 1  # the drive reaches the readout
 
+    def test_fc0_fc1_fold_exact_where_float32_is_not(self):
+        # the drive's grid is the state grid (shift 0), so the folded fc0-fc1
+        # weights reach 2^31.6 state steps; windows 0 and 1 of fc0 differ by
+        # 127 in one row, so +1, -1 on them cancel to a drive of 127, which
+        # fires at step 2. Rounded to float32's 24 bits (multiples of 256 here)
+        # the two folded rows cancel to 0 or 256 instead
+        cfg = TopologyConfig(n_tap=3, hidden=4, steps=4)
+        q, delta = 2 ** 15 - 1, 127
+        w_fc0 = np.zeros((cfg.hidden, cfg.n_input), dtype=np.int64)
+        w_fc0[:, :2] = q
+        w_fc0[3, 1] -= delta
+        rng = np.random.default_rng(53)
+        ints = {"w_fc0": w_fc0, "b_fc0": np.zeros(cfg.hidden, dtype=np.int64),
+                "w_fc1": np.tile([q, q, q, 1], (cfg.hidden, 1)),
+                "b_fc1": np.zeros(cfg.hidden, dtype=np.int64),
+                "w_fc2": rng.integers(-20, 21, (cfg.hidden, cfg.hidden)),
+                "w_fc3": rng.integers(-99, 100, (N_CLASSES, cfg.hidden)),
+                "b_fc3": rng.integers(-99, 100, N_CLASSES)}
+        fracs = {"w_fc0": 16, "b_fc0": 16, "w_fc1": -11, "b_fc1": 5, "w_fc2": 5,
+                 "w_fc3": 0, "b_fc3": 0}
+        fm = FxpModel(config=cfg, encoder=EncoderConfig(0.0, 1.0),
+                      lif=LifParams.shift_friendly(), ints=ints, fracs=fracs,
+                      formats=FxpFormats(weight_bits=16, acc_bits=40))
+        assert drive_shift(fm) == 0
+        windows = np.zeros((3, cfg.n_input), dtype=np.int64)
+        windows[:2, 0], windows[:2, 1], windows[1, 0] = 1, -1, 0
+        windows[2] = random_windows(fm, 1, seed=54)
+        stats = {}
+        logits = fxp_forward(windows, fm, stats)
+        want, want_stats = exact_forward(windows, fm)
+        np.testing.assert_array_equal(logits, want)
+        assert stats == want_stats
+        np.testing.assert_array_equal(logits * fc3_grid(fm), float_twin_forward(windows, fm))
+        assert (logits[0] != logits[1]).any()  # the drive of 127 reaches the readout
+
     def test_large_alignment_shifts_exact_at_16_bits(self):
         # fc2 products shift left by 32 bits and fc3 products by 45 (folded into
         # the float64 weights), with the logits' worst case just under 2^52
@@ -636,6 +687,21 @@ class TestFxpForward:
         logits = fxp_forward(windows, fm)
         np.testing.assert_array_equal(logits * fc3_grid(fm), float_twin_forward(windows, fm))
         np.testing.assert_array_equal(logits, exact_forward(windows, fm)[0])
+        assert len(set(map(tuple, logits))) > 1  # the spikes reach the readout
+
+    def test_paper_point_shape_matches_python_ints(self):
+        # 17 taps, hidden 72, T 5 at 8/8 bits: the fc0-fc1 fold multiplies
+        # 104 x 72 by 72 x 72, wide enough for BLAS's blocked kernels; large
+        # weights, so the states reach their clamps
+        model = make_float_model(n_tap=17, hidden=72, steps=5, seed=17, scale=6.0)
+        fm = convert(model, FxpFormats(weight_bits=8, state_bits=8))
+        windows = random_windows(model, 16, seed=18)
+        stats = {}
+        logits = fxp_forward(windows, fm, stats)
+        want, want_stats = exact_forward(windows, fm)
+        np.testing.assert_array_equal(logits, want)
+        assert stats == want_stats and stats["state_clips"] > 0
+        np.testing.assert_array_equal(logits * fc3_grid(fm), float_twin_forward(windows, fm))
         assert len(set(map(tuple, logits))) > 1  # the spikes reach the readout
 
     def test_wide_accumulator_never_saturates_here(self):

@@ -55,8 +55,20 @@ def test_an_snr_derives_one_frame_whatever_its_number_type():
     assert base == [base[1]] * 4 and snn == [snn[1]] * 4
     assert base[1].bit_errors == 384
     assert all(type(point.snr_db) is float for point in base + snn)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         evaluate_baseline_ber(ChannelConfig(), 2, ("17",), 100, seed=1)
+
+
+@pytest.mark.parametrize("snr", [True, float("nan"), -float("inf"), "17"],
+                         ids=["bool", "nan", "minus_inf", "str"])
+def test_every_receiver_refuses_an_snr_check_snr_refuses(snr):
+    # a bool SNR was a point at 1.0 dB, a str a TypeError, and NaN and -inf
+    # were refused only inside add_awgn
+    model = small_model()
+    for call in (lambda: evaluate_baseline_ber(ChannelConfig(), 2, (17.0, snr), 100, seed=1),
+                 lambda: evaluate_ber(model, ChannelConfig(), (17.0, snr), 100, seed=1)):
+        with pytest.raises(ValueError, match=f"snr_db must be a real number above -inf, got {snr!r}"):
+            call()
 
 
 def test_every_receiver_is_counted_on_the_same_frames(monkeypatch):
